@@ -3,13 +3,15 @@ critical-line zero finding, the xi-ratio S-matrix, inverse-square-potential
 quantum checks, dispersion reconstruction, and Hadamard factorization.
 """
 
-from ._backend import backend_name
 from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
                      DomainError, GridError, IntegrationLimitError, PoleError,
                      PreconditionError, RangeError, RZLabError,
                      VerificationError)
 
 __version__ = "0.1.0"
+
+# The one xi kernel: the pure-Python Euler-Maclaurin sum rzlab.zeta.zeta_em.
+backend_name = "python"
 
 __all__ = [
     "__version__",

@@ -43,13 +43,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_jobs():
+    """The deprecated RZLAB_JOBS value, else 1.  It is validated and
+    reported but selects nothing: every scan runs serially."""
     env = os.environ.get("RZLAB_JOBS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise _UsageExit("RZLAB_JOBS must be an integer, got %r" % env)
-    return os.cpu_count() or 1
+    return 1
 
 
 def _complex_str(z):
@@ -88,14 +90,14 @@ def _emit(envelope, rows, columns, args):
         sys.stdout.write(text)
 
 
-def _first_zeros(n, jobs):
+def _first_zeros(n):
     """Scan the critical line upward until n zeros are in hand."""
     from .zeros import find_zeros
     from .zeta import T_MAX
 
     t_max = min(float(T_MAX), 20.0 + 3.0 * n)
     while True:
-        zeros = find_zeros(0.0, t_max, jobs=jobs)
+        zeros = find_zeros(0.0, t_max)
         if len(zeros) >= n:
             return zeros[:n]
         if t_max >= T_MAX:
@@ -109,7 +111,8 @@ def _add_common(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write report to this file")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker count (default: RZLAB_JOBS or logical cores)")
+                   help="deprecated and ignored; scans run serially "
+                        "(default: RZLAB_JOBS or 1)")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the timestamp field for byte-identical output")
 
@@ -118,9 +121,7 @@ def cmd_zeros(args):
     from .numerics import ContourRectangle
     from .zeros import count_zeros_rectangle, find_zeros
 
-    jobs = args.jobs if args.jobs else _default_jobs()
-    zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol,
-                       jobs=jobs)
+    zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
     diagnostics = []
     if args.t_max > args.t_min:
         rect = ContourRectangle(0.0, 1.0, max(args.t_min, 1e-3), args.t_max)
@@ -143,7 +144,7 @@ def cmd_zeros(args):
             for z in zeros]
     env = _envelope("zeros", {"t_min": args.t_min, "t_max": args.t_max,
                               "step": args.step, "tol": args.tol,
-                              "jobs": jobs},
+                              "jobs": args.jobs},
                     results, diagnostics, args.deterministic)
     _emit(env, rows, ["index", "ordinate", "residual"], args)
     return EXIT_OK if consistent else EXIT_VERIFICATION
@@ -173,6 +174,8 @@ def cmd_smatrix(args):
               args)
         return EXIT_OK
     if args.mode == "scan":
+        if not args.step > 0.0:
+            raise PreconditionError("step must be positive")
         series = []
         worst = 0.0
         n = int(round(args.tau_max / args.step))
@@ -189,8 +192,7 @@ def cmd_smatrix(args):
         _emit(env, series, ["tau", "unitarity_deviation"], args)
         return EXIT_OK
     # correspondence
-    jobs = args.jobs if args.jobs else _default_jobs()
-    zeros = _first_zeros(args.num_zeros, jobs)
+    zeros = _first_zeros(args.num_zeros)
     rows = []
     passes = 0
     for z in zeros:
@@ -291,8 +293,7 @@ def cmd_quantum(args):
 def cmd_hadamard(args):
     from .hadamard import ZeroCatalog, convergence_profile, fit_constants
 
-    jobs = args.jobs if args.jobs else _default_jobs()
-    catalog = ZeroCatalog.from_zeros(_first_zeros(args.num_zeros, jobs))
+    catalog = ZeroCatalog.from_zeros(_first_zeros(args.num_zeros))
     params = fit_constants()
     checkpoints = sorted({n for n in (10, 25, 50, 100, args.num_zeros)
                           if n <= args.num_zeros})
@@ -395,6 +396,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise _UsageExit("a subcommand is required")
+        args.jobs = args.jobs or _default_jobs()
         return args.func(args)
     except _UsageExit as exc:
         sys.stderr.write("usage error: %s\n" % exc)

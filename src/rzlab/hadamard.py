@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .zeta import xi
 
-FD_STEP = 1e-5
+EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,12 @@ def default_xi_eval(z):
     return xi(z).to_complex()
 
 
-def fit_constants(xi_eval=default_xi_eval):
-    """A = log xi(0); B = (log xi)'(0) by Richardson-extrapolated
-    central differences with step 1e-5."""
-    a = cmath.log(xi_eval(0j))
-
-    def central(h):
-        return (cmath.log(xi_eval(complex(h, 0.0)))
-                - cmath.log(xi_eval(complex(-h, 0.0)))) / (2.0 * h)
-
-    d1 = central(FD_STEP)
-    d2 = central(0.5 * FD_STEP)
-    b = (4.0 * d2 - d1) / 3.0
+def fit_constants():
+    """Hadamard constants of xi in closed form: A = log xi(0) = log 1/2
+    and B = (log xi)'(0) = -gamma/2 - 1 + (1/2) log 4 pi (Davenport,
+    Multiplicative Number Theory, ch. 12)."""
+    a = complex(math.log(0.5))
+    b = complex(-0.5 * EULER_GAMMA - 1.0 + 0.5 * math.log(4.0 * math.pi))
     return HadamardParams(m=0, a=a, b=b)
 
 
@@ -96,7 +90,7 @@ def convergence_profile(z, n_list, catalog, params=None,
                         xi_eval=default_xi_eval):
     """Relative residual |P_N(z) - xi(z)| / |xi(z)| for each N."""
     if params is None:
-        params = fit_constants(xi_eval)
+        params = fit_constants()
     target = xi_eval(complex(z))
     return [abs(hadamard_partial(params, catalog, z, n) - target) / abs(target)
             for n in n_list]

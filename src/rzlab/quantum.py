@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (DivergenceError, DomainError, IntegrationLimitError,
                      PoleError, PreconditionError)
@@ -128,6 +127,10 @@ def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
     not limit accuracy) and y_end above the singular-origin floor 1e-3.
     Returns [(y, f(y))] on a uniform grid from y_end up to y_start.
     """
+    # scipy.integrate takes most of a second to import, and no other
+    # function here needs it.
+    from scipy.integrate import solve_ivp
+
     if not (y_start > y_end > 0):
         raise PreconditionError("need y_start > y_end > 0")
     if y_end < ODE_Y_FLOOR:

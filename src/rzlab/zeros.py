@@ -6,7 +6,6 @@ routes cross-check each other.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BoundaryZeroError, PreconditionError
@@ -42,11 +41,20 @@ def _signed_log_mag(t):
     return v.sign_hint, v.log_modulus
 
 
-def _scan_chunk(t_lo, t_hi, step, tol):
-    """Sign-change scan on [t_lo, t_hi]; returns refined ordinates."""
-    found = []
-    n = int(math.ceil((t_hi - t_lo) / step))
-    grid = [t_lo + i * (t_hi - t_lo) / n for i in range(n + 1)]
+def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
+    """All critical-line zeros with ordinate in (t_min, t_max).
+
+    Sign changes on a grid of spacing at most step, refined by bisection
+    to bracket width tol.
+    """
+    if not (0.0 <= t_min < t_max <= T_MAX):
+        raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
+    if not (0.0 < step <= 0.5):
+        raise PreconditionError("step must be in (0, 0.5]")
+    if not tol > 0.0:
+        raise PreconditionError("tol must be positive")
+    n = int(math.ceil((t_max - t_min) / step))
+    grid = [t_min + i * (t_max - t_min) / n for i in range(n + 1)]
     vals = [_signed_log_mag(t) for t in grid]
     # measure-zero collision with a grid point: shift and rescan
     if any(lm < -600.0 and lm != -math.inf for _, lm in vals):
@@ -58,44 +66,15 @@ def _scan_chunk(t_lo, t_hi, step, tol):
         sign, lm = _signed_log_mag(t)
         return sign * math.exp(max(lm + 0.25 * math.pi * t, -700.0))
 
+    zeros = []
     for (t0, (s0, _)), (t1, (s1, _)) in zip(zip(grid[:-1], vals[:-1]),
                                             zip(grid[1:], vals[1:])):
         if s0 != s1:
             root = find_root_bracketed(f, BracketInterval(t0, t1), tol)
             residual = math.exp(critical_line_function(root).log_modulus)
-            found.append((root, residual))
-    return found
-
-
-def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL, jobs=1):
-    """All critical-line zeros with ordinate in (t_min, t_max).
-
-    Grid sign changes refined by bisection to bracket width tol.  The
-    scan is chunked and may run on several workers; the merged result
-    is independent of the partition.
-    """
-    if not (0.0 <= t_min < t_max <= T_MAX):
-        raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
-    if step > 0.5:
-        raise PreconditionError("step must be <= 0.5")
-    jobs = max(1, int(jobs))
-    n_chunks = min(jobs * 4, max(1, int((t_max - t_min) / 5.0)))
-    bounds = [t_min + (t_max - t_min) * i / n_chunks for i in range(n_chunks + 1)]
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    if jobs == 1:
-        results = [_scan_chunk(a, b, step, tol) for a, b in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda ab: _scan_chunk(ab[0], ab[1], step, tol), chunks))
-    merged = sorted(r for chunk in results for r in chunk)
-    deduped = []
-    for root, residual in merged:
-        if deduped and abs(root - deduped[-1][0]) < 2.0 * tol:
-            continue
-        deduped.append((root, residual))
-    return [ZetaZero(ordinate=r, residual=res, index=i + 1)
-            for i, (r, res) in enumerate(deduped)]
+            zeros.append(ZetaZero(ordinate=root, residual=residual,
+                                  index=len(zeros) + 1))
+    return zeros
 
 
 def count_zeros_rectangle(rect, samples_per_side=None, nudge=1e-3):

@@ -6,7 +6,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._backend import zeta_em
+import numpy as np
+
 from .errors import PoleError, RangeError
 from .specfun import log_gamma, _log_sin, _normalize_phase
 
@@ -22,6 +23,9 @@ _LOG_2 = math.log(2.0)
 # (s-1) zeta(s) about s = 1.
 _STIELTJES = (0.5772156649015329, -0.07281584548367672, -0.009690363192872318,
               0.002053834420303346, 0.0023253700654673)
+
+# Bernoulli numbers B_2 .. B_12 for the Euler-Maclaurin correction terms.
+_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,26 @@ def _check_window(s):
     if s.real < SIGMA_MIN:
         raise RangeError("Re s = %g below supported window (>= %g)"
                          % (s.real, SIGMA_MIN))
+
+
+def zeta_em(sigma, t, n):
+    """Euler-Maclaurin value of zeta(sigma + i t) with n initial terms.
+
+    Valid for sigma > -1 once n >= max(20, 2|t|); correction terms run
+    through B_12.  Callers handle reflection and the s = 1 pole.
+    """
+    s = complex(sigma, t)
+    k = np.arange(1, n, dtype=float)
+    total = np.sum(k ** (-s))
+    total += 0.5 * n ** (-s)
+    total += n ** (1.0 - s) / (s - 1.0)
+    fac = s * n ** (-s - 1.0)
+    n2 = float(n) * float(n)
+    for i, b in enumerate(_BERNOULLI):
+        twok = 2 * (i + 1)
+        total += b / math.factorial(twok) * fac
+        fac *= (s + twok - 1.0) * (s + twok) / n2
+    return complex(total)
 
 
 def _em_terms(t):

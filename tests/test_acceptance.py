@@ -26,7 +26,7 @@ from rzlab.zeta import xi, xi_symmetry_residual, zeta
 
 @pytest.fixture(scope="module")
 def zeros_to_100():
-    return find_zeros(0.0, 100.0, jobs=4)
+    return find_zeros(0.0, 100.0)
 
 
 def test_criterion_01_functional_equation_grid():
@@ -145,7 +145,7 @@ def test_criterion_09_dispersion_roundtrip():
 
 
 def test_criterion_10_hadamard_truncation():
-    zeros = find_zeros(0.0, 237.0, jobs=4)  # the first 100 ordinates
+    zeros = find_zeros(0.0, 237.0)  # the first 100 ordinates
     assert len(zeros) >= 100
     catalog = ZeroCatalog.from_zeros(zeros[:100])
     params = fit_constants()

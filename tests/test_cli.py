@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+import rzlab
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                        EXIT_VERIFICATION, main)
 
@@ -22,6 +25,7 @@ def test_zeros_json_report(capsys):
     assert report["results"]["cross_check"] == "consistent"
     assert "timestamp" not in report
     assert report["version"]
+    assert rzlab.backend_name == "python"
 
 
 def test_zeros_empty_window(capsys):
@@ -37,7 +41,7 @@ def test_zeros_deterministic_byte_identical(capsys):
     _, out2, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
                      "--deterministic")
     assert out1 == out2
-    # the numeric results must not depend on the worker partition
+    # the deprecated --jobs selects nothing, so the results are unchanged
     _, out3, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
                      "--deterministic", "--jobs", "3")
     assert json.loads(out3)["results"] == json.loads(out1)["results"]
@@ -61,6 +65,28 @@ def test_usage_errors(capsys):
 def test_domain_error_exit(capsys):
     code, _, err = run(capsys, "zeros", "--t-min", "50", "--t-max", "10")
     assert code == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "--t-min", "0", "--t-max", "30", "--step", "0"),
+    ("zeros", "--t-min", "0", "--t-max", "30", "--step", "-0.1"),
+    ("zeros", "--t-min", "0", "--t-max", "30", "--tol", "-1"),
+    ("smatrix", "scan", "--tau-max", "10", "--step", "0"),
+])
+def test_bad_scan_inputs_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "domain error" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, rzlab.cli, rzlab.quantum, rzlab.dispersion; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_smatrix_eval_identity(capsys):
@@ -145,6 +171,11 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_rzlab_jobs_env(monkeypatch, capsys):
+    # deprecated: reported, but no worker count is claimed unless set
+    monkeypatch.delenv("RZLAB_JOBS", raising=False)
+    _, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "15",
+                    "--deterministic")
+    assert json.loads(out)["parameters"]["jobs"] == 1
     monkeypatch.setenv("RZLAB_JOBS", "2")
     code, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "15",
                        "--deterministic")

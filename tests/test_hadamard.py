@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from rzlab.errors import PreconditionError
@@ -11,7 +12,7 @@ from rzlab.zeta import xi
 
 @pytest.fixture(scope="module")
 def catalog():
-    zeros = find_zeros(0.0, 100.0, jobs=4)
+    zeros = find_zeros(0.0, 100.0)
     return ZeroCatalog.from_zeros(zeros)
 
 
@@ -34,6 +35,16 @@ def test_fit_constants_values(params):
     # the log-derivative at the origin, a known slowly-varying constant
     assert abs(params.b.real - (-0.023095)) < 1e-4
     assert params.m == 0
+
+
+def test_fit_constants_b_matches_log_xi_derivative(params):
+    # independent referee: (log xi)'(0) by mpmath's numerical derivative,
+    # with xi(s) = (s - 1) pi^{-s/2} Gamma(s/2 + 1) zeta(s)
+    with mpmath.workdps(30):
+        b = mpmath.diff(lambda s: mpmath.log(
+            (s - 1) * mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2 + 1)
+            * mpmath.zeta(s)), 0)
+    assert abs(params.b - complex(b)) < 1e-12
 
 
 def test_partial_product_converges_on_real_axis(params, catalog):

@@ -32,14 +32,6 @@ def test_find_zeros_empty_window():
     assert find_zeros(0.0, 10.0) == []
 
 
-def test_find_zeros_partition_independent():
-    a = find_zeros(0.0, 60.0, jobs=1)
-    b = find_zeros(0.0, 60.0, jobs=4)
-    assert len(a) == len(b)
-    for za, zb in zip(a, b):
-        assert abs(za.ordinate - zb.ordinate) < 1e-9
-
-
 def test_find_zeros_precondition():
     with pytest.raises(PreconditionError):
         find_zeros(10.0, 5.0)
