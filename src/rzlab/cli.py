@@ -1,18 +1,23 @@
 """Command-line front end: every module exposed as a subcommand that
 emits a JSON report (canonical) or a CSV projection for plotting.
 
+Each mode is one subparser carrying only the options it reads, and one
+handler returning (parameters, results, rows, diagnostics, exit_code);
+`main` wraps that in the report envelope and writes it.
+
 Exit codes: 0 success, 2 domain/range error, 3 verification failure,
 64 usage error.
 """
 
 import argparse
 import csv
+import datetime
+import functools
 import io
 import json
 import math
 import os
 import sys
-import datetime
 
 from . import __version__
 from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
@@ -25,14 +30,14 @@ EXIT_VERIFICATION = 3
 EXIT_USAGE = 64
 
 _DOMAIN_ERRORS = (DomainError, RangeError, PreconditionError, GridError,
-                  PoleError, IntegrationLimitError, ValueError)
+                  PoleError, IntegrationLimitError, ValueError,
+                  ArithmeticError)
 _VERIFICATION_ERRORS = (VerificationError, BudgetExhaustedError,
                         DivergenceError, BoundaryZeroError)
 
 
 class _UsageExit(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """A usage problem: exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,34 +59,41 @@ def _default_jobs():
     return 1
 
 
+def _finite(text):
+    """argparse type of every float option: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("not a finite number: %r" % text)
+    return value
+
+
 def _complex_str(z):
     z = complex(z)
     return {"re": z.real, "im": z.imag}
 
 
-def _envelope(command, parameters, results, diagnostics, deterministic):
-    env = {
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "diagnostics": list(diagnostics),
-        "version": __version__,
-    }
-    if not deterministic:
-        env["timestamp"] = datetime.datetime.now(
+def _write_report(args, parameters, results, rows, diagnostics):
+    """Write the JSON envelope or its CSV projection.  The envelope is
+    serialized either way, so a non-finite number is a range error."""
+    envelope = {"command": args.command, "parameters": parameters,
+                "results": results, "diagnostics": list(diagnostics),
+                "version": __version__}
+    if not args.deterministic:
+        envelope["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    return env
-
-
-def _emit(envelope, rows, columns, args):
-    if args.format == "json":
-        text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    else:
+    try:
+        text = json.dumps(envelope, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise RangeError("the result holds a non-finite number")
+    if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns)
+        writer = csv.DictWriter(buf, fieldnames=args.columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -107,187 +119,152 @@ def _first_zeros(n):
         t_max = min(float(T_MAX), 1.5 * t_max)
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="write report to this file")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="deprecated and ignored; scans run serially "
-                        "(default: RZLAB_JOBS or 1)")
-    p.add_argument("--deterministic", action="store_true",
-                   help="omit the timestamp field for byte-identical output")
-
-
 def cmd_zeros(args):
     from .numerics import ContourRectangle
     from .zeros import count_zeros_rectangle, find_zeros
 
     zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
-    diagnostics = []
     if args.t_max > args.t_min:
         rect = ContourRectangle(0.0, 1.0, max(args.t_min, 1e-3), args.t_max)
         rect_count = count_zeros_rectangle(rect)
     else:
         rect_count = 0
     consistent = rect_count == len(zeros)
-    verdict = "consistent" if consistent else "inconsistent"
-    if not consistent:
-        diagnostics.append("line scan found %d zeros but the contour count "
-                           "is %d" % (len(zeros), rect_count))
-    results = {
-        "zeros": [{"index": z.index, "ordinate": z.ordinate,
-                   "residual": z.residual} for z in zeros],
-        "count": len(zeros),
-        "rectangle_count": rect_count,
-        "cross_check": verdict,
-    }
+    diagnostics = [] if consistent else [
+        "line scan found %d zeros but the contour count is %d"
+        % (len(zeros), rect_count)]
     rows = [{"index": z.index, "ordinate": z.ordinate, "residual": z.residual}
             for z in zeros]
-    env = _envelope("zeros", {"t_min": args.t_min, "t_max": args.t_max,
-                              "step": args.step, "tol": args.tol,
-                              "jobs": args.jobs},
-                    results, diagnostics, args.deterministic)
-    _emit(env, rows, ["index", "ordinate", "residual"], args)
-    return EXIT_OK if consistent else EXIT_VERIFICATION
+    results = {"zeros": rows, "count": len(zeros),
+               "rectangle_count": rect_count,
+               "cross_check": "consistent" if consistent else "inconsistent"}
+    parameters = {"t_min": args.t_min, "t_max": args.t_max,
+                  "step": args.step, "tol": args.tol, "jobs": args.jobs}
+    return (parameters, results, rows, diagnostics,
+            EXIT_OK if consistent else EXIT_VERIFICATION)
 
 
-def cmd_smatrix(args):
-    from .scattering import jost_plus, s_matrix, zero_to_jost_zero
+def cmd_smatrix_eval(args):
+    from .scattering import s_matrix
+
+    m = s_matrix(complex(args.re, args.im))
+    value = None if m.pole_flag else _complex_str(m.value.to_complex())
+    results = {"s": _complex_str(m.s), "value": value,
+               "log_modulus": m.value.log_modulus, "pole": m.pole_flag,
+               "zero": m.zero_flag}
+    rows = [{"re": args.re, "im": args.im,
+             "value_re": value["re"] if value else "",
+             "value_im": value["im"] if value else "",
+             "pole": m.pole_flag, "zero": m.zero_flag}]
+    return {"re": args.re, "im": args.im}, results, rows, [], EXIT_OK
+
+
+def cmd_smatrix_scan(args):
+    from .numerics import MAX_GRID_POINTS
+    from .scattering import s_matrix
+    from .zeta import T_MAX
+
+    if not (args.step > 0.0 and args.tau_max >= 0.0):
+        raise PreconditionError("need step > 0 and tau-max >= 0")
+    if args.tau_max / args.step > MAX_GRID_POINTS - 1:
+        raise PreconditionError("step %g gives more than %d scan points"
+                                % (args.step, MAX_GRID_POINTS))
+    n = int(round(args.tau_max / args.step))
+    if n * args.step > 0.5 * T_MAX:
+        raise RangeError("scan reaches tau = %g, beyond T_MAX/2 = %g"
+                         % (n * args.step, 0.5 * T_MAX))
+    series = []
+    for i in range(n + 1):
+        tau = i * args.step
+        dev = abs(s_matrix(complex(0.0, tau)).value.abs() - 1.0)
+        series.append({"tau": tau, "unitarity_deviation": dev})
+    worst = max(row["unitarity_deviation"] for row in series)
+    results = {"series": series, "max_deviation": worst}
+    return ({"tau_max": args.tau_max, "step": args.step}, results, series,
+            [], EXIT_OK)
+
+
+def cmd_smatrix_correspondence(args):
+    from .scattering import jost_plus, zero_to_jost_zero
 
     diagnostics = []
-    if args.mode == "eval":
-        m = s_matrix(complex(args.re, args.im))
-        results = {
-            "s": _complex_str(m.s),
-            "value": None if m.pole_flag else _complex_str(
-                m.value.to_complex()),
-            "log_modulus": m.value.log_modulus,
-            "pole": m.pole_flag,
-            "zero": m.zero_flag,
-        }
-        rows = [{"re": args.re, "im": args.im,
-                 "value_re": results["value"]["re"] if results["value"] else "",
-                 "value_im": results["value"]["im"] if results["value"] else "",
-                 "pole": m.pole_flag, "zero": m.zero_flag}]
-        env = _envelope("smatrix eval", {"re": args.re, "im": args.im},
-                        results, diagnostics, args.deterministic)
-        _emit(env, rows, ["re", "im", "value_re", "value_im", "pole", "zero"],
-              args)
-        return EXIT_OK
-    if args.mode == "scan":
-        if not args.step > 0.0:
-            raise PreconditionError("step must be positive")
-        series = []
-        worst = 0.0
-        n = int(round(args.tau_max / args.step))
-        for i in range(n + 1):
-            tau = i * args.step
-            m = s_matrix(complex(0.0, tau))
-            dev = abs(m.value.abs() - 1.0)
-            worst = max(worst, dev)
-            series.append({"tau": tau, "unitarity_deviation": dev})
-        results = {"series": series, "max_deviation": worst}
-        env = _envelope("smatrix scan",
-                        {"tau_max": args.tau_max, "step": args.step},
-                        results, diagnostics, args.deterministic)
-        _emit(env, series, ["tau", "unitarity_deviation"], args)
-        return EXIT_OK
-    # correspondence
-    zeros = _first_zeros(args.num_zeros)
     rows = []
-    passes = 0
-    for z in zeros:
+    for z in _first_zeros(args.num_zeros):
+        p = complex(-0.25, 0.5 * z.ordinate)
         try:
-            p = zero_to_jost_zero(z.ordinate, verify=True)
-            mag = jost_plus(p).value.abs()
-            ok = True
-            passes += 1
+            mag = jost_plus(zero_to_jost_zero(z.ordinate)).value.abs()
         except VerificationError as exc:
-            p = complex(-0.25, 0.5 * z.ordinate)
-            mag = float("nan")
-            ok = False
+            mag = None
             diagnostics.append(str(exc))
         rows.append({"index": z.index, "ordinate": z.ordinate,
                      "jost_zero_re": p.real, "jost_zero_im": p.imag,
-                     "jost_magnitude": mag, "winding_ok": ok})
+                     "jost_magnitude": mag, "winding_ok": mag is not None})
+    passes = sum(row["winding_ok"] for row in rows)
     results = {"per_zero": rows, "passes": passes,
                "checked": args.num_zeros}
-    env = _envelope("smatrix correspondence",
-                    {"num_zeros": args.num_zeros}, results, diagnostics,
-                    args.deterministic)
-    _emit(env, rows, ["index", "ordinate", "jost_zero_re", "jost_zero_im",
-                      "jost_magnitude", "winding_ok"], args)
-    return EXIT_OK if passes == args.num_zeros else EXIT_VERIFICATION
+    return ({"num_zeros": args.num_zeros}, results, rows, diagnostics,
+            EXIT_OK if passes == args.num_zeros else EXIT_VERIFICATION)
 
 
-def cmd_quantum(args):
-    from .quantum import (OrderParameter, fit_moment_coefficient,
-                          jost_solution_analytic, jost_solution_ode,
-                          k_moment_closed_form, k_moment_integral,
-                          khuri_reality_residual)
+def cmd_kmoment(args):
+    from .quantum import (fit_moment_coefficient, k_moment_closed_form,
+                          k_moment_integral)
 
-    diagnostics = []
-    if args.sub == "kmoment":
-        res = k_moment_integral(args.nu)
-        fitted = fit_moment_coefficient()
-        printed = 0.125
-        closed_fitted = k_moment_closed_form(args.nu, fitted)
-        closed_printed = k_moment_closed_form(args.nu, printed)
-        flag = "discrepancy" if abs(fitted - printed) > 1e-6 else "agreement"
-        if flag == "discrepancy":
-            diagnostics.append(
-                "fitted closed-form coefficient %.12g disagrees with the "
-                "printed value %.12g" % (fitted, printed))
-        results = {
-            "nu": args.nu,
-            "integral": _complex_str(res.value),
-            "error_estimate": res.error_estimate,
-            "fitted_coefficient": fitted,
-            "printed_coefficient": printed,
-            "closed_form_fitted": _complex_str(closed_fitted),
-            "closed_form_printed": _complex_str(closed_printed),
-            "coefficient_flag": flag,
-        }
-        rows = [{"nu": args.nu, "integral_re": complex(res.value).real,
-                 "fitted_coefficient": fitted,
-                 "printed_coefficient": printed, "flag": flag}]
-        env = _envelope("quantum kmoment", {"nu": args.nu}, results,
-                        diagnostics, args.deterministic)
-        _emit(env, rows, ["nu", "integral_re", "fitted_coefficient",
-                          "printed_coefficient", "flag"], args)
-        return EXIT_OK
-    if args.sub == "jost-verify":
-        nu = OrderParameter.from_coupling(args.lam).nu
-        y_start = 25.0 / args.k
-        samples = jost_solution_ode(args.k, args.lam, 1.0, y_start)
-        rows = []
-        worst = 0.0
-        for y, f_ode in samples:
-            if not (1.0 <= y <= 10.0):
-                continue
-            f_ref = jost_solution_analytic(args.k, nu, y)
-            rel = abs(f_ode - f_ref) / abs(f_ref)
-            worst = max(worst, rel)
-            rows.append({"y": y, "f_ode_re": f_ode.real,
-                         "f_ode_im": f_ode.imag, "rel_error": rel})
-        results = {"lambda": args.lam, "k": args.k, "nu": _complex_str(nu),
-                   "max_rel_error": worst, "samples": rows}
-        env = _envelope("quantum jost-verify",
-                        {"lambda": args.lam, "k": args.k}, results,
-                        diagnostics, args.deterministic)
-        _emit(env, rows, ["y", "f_ode_re", "f_ode_im", "rel_error"], args)
-        return EXIT_OK
-    # khuri
+    res = k_moment_integral(args.nu)
+    fitted = fit_moment_coefficient()
+    printed = 0.125
+    flag = "discrepancy" if abs(fitted - printed) > 1e-6 else "agreement"
+    diagnostics = [] if flag == "agreement" else [
+        "fitted closed-form coefficient %.12g disagrees with the printed "
+        "value %.12g" % (fitted, printed)]
+    rows = [{"nu": args.nu, "integral_re": complex(res.value).real,
+             "fitted_coefficient": fitted,
+             "printed_coefficient": printed, "flag": flag}]
+    results = {"nu": args.nu, "integral": _complex_str(res.value),
+               "error_estimate": res.error_estimate,
+               "fitted_coefficient": fitted, "printed_coefficient": printed,
+               "closed_form_fitted": _complex_str(
+                   k_moment_closed_form(args.nu, fitted)),
+               "closed_form_printed": _complex_str(
+                   k_moment_closed_form(args.nu, printed)),
+               "coefficient_flag": flag}
+    return {"nu": args.nu}, results, rows, diagnostics, EXIT_OK
+
+
+def cmd_jost_verify(args):
+    from .quantum import (OrderParameter, jost_solution_analytic,
+                          jost_solution_ode)
+
+    if not args.k > 0.0:
+        raise PreconditionError("k must be positive")
+    nu = OrderParameter.from_coupling(args.lam).nu
+    samples = jost_solution_ode(args.k, args.lam, 1.0, 25.0 / args.k)
+    rows = []
+    worst = 0.0
+    for y, f_ode in samples:
+        if not (1.0 <= y <= 10.0):
+            continue
+        f_ref = jost_solution_analytic(args.k, nu, y)
+        rel = abs(f_ode - f_ref) / abs(f_ref)
+        worst = max(worst, rel)
+        rows.append({"y": y, "f_ode_re": f_ode.real,
+                     "f_ode_im": f_ode.imag, "rel_error": rel})
+    results = {"lambda": args.lam, "k": args.k, "nu": _complex_str(nu),
+               "max_rel_error": worst, "samples": rows}
+    return {"lambda": args.lam, "k": args.k}, results, rows, [], EXIT_OK
+
+
+def cmd_khuri(args):
+    from .quantum import khuri_reality_residual
+
     lam = complex(args.lam, args.im_lambda)
     residual = khuri_reality_residual(lam)
     results = {"lambda": _complex_str(lam), "residual": residual,
                "real_coupling": lam.imag == 0.0}
     rows = [{"lambda_re": lam.real, "lambda_im": lam.imag,
              "residual": residual}]
-    env = _envelope("quantum khuri",
-                    {"lambda": args.lam, "im_lambda": args.im_lambda},
-                    results, diagnostics, args.deterministic)
-    _emit(env, rows, ["lambda_re", "lambda_im", "residual"], args)
-    return EXIT_OK
+    return ({"lambda": args.lam, "im_lambda": args.im_lambda}, results,
+            rows, [], EXIT_OK)
 
 
 def cmd_hadamard(args):
@@ -295,25 +272,21 @@ def cmd_hadamard(args):
 
     catalog = ZeroCatalog.from_zeros(_first_zeros(args.num_zeros))
     params = fit_constants()
+    at = complex(args.at_re, args.at_im)
     checkpoints = sorted({n for n in (10, 25, 50, 100, args.num_zeros)
                           if n <= args.num_zeros})
-    profile = convergence_profile(complex(args.at_re, args.at_im),
-                                  checkpoints, catalog, params)
+    profile = convergence_profile(at, checkpoints, catalog, params)
     rows = [{"n": n, "residual": r} for n, r in zip(checkpoints, profile)]
     decreasing = all(b < a for a, b in zip(profile, profile[1:]))
     diagnostics = [] if decreasing else ["residual profile not decreasing"]
-    results = {
-        "constants": {"a": _complex_str(params.a),
-                      "b": _complex_str(params.b)},
-        "at": _complex_str(complex(args.at_re, args.at_im)),
-        "profile": rows,
-        "decreasing": decreasing,
-    }
-    env = _envelope("hadamard", {"num_zeros": args.num_zeros,
-                                 "at_re": args.at_re, "at_im": args.at_im},
-                    results, diagnostics, args.deterministic)
-    _emit(env, rows, ["n", "residual"], args)
-    return EXIT_OK if decreasing else EXIT_VERIFICATION
+    results = {"constants": {"a": _complex_str(params.a),
+                             "b": _complex_str(params.b)},
+               "at": _complex_str(at), "profile": rows,
+               "decreasing": decreasing}
+    parameters = {"num_zeros": args.num_zeros, "at_re": args.at_re,
+                  "at_im": args.at_im}
+    return (parameters, results, rows, diagnostics,
+            EXIT_OK if decreasing else EXIT_VERIFICATION)
 
 
 def cmd_dispersion(args):
@@ -325,79 +298,100 @@ def cmd_dispersion(args):
     samples, spec = builders[args.model](half_width=args.half_width,
                                          nodes=args.nodes)
     residual = roundtrip_residual(samples, spec)
-    results = {"model": args.model, "half_width": args.half_width,
-               "nodes": args.nodes,
-               "bound_states": list(spec.bound_state_momenta),
-               "roundtrip_residual": residual}
-    rows = [{"model": args.model, "half_width": args.half_width,
-             "nodes": args.nodes, "residual": residual}]
-    env = _envelope("dispersion roundtrip",
-                    {"model": args.model, "half_width": args.half_width,
-                     "nodes": args.nodes}, results, [], args.deterministic)
-    _emit(env, rows, ["model", "half_width", "nodes", "residual"], args)
-    return EXIT_OK
+    parameters = {"model": args.model, "half_width": args.half_width,
+                  "nodes": args.nodes}
+    results = dict(parameters, bound_states=list(spec.bound_state_momenta),
+                   roundtrip_residual=residual)
+    rows = [dict(parameters, residual=residual)]
+    return parameters, results, rows, [], EXIT_OK
 
 
+def _mode(sub, command, func, columns, **kwargs):
+    """One leaf parser: the report options plus the handler, the report's
+    command name and its CSV columns as defaults."""
+    p = sub.add_parser(command.rsplit(" ", 1)[-1], **kwargs)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help="write report to this file")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="deprecated and ignored (default: RZLAB_JOBS or 1)")
+    p.add_argument("--deterministic", action="store_true",
+                   help="omit the timestamp field for byte-identical output")
+    p.set_defaults(func=func, command=command, columns=columns)
+    return p
+
+
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: it costs more than S(s)."""
     parser = _Parser(prog="rzlab",
                      description="numerical laboratory for the completed "
                                  "zeta scattering correspondence")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers()
 
-    p = sub.add_parser("zeros", help="scan the critical line for zeros")
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-10)
-    _add_common(p)
-    p.set_defaults(func=cmd_zeros)
+    p = _mode(sub, "zeros", cmd_zeros, ("index", "ordinate", "residual"),
+              help="scan the critical line for zeros")
+    p.add_argument("--t-min", type=_finite, required=True)
+    p.add_argument("--t-max", type=_finite, required=True)
+    p.add_argument("--step", type=_finite, default=0.1)
+    p.add_argument("--tol", type=_finite, default=1e-10)
 
-    p = sub.add_parser("smatrix", help="evaluate or scan S(s)")
-    p.add_argument("mode", choices=("eval", "scan", "correspondence"))
-    p.add_argument("--re", type=float, default=0.0)
-    p.add_argument("--im", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=50.0)
-    p.add_argument("--step", type=float, default=0.1)
+    modes = sub.add_parser("smatrix", help="evaluate or scan S(s)"
+                           ).add_subparsers()
+    p = _mode(modes, "smatrix eval", cmd_smatrix_eval,
+              ("re", "im", "value_re", "value_im", "pole", "zero"))
+    p.add_argument("--re", type=_finite, default=0.0)
+    p.add_argument("--im", type=_finite, default=0.0)
+    p = _mode(modes, "smatrix scan", cmd_smatrix_scan,
+              ("tau", "unitarity_deviation"))
+    p.add_argument("--tau-max", type=_finite, default=50.0)
+    p.add_argument("--step", type=_finite, default=0.1)
+    p = _mode(modes, "smatrix correspondence", cmd_smatrix_correspondence,
+              ("index", "ordinate", "jost_zero_re", "jost_zero_im",
+               "jost_magnitude", "winding_ok"))
     p.add_argument("--num-zeros", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(func=cmd_smatrix)
 
-    p = sub.add_parser("quantum", help="inverse-square potential checks")
-    p.add_argument("sub", choices=("jost-verify", "kmoment", "khuri"))
-    p.add_argument("--nu", type=float, default=0.5)
-    p.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    p.add_argument("--im-lambda", type=float, default=0.0)
-    p.add_argument("--k", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_quantum)
+    modes = sub.add_parser("quantum", help="inverse-square potential checks"
+                           ).add_subparsers()
+    p = _mode(modes, "quantum jost-verify", cmd_jost_verify,
+              ("y", "f_ode_re", "f_ode_im", "rel_error"))
+    p.add_argument("--lambda", dest="lam", type=_finite, default=2.0)
+    p.add_argument("--k", type=_finite, default=1.0)
+    p = _mode(modes, "quantum kmoment", cmd_kmoment,
+              ("nu", "integral_re", "fitted_coefficient",
+               "printed_coefficient", "flag"))
+    p.add_argument("--nu", type=_finite, default=0.5)
+    p = _mode(modes, "quantum khuri", cmd_khuri,
+              ("lambda_re", "lambda_im", "residual"))
+    p.add_argument("--lambda", dest="lam", type=_finite, default=2.0)
+    p.add_argument("--im-lambda", type=_finite, default=0.0)
 
-    p = sub.add_parser("hadamard", help="truncated zero-product convergence")
+    p = _mode(sub, "hadamard", cmd_hadamard, ("n", "residual"),
+              help="truncated zero-product convergence")
     p.add_argument("--num-zeros", type=int, default=100)
-    p.add_argument("--at", dest="at_re", type=float, default=2.0)
-    p.add_argument("--at-im", dest="at_im", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_hadamard)
+    p.add_argument("--at", dest="at_re", type=_finite, default=2.0)
+    p.add_argument("--at-im", dest="at_im", type=_finite, default=0.0)
 
-    p = sub.add_parser("dispersion", help="dispersion reconstruction checks")
-    p.add_argument("mode", choices=("roundtrip",))
+    modes = sub.add_parser("dispersion",
+                           help="dispersion reconstruction checks"
+                           ).add_subparsers()
+    p = _mode(modes, "dispersion roundtrip", cmd_dispersion,
+              ("model", "half_width", "nodes", "residual"))
     p.add_argument("--model", choices=("unit", "rational", "bound-state"),
                    default="unit")
-    p.add_argument("--half-width", type=float, default=50.0)
+    p.add_argument("--half-width", type=_finite, default=50.0)
     p.add_argument("--nodes", type=int, default=4001)
-    _add_common(p)
-    p.set_defaults(func=cmd_dispersion)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        args = build_parser().parse_args(argv)
+        if not hasattr(args, "func"):
             raise _UsageExit("a subcommand is required")
         args.jobs = args.jobs or _default_jobs()
-        return args.func(args)
+        *report, code = args.func(args)
+        _write_report(args, *report)
+        return code
     except _UsageExit as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE

@@ -14,6 +14,9 @@ from .errors import GridError, PreconditionError
 
 S_MAGNITUDE_FLOOR = 1e-12
 ENDPOINT_LOG_S_MAX = 1e-4
+# Fewest nodes for which the round trip's interior third stays off the
+# ends of the reduced grid its Hilbert transform runs on.
+ROUNDTRIP_MIN_NODES = 6
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,10 @@ class RealLineSamples:
             raise ValueError("grid and s_values must be 1-d and equal length")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
-        if not np.allclose(grid, -grid[::-1], atol=1e-9 * max(1.0, abs(grid[-1]))):
+        if not np.allclose(grid, -grid[::-1],
+                           atol=1e-9 * np.abs(grid).max(initial=1.0)):
             raise ValueError("grid must be symmetric about 0")
-        if np.min(np.abs(sv)) <= S_MAGNITUDE_FLOOR:
+        if np.any(np.abs(sv) <= S_MAGNITUDE_FLOOR):
             raise GridError("|S(k)| vanishes on the grid; S must be "
                             "nonvanishing on the real line")
 
@@ -124,8 +128,9 @@ def reconstruct_jost_plus(samples, spec, k):
     knowledge of S).
     """
     grid = samples.grid
-    if not (grid[0] < k < grid[-1]):
-        raise PreconditionError("k must lie strictly inside the sample grid")
+    if not (grid.size >= 3 and grid[0] < k < grid[-1]):
+        raise PreconditionError("k must lie strictly inside a sample grid "
+                                "of at least 3 nodes")
     w = _log_dispersion_input(samples, spec)
     i = int(np.argmin(np.abs(grid - k)))
     i = min(max(i, 1), len(grid) - 2)
@@ -145,8 +150,11 @@ def roundtrip_residual(samples, spec):
     measures the cut-off tails and shrinks as the half-width grows.
     """
     grid = samples.grid
-    w = _log_dispersion_input(samples, spec)
     n = len(grid)
+    if n < ROUNDTRIP_MIN_NODES:
+        raise GridError("the round trip needs at least %d grid nodes, got %d"
+                        % (ROUNDTRIP_MIN_NODES, n))
+    w = _log_dispersion_input(samples, spec)
     # reconstructed F+ on the (end-node-free) grid: Pi_+ e^{u + i phase}
     inner = np.arange(1, n - 1)
     pv = _pv_on_grid(grid, w, inner)

@@ -14,6 +14,8 @@ from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
                      DomainError, PreconditionError)
 
 DEFAULT_BUDGET = 10 ** 6
+# Largest scan grid built; a finer step is rejected before allocation.
+MAX_GRID_POINTS = 10 ** 6
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundaryZeroError, PreconditionError
-from .numerics import BracketInterval, ContourRectangle, find_root_bracketed, winding_number
+from .numerics import (MAX_GRID_POINTS, BracketInterval, ContourRectangle,
+                       find_root_bracketed, winding_number)
 from .zeta import SignedLogComplex, T_MAX, xi
 
 DEFAULT_STEP = 0.1
@@ -53,7 +54,11 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
         raise PreconditionError("step must be in (0, 0.5]")
     if not tol > 0.0:
         raise PreconditionError("tol must be positive")
-    n = int(math.ceil((t_max - t_min) / step))
+    span = (t_max - t_min) / step
+    if span > MAX_GRID_POINTS - 1:
+        raise PreconditionError("step %g gives more than %d grid points"
+                                % (step, MAX_GRID_POINTS))
+    n = int(math.ceil(span))
     grid = [t_min + i * (t_max - t_min) / n for i in range(n + 1)]
     vals = [_signed_log_mag(t) for t in grid]
     # measure-zero collision with a grid point: shift and rescan

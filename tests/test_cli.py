@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,7 +7,8 @@ import pytest
 
 import rzlab
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
-                       EXIT_VERIFICATION, main)
+                       EXIT_VERIFICATION, build_parser, main)
+from rzlab.errors import VerificationError
 
 
 def run(capsys, *argv):
@@ -38,6 +40,9 @@ def test_zeros_empty_window(capsys):
 def test_zeros_deterministic_byte_identical(capsys):
     _, out1, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
                      "--deterministic")
+    # a different mode in between: no state may leak through the parser
+    run(capsys, "smatrix", "eval", "--re", "0.3", "--im", "5",
+        "--format", "csv")
     _, out2, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
                      "--deterministic")
     assert out1 == out2
@@ -67,25 +72,107 @@ def test_domain_error_exit(capsys):
     assert code == EXIT_DOMAIN
 
 
-@pytest.mark.parametrize("argv", [
-    ("zeros", "--t-min", "0", "--t-max", "30", "--step", "0"),
-    ("zeros", "--t-min", "0", "--t-max", "30", "--step", "-0.1"),
-    ("zeros", "--t-min", "0", "--t-max", "30", "--tol", "-1"),
-    ("smatrix", "scan", "--tau-max", "10", "--step", "0"),
-])
-def test_bad_scan_inputs_rejected(capsys, argv):
+BAD_INPUTS = [
+    (("zeros", "--t-min", "0", "--t-max", "30", "--step", "0"), EXIT_DOMAIN),
+    (("zeros", "--t-min", "0", "--t-max", "30", "--step", "-0.1"),
+     EXIT_DOMAIN),
+    (("zeros", "--t-min", "0", "--t-max", "30", "--tol", "-1"), EXIT_DOMAIN),
+    (("smatrix", "scan", "--tau-max", "10", "--step", "0"), EXIT_DOMAIN),
+    # float options are finite numbers
+    (("quantum", "khuri", "--lambda", "nan"), EXIT_USAGE),
+    (("smatrix", "eval", "--re", "nan"), EXIT_USAGE),
+    (("smatrix", "eval", "--im", "-inf"), EXIT_USAGE),
+    (("hadamard", "--at", "nan"), EXIT_USAGE),
+    (("zeros", "--t-min", "nan", "--t-max", "10"), EXIT_USAGE),
+    # a mode takes only the options it reads
+    (("smatrix", "eval", "--num-zeros", "3"), EXIT_USAGE),
+    (("quantum", "kmoment", "--lambda", "5"), EXIT_USAGE),
+    # non-finite results and arithmetic failures are domain errors
+    (("hadamard", "--at", "1e300"), EXIT_DOMAIN),
+    (("hadamard", "--at", "1e300", "--format", "csv"), EXIT_DOMAIN),
+    (("hadamard", "--at", "1e5"), EXIT_DOMAIN),
+    (("quantum", "jost-verify", "--k", "0"), EXIT_DOMAIN),
+    (("quantum", "jost-verify", "--k", "1e-300"), EXIT_DOMAIN),
+    (("dispersion", "roundtrip", "--nodes", "0"), EXIT_DOMAIN),
+    (("dispersion", "roundtrip", "--nodes", "2"), EXIT_DOMAIN),
+    (("dispersion", "roundtrip", "--nodes", "3"), EXIT_DOMAIN),
+    (("dispersion", "roundtrip", "--nodes", "4"), EXIT_DOMAIN),
+    (("dispersion", "roundtrip", "--nodes", "5"), EXIT_DOMAIN),
+    # scans check their size before they run
+    (("smatrix", "scan", "--tau-max", "-5"), EXIT_DOMAIN),
+    (("smatrix", "scan", "--tau-max", "131"), EXIT_DOMAIN),
+    (("smatrix", "scan", "--step", "1e-9"), EXIT_DOMAIN),
+    (("zeros", "--t-min", "0", "--t-max", "30", "--step", "1e-9"),
+     EXIT_DOMAIN),
+]
+
+
+@pytest.mark.parametrize("argv,expected", BAD_INPUTS,
+                         ids=["argv%d" % i for i in range(len(BAD_INPUTS))])
+def test_bad_scan_inputs_rejected(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
-    assert code == EXIT_DOMAIN
+    assert code == expected
     assert out == ""
-    assert "domain error" in err
+    prefix = "domain error" if expected == EXIT_DOMAIN else "usage error"
+    assert prefix in err
     assert "Traceback" not in err
+
+
+def test_edge_input_messages(capsys):
+    _, _, err = run(capsys, "quantum", "jost-verify", "--k", "0")
+    assert "k must be positive" in err
+    _, _, err = run(capsys, "dispersion", "roundtrip", "--nodes", "5")
+    assert "at least 6 grid nodes" in err
+
+
+def test_scan_beyond_window_evaluates_nothing(monkeypatch, capsys):
+    import rzlab.scattering
+
+    def refuse(s):
+        raise AssertionError("evaluated S at %r" % s)
+    monkeypatch.setattr(rzlab.scattering, "s_matrix", refuse)
+    code, out, err = run(capsys, "smatrix", "scan", "--tau-max", "130.5",
+                         "--step", "0.5")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "T_MAX/2 = 130" in err
+
+
+def test_failed_correspondence_row_is_null(monkeypatch, capsys):
+    import rzlab.scattering
+
+    def fail(t_n, verify=True):
+        raise VerificationError("forced failure at t = %g" % t_n)
+    monkeypatch.setattr(rzlab.scattering, "zero_to_jost_zero", fail)
+    code, out, _ = run(capsys, "smatrix", "correspondence", "--num-zeros",
+                       "2", "--deterministic")
+    assert code == EXIT_VERIFICATION
+    report = json.loads(out)
+    assert report["results"]["passes"] == 0
+    assert [r["jost_magnitude"] for r in report["results"]["per_zero"]] \
+        == [None, None]
+    assert len(report["diagnostics"]) == 2
+    code, out, _ = run(capsys, "smatrix", "correspondence", "--num-zeros",
+                       "1", "--format", "csv", "--deterministic")
+    assert code == EXIT_VERIFICATION
+    header, row = out.strip().splitlines()
+    assert row.split(",")[header.split(",").index("jost_magnitude")] == ""
+
+
+def test_parser_built_once(capsys):
+    run(capsys, "smatrix", "eval", "--deterministic")
+    run(capsys, "quantum", "khuri", "--lambda", "-5", "--deterministic")
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     code = ("import sys, rzlab.cli, rzlab.quantum, rzlab.dispersion; "
             "print('scipy.integrate' in sys.modules)")
+    # the child imports the same rzlab as this process
+    src = os.path.dirname(os.path.dirname(rzlab.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
 
 

@@ -74,6 +74,18 @@ def test_reconstruct_requires_interior_point():
         reconstruct_jost_plus(samples, spec, 11.0)
 
 
+@pytest.mark.parametrize("nodes", [0, 2, 3, 4, 5])
+def test_roundtrip_needs_six_nodes(nodes):
+    samples, spec = unit_model(half_width=10.0, nodes=nodes)
+    with pytest.raises(GridError, match="at least 6 grid nodes"):
+        roundtrip_residual(samples, spec)
+
+
+def test_roundtrip_runs_at_six_nodes():
+    samples, spec = unit_model(half_width=10.0, nodes=6)
+    assert roundtrip_residual(samples, spec) < 1e-12
+
+
 def test_narrow_grid_rejected():
     # slow log-magnitude decay: endpoints carry too much weight
     samples, spec = rational_model(half_width=2.0, nodes=201,

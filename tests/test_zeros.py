@@ -39,6 +39,12 @@ def test_find_zeros_precondition():
         find_zeros(0.0, 10.0, step=1.0)
 
 
+def test_find_zeros_rejects_oversized_grid_before_scanning():
+    # 10 / 1e-5 = 10^6 intervals, one point more than the limit
+    with pytest.raises(PreconditionError, match="more than 1000000"):
+        find_zeros(0.0, 10.0, step=1e-5)
+
+
 def test_count_zeros_rectangle_matches_scan():
     zeros = find_zeros(0.0, 50.0)
     rect = ContourRectangle(0.0, 1.0, 0.001, 50.0)
