@@ -292,7 +292,11 @@ def cmd_hadamard(args):
 def cmd_dispersion(args):
     from .dispersion import (bound_state_model, rational_model,
                              roundtrip_residual, unit_model)
+    from .numerics import MAX_GRID_POINTS
 
+    if args.nodes > MAX_GRID_POINTS:
+        raise GridError("--nodes %d is above the cap of %d grid points"
+                        % (args.nodes, MAX_GRID_POINTS))
     builders = {"unit": unit_model, "rational": rational_model,
                 "bound-state": bound_state_model}
     samples, spec = builders[args.model](half_width=args.half_width,

@@ -1,7 +1,9 @@
 """Reconstruction of Jost functions from scattering data on the real
 momentum line: Blaschke bound-state factors, the boundary-value
 dispersion integral (principal value plus the half-residue delta term),
-and a reflection round trip that measures truncation error.
+and a reflection round trip that measures truncation error.  The
+samples sit on a uniform grid, where every principal value is one FFT
+correlation, so the round trip costs O(n log n).
 """
 
 import cmath
@@ -51,6 +53,11 @@ class RealLineSamples:
         if not np.allclose(grid, -grid[::-1],
                            atol=1e-9 * np.abs(grid).max(initial=1.0)):
             raise ValueError("grid must be symmetric about 0")
+        # the principal values are FFT correlations, exact only on a
+        # uniform grid
+        steps = np.diff(grid)
+        if not np.allclose(steps, steps.max(initial=0.0), rtol=1e-9, atol=0.0):
+            raise GridError("grid must be uniformly spaced")
         if np.any(np.abs(sv) <= S_MAGNITUDE_FLOOR):
             raise GridError("|S(k)| vanishes on the grid; S must be "
                             "nonvanishing on the real line")
@@ -100,24 +107,37 @@ def _log_dispersion_input(samples, spec):
 
 
 def _pv_on_grid(grid, w, idx):
-    """PV integral of w(k')/(k' - k_i) over the grid, for each i in idx.
+    """PV integral of w(k')/(k' - k_i) over the grid, for each interior
+    node i in idx, by the trapezoid rule.
 
     Subtracting w(k_i) regularizes the integrand (the leftover
     PV int dk'/(k' - k_i) has the closed form ln((b - k)/(k - a)));
     at k' = k_i the regularized integrand is the centered derivative.
+    On the uniform grid k_j = a + j h, with trapezoid weights e_j (1/2 at
+    both ends, else 1), the trapezoid sum is
+
+        sum_{j != i} e_j w_j / (j - i) - w_i sum_{j != i} e_j / (j - i)
+            + h e_i w'(k_i),
+
+    and both sums are correlations with the kernel 1/m: one FFT of
+    length >= 2n - 1 gives them for every i without wrap-around.
     """
+    n = len(grid)
     a, b = grid[0], grid[-1]
-    out = np.empty(len(idx), dtype=complex)
-    dw = np.gradient(w, grid)
-    for j, i in enumerate(idx):
-        k = grid[i]
-        diff = grid - k
-        g = np.empty_like(w)
-        nz = diff != 0
-        g[nz] = (w[nz] - w[i]) / diff[nz]
-        g[~nz] = dw[i]
-        out[j] = np.trapezoid(g, grid) + w[i] * math.log((b - k) / (k - a))
-    return out
+    e = np.ones(n)
+    e[[0, -1]] = 0.5
+    size = 1 << (2 * n - 2).bit_length()
+    m = np.arange(1, n)
+    kernel = np.zeros(size)
+    kernel[m] = -1.0 / m  # sum_j c_j / (j - i) = sum_j c_j kernel[i - j]
+    kernel[size - m] = 1.0 / m
+    sums = np.fft.ifft(np.fft.fft(np.stack([e * w, e]), size)
+                       * np.fft.fft(kernel))[:, idx]
+    k = grid[idx]
+    wi = w[idx]
+    dw = np.gradient(w, grid)[idx]
+    return (sums[0] - wi * sums[1] + (b - a) / (n - 1) * e[idx] * dw
+            + wi * np.log((b - k) / (k - a)))
 
 
 def reconstruct_jost_plus(samples, spec, k):
@@ -165,15 +185,12 @@ def roundtrip_residual(samples, spec):
     lo, hi = n // 3, n - n // 3  # interior third
     idx = np.arange(lo, hi)
     hilbert = _pv_on_grid(grid[inner], u_minus + 0j, idx - 1) / math.pi
-    worst = 0.0
-    pi_plus = blaschke_product(spec, grid[idx], "+")
-    pi_minus = blaschke_product(spec, grid[idx], "-")
-    for j, i in enumerate(idx):
-        fplus = pi_plus[j] * cmath.exp(log_fplus_outer[i - 1])
-        fminus_rebuilt = pi_minus[j] * cmath.exp(
-            complex(u_minus[i - 1], hilbert[j].real))
-        worst = max(worst, abs(samples.s_values[i] - fminus_rebuilt / fplus))
-    return worst
+    fplus = (blaschke_product(spec, grid[idx], "+")
+             * np.exp(log_fplus_outer[idx - 1]))
+    fminus_rebuilt = (blaschke_product(spec, grid[idx], "-")
+                      * np.exp(u_minus[idx - 1] + 1j * hilbert.real))
+    return float(np.max(np.abs(samples.s_values[idx]
+                               - fminus_rebuilt / fplus)))
 
 
 def unit_model(half_width=50.0, nodes=4001):

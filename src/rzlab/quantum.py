@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DivergenceError, DomainError, IntegrationLimitError,
-                     PoleError, PreconditionError)
+                     PoleError, PreconditionError, RangeError)
 from .numerics import integrate_semi_infinite, QuadratureResult
 from .specfun import bessel_k, hankel1
 
@@ -124,7 +124,8 @@ def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
     Requires y_start inside the asymptotic regime (plane-wave residual
     below 0.2 there; the boundary values themselves come from the
     large-argument tail expansion, so the O(1/ky) plane-wave error does
-    not limit accuracy) and y_end above the singular-origin floor 1e-3.
+    not limit accuracy), y_start^2 finite for the potential lam/y^2,
+    and y_end above the singular-origin floor 1e-3.
     Returns [(y, f(y))] on a uniform grid from y_end up to y_start.
     """
     # scipy.integrate takes most of a second to import, and no other
@@ -133,6 +134,9 @@ def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
 
     if not (y_start > y_end > 0):
         raise PreconditionError("need y_start > y_end > 0")
+    y_max = float(y_start)
+    if math.isinf(y_max * y_max):
+        raise RangeError("y_start = %g is too large: y^2 overflows" % y_start)
     if y_end < ODE_Y_FLOOR:
         raise IntegrationLimitError(
             "cannot integrate through the y -> 0 singularity (floor %g)"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -104,6 +105,9 @@ BAD_INPUTS = [
     (("smatrix", "scan", "--step", "1e-9"), EXIT_DOMAIN),
     (("zeros", "--t-min", "0", "--t-max", "30", "--step", "1e-9"),
      EXIT_DOMAIN),
+    # the round trip's grid is capped like the scans'
+    (("dispersion", "roundtrip", "--nodes", "1000001"), EXIT_DOMAIN),
+    (("dispersion", "roundtrip", "--nodes", "1000000000000"), EXIT_DOMAIN),
 ]
 
 
@@ -123,6 +127,15 @@ def test_edge_input_messages(capsys):
     assert "k must be positive" in err
     _, _, err = run(capsys, "dispersion", "roundtrip", "--nodes", "5")
     assert "at least 6 grid nodes" in err
+    _, _, err = run(capsys, "dispersion", "roundtrip", "--nodes", "1000001")
+    assert "cap of 1000000 grid points" in err
+    # a too-small k is refused before the ODE's y^2 can overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "quantum", "jost-verify", "--k", "1e-300")
+    assert code == EXIT_DOMAIN
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err and err.startswith("domain error")
 
 
 def test_scan_beyond_window_evaluates_nothing(monkeypatch, capsys):

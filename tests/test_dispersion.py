@@ -1,11 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
 from rzlab.dispersion import (BlaschkeSpec, RealLineSamples,
+                              _log_dispersion_input, _pv_on_grid,
                               blaschke_product, bound_state_model,
                               rational_model, reconstruct_jost_plus,
                               roundtrip_residual, unit_model)
 from rzlab.errors import GridError, PreconditionError
+
+
+def _pv_direct(grid, w, idx):
+    """Reference for _pv_on_grid: the regularized trapezoid sum, one
+    O(n) array per node."""
+    a, b = grid[0], grid[-1]
+    out = np.empty(len(idx), dtype=complex)
+    dw = np.gradient(w, grid)
+    for j, i in enumerate(idx):
+        k = grid[i]
+        diff = grid - k
+        g = np.empty_like(w)
+        nz = diff != 0
+        g[nz] = (w[nz] - w[i]) / diff[nz]
+        g[~nz] = dw[i]
+        out[j] = np.trapezoid(g, grid) + w[i] * math.log((b - k) / (k - a))
+    return out
 
 
 def test_blaschke_unimodular_on_real_line():
@@ -48,6 +68,9 @@ def test_samples_validation():
     vals[5] = 0.0
     with pytest.raises(GridError):
         RealLineSamples(grid, vals)
+    # symmetric and increasing but not uniform
+    with pytest.raises(GridError, match="uniformly spaced"):
+        RealLineSamples(np.sinh(grid), np.ones(11, dtype=complex))
 
 
 def test_reconstruct_unit_model():
@@ -105,6 +128,47 @@ def test_roundtrip_rational_truncation_scaling():
     r100 = roundtrip_residual(*rational_model(half_width=100.0, nodes=8001))
     ratio = r50 / r100
     assert 1.4 < ratio < 2.6  # halving within +-30%
+
+
+def _smooth_input(half_width, nodes):
+    grid = np.linspace(-half_width, half_width, nodes)
+    return grid, (np.exp(-(grid / 10.0) ** 2)
+                  * (1.0 + 0.5j * np.sin(grid / 3.0)))
+
+
+def _model_input(model):
+    def build(half_width, nodes):
+        samples, spec = model(half_width=half_width, nodes=nodes)
+        return samples.grid, _log_dispersion_input(samples, spec)
+    return build
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("source", [_model_input(rational_model),
+                                    _model_input(bound_state_model),
+                                    _smooth_input],
+                         ids=["rational", "bound-state", "smooth"])
+@pytest.mark.parametrize("nodes", [6, 7, 101, 2000, 4001])
+def test_pv_on_grid_matches_direct_sum(nodes, source, stride):
+    grid, w = source(50.0, nodes)
+    idx = np.arange(1, nodes - 1, stride)
+    got = _pv_on_grid(grid, w, idx)
+    assert np.max(np.abs(got - _pv_direct(grid, w, idx))) <= 1e-14
+
+
+@pytest.mark.parametrize("nodes", [6, 2001, 8001])
+def test_roundtrip_unit_residual_is_zero(nodes):
+    assert roundtrip_residual(*unit_model(nodes=nodes)) == 0.0
+
+
+def test_roundtrip_truncation_scaling_over_a_decade():
+    # h = 0.025 fixed, so only the cut-off tails change: residual ~ 1/L
+    widths = np.array([50.0, 100.0, 200.0, 400.0, 800.0])
+    residuals = [roundtrip_residual(*rational_model(half_width=L,
+                                                    nodes=int(80 * L) + 1))
+                 for L in widths]
+    slope = np.polyfit(np.log(widths), np.log(residuals), 1)[0]
+    assert -1.1 <= slope <= -0.9
 
 
 def test_roundtrip_blaschke_invariance():

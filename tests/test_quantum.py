@@ -5,7 +5,7 @@ import pytest
 
 from rzlab.errors import (DivergenceError, DomainError,
                           IntegrationLimitError, PoleError,
-                          PreconditionError)
+                          PreconditionError, RangeError)
 from rzlab.quantum import (OrderParameter, PotentialSpec,
                            asymptotic_residual, fit_moment_coefficient,
                            jost_solution_analytic, jost_solution_ode,
@@ -76,6 +76,8 @@ def test_jost_ode_preconditions():
         jost_solution_ode(1.0, 2.0, 1e-5, 25.0)  # below the origin floor
     with pytest.raises(PreconditionError):
         jost_solution_ode(1.0, 6.0, 1.0, 2.0)  # not in the asymptotic regime
+    with pytest.raises(RangeError):
+        jost_solution_ode(1e-300, 2.0, 1.0, 2.5e301)  # y^2 overflows
 
 
 def test_k_moment_elementary_value():
