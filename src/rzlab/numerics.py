@@ -5,10 +5,11 @@ All routines are pure functions over caller-supplied callables; nothing
 here knows about zeta or scattering.
 """
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
                      DomainError, PreconditionError)
@@ -16,6 +17,12 @@ from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
 DEFAULT_BUDGET = 10 ** 6
 # Largest scan grid built; a finer step is rejected before allocation.
 MAX_GRID_POINTS = 10 ** 6
+# Contour sampling of winding_number: per unit of side length, and the
+# fewest samples on any side.
+SAMPLES_PER_UNIT = 10
+MIN_SIDE_SAMPLES = 32
+# Double-precision machine epsilon, for Brent's stopping test.
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -180,67 +187,103 @@ def principal_value_integral(f, c, a, b, tol, budget=DEFAULT_BUDGET):
     return total
 
 
-def find_root_bracketed(f, interval, tol, max_iter=200):
-    """Bisection refinement of a sign change of real-valued f.
+def find_root_bracketed(f, interval, tol, max_iter=200, f_lo=None, f_hi=None):
+    """Brent's method (zeroin; Brent 1973, Algorithms for Minimization
+    without Derivatives, ch. 4) for a sign change of real-valued f.
 
-    Returns the midpoint of the final bracket once its width is <= tol.
+    Inverse quadratic or secant steps where they stay safely inside the
+    bracket, bisection where they do not.  Returns a point of the final
+    sign-change bracket once its width is <= tol (or a few units in the
+    last place when tol is finer than that).  f_lo and f_hi are f at the
+    ends when the caller already has them; f is then called only inside.
     """
-    lo, hi = interval.lo, interval.hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise PreconditionError("no sign change on bracket [%g, %g]" % (lo, hi))
+    a, b = interval.lo, interval.hi
+    fa = f(a) if f_lo is None else f_lo
+    fb = f(b) if f_hi is None else f_hi
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise PreconditionError("no sign change on bracket [%g, %g]" % (a, b))
+    c, fc = a, fa
+    d = e = b - a
     for _ in range(max_iter):
-        if hi - lo <= tol:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        # b is the best point, [b, c] the bracket
+        tol1 = 0.5 * max(tol, 4.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
             break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            r = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * r
+                q = 1.0 - r
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                s = fb / fc
+                p = r * (2.0 * m * q * (q - s) - (b - a) * (s - 1.0))
+                q = (q - 1.0) * (s - 1.0) * (r - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+    return b
 
 
 def _wrap_phase(d):
-    """Reduce a phase difference to (-pi, pi]."""
+    """Reduce phase differences to (-pi, pi]."""
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def winding_number(g, rect, samples_per_side=64, magnitude_floor=1e-300,
-                   max_depth=40):
+def winding_number(g, rect, magnitude_floor=1e-300, max_depth=40):
     """Total argument change of g around the rectangle boundary, / 2 pi.
 
-    Phase steps between consecutive boundary samples are refined by
-    bisection until every step is below pi/2, which rules out 2 pi
-    aliasing near zeros close to the contour.
+    g maps an array of points to the array of its values.  Each side is
+    sampled SAMPLES_PER_UNIT times per unit of its length (at least
+    MIN_SIDE_SAMPLES) and evaluated in one call; phase steps between
+    consecutive samples are then refined by bisection, one point per
+    call, until every step is below pi/2, which rules out 2 pi aliasing
+    near zeros close to the contour.
     """
     corners = [complex(rect.re_min, rect.im_min),
                complex(rect.re_max, rect.im_min),
                complex(rect.re_max, rect.im_max),
                complex(rect.re_min, rect.im_max)]
 
-    def probe(z):
-        w = complex(g(z))
-        if abs(w) < magnitude_floor:
-            raise BoundaryZeroError("|g| below floor at boundary point %s" % z)
-        return cmath.phase(w)
+    def phases(z):
+        w = np.asarray(g(z), dtype=complex)
+        low = np.abs(w) < magnitude_floor
+        if low.any():
+            raise BoundaryZeroError("|g| below floor at boundary point %s"
+                                    % z[np.argmax(low)])
+        return np.angle(w)
 
     total = 0.0
     for i in range(4):
         za, zb = corners[i], corners[(i + 1) % 4]
-        pts = [za + (zb - za) * j / samples_per_side
-               for j in range(samples_per_side + 1)]
-        phases = [probe(z) for z in pts]
-        stack = list(zip(pts[:-1], pts[1:], phases[:-1], phases[1:],
-                         [0] * samples_per_side))
+        m = max(MIN_SIDE_SAMPLES, int(SAMPLES_PER_UNIT * abs(zb - za)))
+        pts = za + (zb - za) * np.arange(m + 1) / m
+        ph = phases(pts)
+        steps = _wrap_phase(np.diff(ph))
+        fine = np.abs(steps) < 0.5 * math.pi
+        total += steps[fine].sum()
+        stack = [(pts[j], pts[j + 1], ph[j], ph[j + 1], 0)
+                 for j in np.flatnonzero(~fine)]
         while stack:
             z0, z1, p0, p1, depth = stack.pop()
             d = _wrap_phase(p1 - p0)
@@ -251,7 +294,7 @@ def winding_number(g, rect, samples_per_side=64, magnitude_floor=1e-300,
                 raise BoundaryZeroError(
                     "phase step not resolving near %s; zero on contour?" % z0)
             zm = 0.5 * (z0 + z1)
-            pm = probe(zm)
+            pm = phases(np.array([zm]))[0]
             stack.append((z0, zm, p0, pm, depth + 1))
             stack.append((zm, z1, pm, p1, depth + 1))
     w = total / (2.0 * math.pi)

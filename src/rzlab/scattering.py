@@ -91,8 +91,8 @@ def zero_to_jost_zero(t_n, verify=True):
                 % (fp.value.abs(), p))
         rect = ContourRectangle(p.real - 0.05, p.real + 0.05,
                                 p.imag - 0.05, p.imag + 0.05)
-        w = winding_number(lambda z: jost_plus(z).value.to_complex(), rect,
-                           samples_per_side=32)
+        w = winding_number(
+            lambda zs: [jost_plus(z).value.to_complex() for z in zs], rect)
         if w != 1:
             raise VerificationError(
                 "winding of F+ around %s is %d, expected 1" % (p, w))

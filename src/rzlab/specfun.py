@@ -9,6 +9,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleError, RangeError
 from .numerics import integrate_semi_infinite
 
@@ -56,8 +58,18 @@ def log_gamma(z):
 
     Stirling series after an upward recurrence shift (Re z >= 12);
     reflection formula for Re z < 1/2.  Relative accuracy ~1e-14 for
-    |z| <= 200.
+    |z| <= 200.  z may also be a complex array with Re z >= 1/2
+    throughout; every point then takes the shift of the leftmost one.
     """
+    if isinstance(z, np.ndarray):
+        lo = z.real.min(initial=12.0)
+        if lo < 0.5:
+            raise DomainError("array log_gamma needs Re z >= 1/2")
+        shifts = max(0, math.ceil(12.0 - lo))
+        acc = sum(np.log(z + j) for j in range(shifts))
+        res = _stirling(z + shifts, np.log) - acc
+        return res.real + 1j * ((res.imag + math.pi) % (2.0 * math.pi)
+                                - math.pi)
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError("log_gamma pole at nonpositive integer %g" % z.real)
@@ -69,14 +81,20 @@ def log_gamma(z):
     while w.real < 12.0:
         acc += cmath.log(w)
         w += 1.0
-    res = (w - 0.5) * cmath.log(w) - w + 0.5 * _LOG_2PI
+    return _normalize_phase(_stirling(w, cmath.log) - acc)
+
+
+def _stirling(w, log):
+    """Stirling series for log Gamma(w), Re w >= 12; log is cmath.log
+    for a number or np.log for an array."""
+    res = (w - 0.5) * log(w) - w + 0.5 * _LOG_2PI
     zi = 1.0 / w
     z2 = zi * zi
     term = zi
     for c in _STIRLING:
         res += c * term
         term *= z2
-    return _normalize_phase(res - acc)
+    return res
 
 
 def _k_integrand(nu, y):

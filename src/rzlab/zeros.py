@@ -8,10 +8,12 @@ routes cross-check each other.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BoundaryZeroError, PreconditionError
 from .numerics import (MAX_GRID_POINTS, BracketInterval, ContourRectangle,
                        find_root_bracketed, winding_number)
-from .zeta import SignedLogComplex, T_MAX, xi
+from .zeta import SignedLogComplex, T_MAX, log_xi_array, xi
 
 DEFAULT_STEP = 0.1
 DEFAULT_TOL = 1e-10
@@ -37,16 +39,33 @@ def critical_line_function(t):
 
 def _signed_log_mag(t):
     """Sign times log-magnitude of xi(1/2+it); monotone proxy unusable,
-    used only for sign changes and bisection."""
+    used only for sign changes and root refinement."""
     v = critical_line_function(t)
     return v.sign_hint, v.log_modulus
+
+
+def _scaled(sign, lm, t):
+    """sign |xi(1/2 + it)| e^{pi t / 4}, the function whose sign changes
+    are refined: with the e^{-pi t / 4} decay taken out, the values the
+    root finder interpolates stay far from underflow."""
+    return sign * np.exp(np.maximum(lm + 0.25 * math.pi * t, -700.0))
+
+
+def _scan(grid):
+    """Signs and log-magnitudes of xi(1/2 + it) over the grid, from one
+    batched evaluation, with the sign read as critical_line_function
+    reads it."""
+    lx = log_xi_array(0.5 + 1j * np.abs(grid))
+    phase = (lx.imag + math.pi) % (2.0 * math.pi) - math.pi
+    return np.where(np.abs(phase) < 0.5 * math.pi, 1, -1), lx.real
 
 
 def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     """All critical-line zeros with ordinate in (t_min, t_max).
 
-    Sign changes on a grid of spacing at most step, refined by bisection
-    to bracket width tol.
+    xi(1/2 + it) is evaluated on a grid of spacing at most step in one
+    batched call; each sign change is refined by Brent's method to a
+    bracket of width tol, starting from the grid values at its ends.
     """
     if not (0.0 <= t_min < t_max <= T_MAX):
         raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
@@ -59,46 +78,47 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
         raise PreconditionError("step %g gives more than %d grid points"
                                 % (step, MAX_GRID_POINTS))
     n = int(math.ceil(span))
-    grid = [t_min + i * (t_max - t_min) / n for i in range(n + 1)]
-    vals = [_signed_log_mag(t) for t in grid]
+    grid = t_min + np.arange(n + 1) * (t_max - t_min) / n
+    signs, lms = _scan(grid)
     # measure-zero collision with a grid point: shift and rescan
-    if any(lm < -600.0 and lm != -math.inf for _, lm in vals):
-        shifted = [t + step / 3.0 for t in grid]
-        grid = grid[:1] + shifted[:-1] + grid[-1:]
-        vals = [_signed_log_mag(t) for t in grid]
+    if np.any((lms < -600.0) & (lms != -math.inf)):
+        grid = np.concatenate((grid[:1], grid[:-1] + step / 3.0, grid[-1:]))
+        signs, lms = _scan(grid)
+    f_grid = _scaled(signs, lms, grid)
+    # log |xi| at every point evaluated, for the residual at the root
+    log_mod = {}
 
     def f(t):
         sign, lm = _signed_log_mag(t)
-        return sign * math.exp(max(lm + 0.25 * math.pi * t, -700.0))
+        log_mod[t] = lm
+        return float(_scaled(sign, lm, t))
 
     zeros = []
-    for (t0, (s0, _)), (t1, (s1, _)) in zip(zip(grid[:-1], vals[:-1]),
-                                            zip(grid[1:], vals[1:])):
-        if s0 != s1:
-            root = find_root_bracketed(f, BracketInterval(t0, t1), tol)
-            residual = math.exp(critical_line_function(root).log_modulus)
-            zeros.append(ZetaZero(ordinate=root, residual=residual,
-                                  index=len(zeros) + 1))
+    for j in np.flatnonzero(signs[:-1] != signs[1:]).tolist():
+        t0, t1 = float(grid[j]), float(grid[j + 1])
+        log_mod[t0], log_mod[t1] = float(lms[j]), float(lms[j + 1])
+        root = find_root_bracketed(f, BracketInterval(t0, t1), tol,
+                                   f_lo=float(f_grid[j]),
+                                   f_hi=float(f_grid[j + 1]))
+        zeros.append(ZetaZero(ordinate=root, residual=math.exp(log_mod[root]),
+                              index=len(zeros) + 1))
     return zeros
 
 
-def count_zeros_rectangle(rect, samples_per_side=None, nudge=1e-3):
+def count_zeros_rectangle(rect, nudge=1e-3):
     """Number of xi zeros (with multiplicity) inside the rectangle,
-    by the argument principle.
+    by the argument principle, each side evaluated in one batched call.
 
     If a zero sits on the horizontal boundary at sampling resolution,
     the rectangle is nudged by +-1e-3 in t before giving up.
     """
-    if samples_per_side is None:
-        per = max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
-        samples_per_side = max(32, int(10.0 * per))
-    g = lambda z: xi(z).to_complex()
+    g = lambda z: np.exp(log_xi_array(z))
     for attempt, (dlo, dhi) in enumerate(
             [(0.0, 0.0), (-nudge, nudge), (nudge, -nudge)]):
         r = ContourRectangle(rect.re_min, rect.re_max,
                              rect.im_min + dlo, rect.im_max + dhi)
         try:
-            return winding_number(g, r, samples_per_side=samples_per_side)
+            return winding_number(g, r)
         except BoundaryZeroError:
             if attempt == 2:
                 raise

@@ -24,8 +24,23 @@ _LOG_2 = math.log(2.0)
 _STIELTJES = (0.5772156649015329, -0.07281584548367672, -0.009690363192872318,
               0.002053834420303346, 0.0023253700654673)
 
+# For Re s < 0 within this radius of 0, zeta(1 - s) comes from the
+# Laurent series in the exact offset d = -s: forming 1 - s would cost
+# 1e-16/|s| of relative accuracy, and the first omitted term,
+# gamma_5 d^6 / 5!, stays below 1e-17 here.
+_REFLECTED_LAURENT_RADIUS = 1e-2
+
 # Bernoulli numbers B_2 .. B_12 for the Euler-Maclaurin correction terms.
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
+# B_2k / (2k)!, the coefficient of s (s+1) ... (s+2k-2) n^(-s-2k+1).
+_EM_TAIL = tuple(b / math.factorial(2 * k)
+                 for k, b in enumerate(_BERNOULLI, start=1))
+
+# log 1, log 2, ... for the Euler-Maclaurin sums of the window, whose
+# n = max(20, ceil(2 |t|)) terms stay below 2 T_MAX + 2.
+_LOG_K = np.log(np.arange(1, 2 * int(T_MAX) + 2, dtype=float))
+# log_xi_array sums at most this many terms at once (1 MB of complex).
+_CHUNK_TERMS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -108,20 +123,30 @@ def zeta_em(sigma, t, n):
     """Euler-Maclaurin value of zeta(sigma + i t) with n initial terms.
 
     Valid for sigma > -1 once n >= max(20, 2|t|); correction terms run
-    through B_12.  Callers handle reflection and the s = 1 pole.
+    through B_12.  sigma and t may be arrays, which broadcast to the
+    shape of the result; n is one int for every point.  Callers handle
+    reflection and the s = 1 pole.
     """
-    s = complex(sigma, t)
-    k = np.arange(1, n, dtype=float)
-    total = np.sum(k ** (-s))
-    total += 0.5 * n ** (-s)
-    total += n ** (1.0 - s) / (s - 1.0)
-    fac = s * n ** (-s - 1.0)
-    n2 = float(n) * float(n)
-    for i, b in enumerate(_BERNOULLI):
-        twok = 2 * (i + 1)
-        total += b / math.factorial(twok) * fac
-        fac *= (s + twok - 1.0) * (s + twok) / n2
-    return complex(total)
+    log_k = (_LOG_K[:n - 1] if n <= len(_LOG_K) + 1
+             else np.log(np.arange(1, n, dtype=float)))
+    if isinstance(sigma, np.ndarray) or isinstance(t, np.ndarray):
+        s = np.add(sigma, np.multiply(1j, t))
+        total = np.exp(np.multiply.outer(-s, log_k)).sum(axis=-1)
+    else:
+        s = complex(sigma, t)
+        total = complex(np.exp(-s * log_k).sum())
+    p = n ** (-s)
+    total += p * (0.5 + n / (s - 1.0))
+    u = s / n
+    fac = u * p
+    for i, c in enumerate(_EM_TAIL):
+        total += c * fac
+        # The factors (s + 2k - 1)/n and (s + 2k)/n are each finite, so
+        # once fac underflows to 0 (real s above ~250) the remaining
+        # terms stay 0 rather than 0 * inf = nan.
+        fac *= u + (2 * i + 1) / n
+        fac *= u + (2 * i + 2) / n
+    return total
 
 
 def _em_terms(t):
@@ -151,19 +176,17 @@ def zeta(s):
         raise PoleError("zeta has its pole at s = 1")
     _check_window(s)
     if s.real < 0.0:
+        if abs(s) < _REFLECTED_LAURENT_RADIUS:
+            return cmath.exp(_log_chi(s)) * (_laurent(-s) / -s)
         return cmath.exp(_log_chi(s)) * _zeta_em_window(1.0 - s)
     if abs(s - 1.0) < 1e-6:
         return zeta_times_s_minus_1(s) / (s - 1.0)
     return _zeta_em_window(s)
 
 
-def zeta_times_s_minus_1(s):
-    """(s - 1) zeta(s), entire on the window; stable through s = 1."""
-    s = _as_s(s)
-    _check_window(s)
-    d = s - 1.0
-    if abs(d) >= 1e-6:
-        return d * zeta(s)
+def _laurent(d):
+    """(s - 1) zeta(s) at s = 1 + d from the Stieltjes series, with the
+    offset d passed exactly rather than recovered as s - 1."""
     total = 1.0 + 0j
     fact = 1.0
     p = d
@@ -175,6 +198,16 @@ def zeta_times_s_minus_1(s):
     return total
 
 
+def zeta_times_s_minus_1(s):
+    """(s - 1) zeta(s), entire on the window; stable through s = 1."""
+    s = _as_s(s)
+    _check_window(s)
+    d = s - 1.0
+    if abs(d) >= 1e-6:
+        return d * zeta(s)
+    return _laurent(d)
+
+
 def log_xi(s):
     """log xi(s) with xi(s) = (1/2) s (s-1) pi^{-s/2} Gamma(s/2) zeta(s).
 
@@ -184,6 +217,41 @@ def log_xi(s):
     s = _as_s(s)
     g = zeta_times_s_minus_1(s)
     return (log_gamma(0.5 * s + 1.0) - 0.5 * s * _LOG_PI + cmath.log(g))
+
+
+def log_xi_array(s):
+    """log xi at every point of the complex array s: log_xi point by
+    point, up to rounding.
+
+    Points in the Euler-Maclaurin region (Re s >= 0, |s - 1| >= 1e-6,
+    |Im s| <= T_MAX) share zeta_em calls: grouped by their number of
+    terms n and cut into chunks whose (points x n) term arrays stay near
+    1 MB.  Every other point takes the scalar log_xi.
+    """
+    s = np.asarray(s, dtype=complex)
+    flat = s.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    batched = ((flat.real >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
+               & (np.abs(flat.imag) <= T_MAX))
+    for i in np.flatnonzero(~batched):
+        out[i] = log_xi(flat[i])
+    idx = np.flatnonzero(batched)
+    if not idx.size:
+        return out.reshape(s.shape)
+    z = flat[idx]
+    # _em_terms at every point
+    terms = np.maximum(20, np.ceil(2.0 * np.abs(z.imag))).astype(int)
+    zeta_z = np.empty(z.shape, dtype=complex)
+    order = np.argsort(terms, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(terms[order])) + 1):
+        n = int(terms[group[0]])
+        chunk = max(1, _CHUNK_TERMS // n)
+        for lo in range(0, len(group), chunk):
+            j = group[lo:lo + chunk]
+            zeta_z[j] = zeta_em(z.real[j], z.imag[j], n)
+    out[idx] = (log_gamma(0.5 * z + 1.0) - 0.5 * z * _LOG_PI
+                + np.log((z - 1.0) * zeta_z))
+    return out.reshape(s.shape)
 
 
 def xi(s):

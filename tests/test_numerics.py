@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
@@ -105,6 +106,36 @@ def test_root_bracketed_cosine():
     assert abs(r - 0.5 * math.pi) < 1e-11
 
 
+def test_root_bracketed_brent_evaluation_count():
+    # bisection needs about 42 halvings of [1, 2] to reach 1e-12
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    r = find_root_bracketed(f, BracketInterval(1.0, 2.0), 1e-12)
+    assert abs(r - 0.5 * math.pi) <= 1e-12
+    assert len(calls) <= 15
+
+
+def test_root_bracketed_takes_known_end_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    r = find_root_bracketed(f, BracketInterval(1.0, 2.0), 1e-12,
+                            f_lo=-1.0, f_hi=2.0)
+    assert abs(r - math.sqrt(2.0)) <= 1e-12
+    assert calls and all(1.0 < x < 2.0 for x in calls)
+    # a given end value decides the sign test without a call
+    with pytest.raises(PreconditionError):
+        find_root_bracketed(f, BracketInterval(1.0, 2.0), 1e-12,
+                            f_lo=1.0, f_hi=2.0)
+
+
 def test_root_bracketed_requires_sign_change():
     with pytest.raises(PreconditionError):
         find_root_bracketed(lambda x: 1.0 + x * x,
@@ -118,7 +149,7 @@ def test_winding_polynomial():
     # one root inside, one outside
     assert winding_number(lambda z: (z - 1.0) * (z - 10.0), rect) == 1
     # no roots
-    assert winding_number(lambda z: cmath.exp(z), rect) == 0
+    assert winding_number(lambda z: np.exp(z), rect) == 0
 
 
 def test_winding_zero_near_contour_refines():
@@ -131,3 +162,17 @@ def test_winding_zero_on_contour_raises():
     rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(BoundaryZeroError):
         winding_number(lambda z: z - 0.5, rect)
+
+
+def test_winding_samples_each_side_in_one_call():
+    # sides of length 1 and 25: 32 samples (the floor) and 10 per unit
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return z - complex(0.5, 3.0)
+
+    rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
+    assert winding_number(g, rect) == 1
+    assert sizes[:4] == [33, 251, 33, 251]
+    assert all(n == 1 for n in sizes[4:])

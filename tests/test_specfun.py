@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from rzlab.errors import DomainError, PoleError, RangeError
@@ -56,6 +57,19 @@ def test_log_gamma_pole():
 def test_log_gamma_phase_principal():
     for z in (complex(0.5, 30.0), complex(-3.3, 12.0), complex(20.0, -50.0)):
         assert -math.pi < log_gamma(z).imag <= math.pi
+
+
+def test_log_gamma_array_matches_scalar():
+    z = np.array([0.5, 1.25 + 60.0j, 1.0 - 3.0j, 14.0 + 130.0j, 40.0])
+    got = log_gamma(z)
+    for w, g in zip(z, got):
+        want = log_gamma(complex(w))
+        assert abs(g.real - want.real) < 1e-13 * max(1.0, abs(want.real))
+        assert abs(g.imag - want.imag) < 1e-12
+        assert -math.pi < g.imag <= math.pi
+    assert log_gamma(np.array([], dtype=complex)).shape == (0,)
+    with pytest.raises(DomainError):
+        log_gamma(np.array([1.0, 0.4 + 2.0j]))
 
 
 @pytest.mark.parametrize("nu,y,ref", BESSEL_K_REFS)

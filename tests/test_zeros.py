@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 
 from rzlab.errors import PreconditionError
@@ -61,3 +63,30 @@ def test_count_zeros_nudges_past_boundary_zero():
     # must still produce a definite count for the nudged rectangle
     rect = ContourRectangle(0.0, 1.0, 0.001, FIRST_ORDINATES[0])
     assert count_zeros_rectangle(rect) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def zeros_to_250():
+    return find_zeros(0.0, 250.0)
+
+
+def test_find_zeros_match_mpmath(zeros_to_250):
+    # Brent's last iterate, not a bracket midpoint: the bisection it
+    # replaced left up to 4.6e-11 against these referees
+    assert len(zeros_to_250) == 108
+    for n in list(range(1, 109, 9)) + [108]:
+        with mpmath.workdps(25):
+            ref = mpmath.zetazero(n).imag
+        assert abs(zeros_to_250[n - 1].ordinate - float(ref)) < 5e-11, n
+
+
+def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
+    rng = random.Random(20091)
+    for _ in range(40):
+        width = rng.uniform(1.0, 10.0)
+        lo = rng.uniform(0.0, 250.0 - width)
+        rect = ContourRectangle(0.0, 1.0, max(lo, 1e-3), lo + width)
+        expected = len(find_zeros(lo, lo + width))
+        assert expected == sum(1 for z in zeros_to_250
+                               if lo < z.ordinate < lo + width)
+        assert count_zeros_rectangle(rect) == expected, (lo, width)

@@ -1,11 +1,14 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from rzlab.errors import PoleError, RangeError
 from rzlab.zeta import (ComplexArgument, SignedLogComplex, T_MAX, log_xi,
-                        xi, xi_symmetry_residual, zeta, zeta_times_s_minus_1)
+                        log_xi_array, xi, xi_symmetry_residual, zeta,
+                        zeta_em, zeta_times_s_minus_1)
 
 # Frozen references from an independent high-precision evaluation.
 ZETA_REFS = [
@@ -106,3 +109,59 @@ def test_signed_log_complex_algebra():
 def test_log_xi_consistent_with_xi():
     s = complex(0.25, 18.0)
     assert abs(cmath.exp(log_xi(s)) - xi(s).to_complex()) < 1e-12
+
+
+@pytest.mark.parametrize("x", [1e160, 1e300])
+def test_zeta_huge_real_argument(x):
+    # n^(-s-1) underflows to 0 long before the Bernoulli factors overflow
+    ref = complex(mpmath.zeta(mpmath.mpf(x)))
+    assert ref == 1.0
+    assert zeta(x) == ref
+
+
+@pytest.mark.parametrize("e", range(6, 16))
+def test_zeta_just_left_of_zero(e):
+    # the reflection needs zeta(1 - s) with the offset -s kept exact
+    s = -(10.0 ** -e)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(mpmath.mpf(s)))
+    assert abs(zeta(s) - ref) < 1e-13 * abs(ref)
+
+
+def _box_sides(re_min, re_max, im_min, im_max):
+    u = np.linspace(0.0, 1.0, 33)
+    v = np.linspace(0.0, 1.0, 2501)
+    return [re_min + (re_max - re_min) * u + 1j * im_min,
+            re_max + 1j * (im_min + (im_max - im_min) * v),
+            re_max - (re_max - re_min) * u + 1j * im_max,
+            re_min + 1j * (im_max - (im_max - im_min) * v)]
+
+
+@pytest.mark.parametrize("points", [0.5 + 1j * np.linspace(0.1, 249.9, 2499)]
+                         + _box_sides(0.0, 1.0, 1e-3, 250.0),
+                         ids=["critical-line", "bottom", "right", "top",
+                              "left"])
+def test_log_xi_array_matches_scalar(points):
+    want = np.array([log_xi(complex(z)) for z in points])
+    got = log_xi_array(points)
+    assert got.shape == points.shape
+    assert np.max(np.abs(np.exp(got - want) - 1.0)) < 1e-12
+
+
+def test_log_xi_array_scalar_fallback_and_shape():
+    # points off the Euler-Maclaurin region go through the scalar log_xi
+    pts = np.array([[0.0, 1.0 + 1e-8], [complex(-1.5, 20.0), 2.0]])
+    got = log_xi_array(pts)
+    assert got.shape == (2, 2)
+    for z, w in zip(pts.ravel(), got.ravel()):
+        assert abs(cmath.exp(w - log_xi(complex(z))) - 1.0) < 1e-14
+    with pytest.raises(RangeError):
+        log_xi_array(np.array([0.5 + 10j, complex(0.5, T_MAX + 1.0)]))
+
+
+def test_zeta_em_array_matches_scalar():
+    t = np.linspace(30.0, 30.4, 5)
+    got = zeta_em(0.5, t, 61)
+    assert got.shape == t.shape
+    for x, w in zip(t, got):
+        assert abs(w - zeta_em(0.5, float(x), 61)) < 1e-14
