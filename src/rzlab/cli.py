@@ -148,9 +148,11 @@ def cmd_smatrix_eval(args):
     from .scattering import s_matrix
 
     m = s_matrix(complex(args.re, args.im))
+    # at a pole both the value and its log modulus are rounding noise
     value = None if m.pole_flag else _complex_str(m.value.to_complex())
+    log_modulus = None if m.pole_flag else m.value.log_modulus
     results = {"s": _complex_str(m.s), "value": value,
-               "log_modulus": m.value.log_modulus, "pole": m.pole_flag,
+               "log_modulus": log_modulus, "pole": m.pole_flag,
                "zero": m.zero_flag}
     rows = [{"re": args.re, "im": args.im,
              "value_re": value["re"] if value else "",

@@ -1,5 +1,6 @@
-"""Shared numeric kernels: adaptive quadrature, principal-value integrals,
-bracketed root refinement, and argument-principle winding counts.
+"""Shared numeric kernels: adaptive Gauss-Kronrod quadrature on a finite
+interval, bracketed root refinement, and argument-principle winding
+counts.
 
 All routines are pure functions over caller-supplied callables; nothing
 here knows about zeta or scattering.
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
-                     DomainError, PreconditionError)
+from .errors import (BoundaryZeroError, BudgetExhaustedError,
+                     PreconditionError)
 
 DEFAULT_BUDGET = 10 ** 6
 # Largest scan grid built; a finer step is rejected before allocation.
@@ -133,58 +134,6 @@ def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
     return QuadratureResult(total_val, total_err, evals)
-
-
-def integrate_semi_infinite(f, a, tol, budget=DEFAULT_BUDGET):
-    """Integrate f over [a, oo) via the map x = a + u/(1-u) on [0, 1).
-
-    The caller contract requires (at least) exponential decay of f at
-    +infinity; a coarse probe of |f| at growing abscissae rejects
-    clearly non-decaying integrands up front.
-    """
-    probes = [abs(complex(f(a + 2.0 ** j))) for j in range(3, 8)]
-    peak = max(probes)
-    if peak > 0 and probes[-1] > 0.5 * peak and probes[-1] >= probes[0]:
-        raise DivergenceError("integrand does not decay at +infinity")
-
-    def g(u):
-        r = 1.0 - u
-        return f(a + u / r) / (r * r)
-
-    res = integrate_adaptive(g, 0.0, 1.0, tol, budget=budget)
-    return QuadratureResult(res.value, res.error_estimate,
-                            res.evaluations + len(probes))
-
-
-def principal_value_integral(f, c, a, b, tol, budget=DEFAULT_BUDGET):
-    """Cauchy principal value of integral f(x)/(x - c) dx over [a, b].
-
-    Symmetric excision about c: on the window c +- h the odd part of
-    1/(x - c) cancels exactly against paired nodes, leaving the regular
-    integrand (f(c+u) - f(c-u))/u; the leftover one-sided piece is
-    integrated directly.
-    """
-    if not (a < c < b):
-        raise DomainError("singularity must lie strictly inside [a, b]")
-    h = min(c - a, b - c)
-
-    def paired(u):
-        return (complex(f(c + u)) - complex(f(c - u))) / u
-
-    r1 = integrate_adaptive(paired, 0.0, h, tol / 2, budget=budget)
-    total = r1.value
-    evals = r1.evaluations
-    if c - a > h:
-        r2 = integrate_adaptive(lambda x: complex(f(x)) / (x - c),
-                                a, c - h, tol / 2, budget=budget)
-        total += r2.value
-        evals += r2.evaluations
-    elif b - c > h:
-        r2 = integrate_adaptive(lambda x: complex(f(x)) / (x - c),
-                                c + h, b, tol / 2, budget=budget)
-        total += r2.value
-        evals += r2.evaluations
-    return total
 
 
 def find_root_bracketed(f, interval, tol, max_iter=200, f_lo=None, f_hi=None):

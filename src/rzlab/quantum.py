@@ -14,10 +14,16 @@ import numpy as np
 
 from .errors import (DivergenceError, DomainError, IntegrationLimitError,
                      PoleError, PreconditionError, RangeError)
-from .numerics import integrate_semi_infinite, QuadratureResult
-from .specfun import bessel_k, hankel1
+from .numerics import integrate_adaptive, QuadratureResult
+from .specfun import _log_sin, bessel_k, hankel1, log_gamma
 
 ODE_Y_FLOOR = 1e-3
+# k_moment_integral's quadrature ends in y, its series/quadrature split,
+# the terms per I series, and the largest |Im nu| its scale follows.
+_MOMENT_Y_MIN, _MOMENT_Y_MAX = 1e-20, 60.0
+_MOMENT_SPLIT = 0.5
+_MOMENT_TERMS = 12
+_MOMENT_MAX_SCALED_IM = 8.0
 
 
 @dataclass(frozen=True)
@@ -168,23 +174,66 @@ def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
 
 
 def k_moment_integral(nu, tol=1e-10):
-    """The moment integral int_0^oo y K_nu(y)^2 dy by quadrature.
+    """The moment integral int_0^oo y K_nu(y)^2 dy, converging for
+    |Re nu| < 1; real positive for real nu and for imaginary nu.
 
-    Converges for |Re nu| < 1; real positive both for real nu in
-    (-1, 1) and for purely imaginary nu.
+    One adaptive pass over y^2 K_nu(y)^2 in u = log y, up to y = 60
+    (beyond, y K^2 ~ (pi/2) e^-2y is negligible).  For |Re nu| <= 1/2
+    it starts at y = 1e-20, where y^2 K^2 vanishes at least like y.
+    Beyond, y K^2 ~ y^(1 - 2 |Re nu|) is nearly singular at 0, so
+    (0, 1/2] is integrated exactly from the I series and the pass
+    starts at y = 1/2.  No closed form of the moment is used.
     """
     nu = complex(nu)
     if abs(nu.real) >= 1.0:
         raise DivergenceError("integral diverges for |Re nu| >= 1")
     _check_not_nonzero_integer(nu)
+    # K_nu(y)^2 and the moment are of size e^(-pi |Im nu|): tol applies
+    # to the integrand scaled by the inverse.  Beyond |Im nu| = 8 the
+    # cancellation in bessel_k (about 1e-16 e^(pi |Im nu| / 2) relative)
+    # would leave the scaled integrand noisier than tol.
+    scale = math.exp(-math.pi * min(abs(nu.imag), _MOMENT_MAX_SCALED_IM))
 
-    def f(y):
-        if y <= 0.0:
-            return 0.0
-        kv = bessel_k(nu, y, tol=1e-12)
-        return y * kv * kv
+    def f(u):
+        y = math.exp(u)
+        kv = bessel_k(nu, y)
+        return y * y * kv * kv / scale
 
-    return integrate_semi_infinite(f, 0.0, tol)
+    lo, head = _MOMENT_Y_MIN, 0.0
+    if abs(nu.real) > _MOMENT_SPLIT:
+        lo, head = _MOMENT_SPLIT, _series_moment(nu, _MOMENT_SPLIT)
+    res = integrate_adaptive(f, math.log(lo), math.log(_MOMENT_Y_MAX), tol)
+    value = head + scale * res.value
+    if nu.imag == 0.0:
+        value = complex(value.real, 0.0)
+    return QuadratureResult(value, scale * res.error_estimate,
+                            res.evaluations)
+
+
+def _series_moment(nu, a):
+    """int_0^a y K_nu(y)^2 dy with K_nu = pi (I_-nu - I_nu) / (2 sin pi nu)
+    (DLMF 10.27.4) and I_+-nu(y) = sum_k (y/2)^(2k +- nu) / (k! Gamma(k +-
+    nu + 1)) (DLMF 10.25.2): the square is a sum of powers (y/2)^(2m + p),
+    p in {-2 nu, 0, 2 nu}, each integrated exactly."""
+    k = np.arange(_MOMENT_TERMS)
+    # 1/Gamma(1 +- nu) grows like e^(pi |Im nu| / 2) and 1/sin(pi nu)
+    # decays like e^(-pi |Im nu|): both leave the sums in log form.
+    shift = 0.5 * math.pi * abs(nu.imag)
+
+    def coefficients(order):
+        ratio = np.concatenate(([1.0], 1.0 / (k[1:] * (k[1:] + order))))
+        return cmath.exp(-log_gamma(1.0 + order) - shift) * np.cumprod(ratio)
+
+    lo, hi = coefficients(-nu), coefficients(nu)
+    m = np.arange(2 * _MOMENT_TERMS - 1)
+    total = 0j
+    for c, p in ((np.convolve(lo, lo), -2.0 * nu),
+                 (-2.0 * np.convolve(lo, hi), 0.0),
+                 (np.convolve(hi, hi), 2.0 * nu)):
+        q = 2.0 * m + p + 2.0
+        total += (c * (0.5 * a) ** q / q).sum()
+    log_scale = math.log(0.5 * math.pi) - _log_sin(math.pi * nu) + shift
+    return 4.0 * cmath.exp(2.0 * log_scale) * total
 
 
 def _check_not_nonzero_integer(nu):

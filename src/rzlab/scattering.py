@@ -38,15 +38,15 @@ class CouplingValue:
     coupling: complex
 
 
-def _xi_vanishes(p):
-    """True when xi has a zero within ZERO_NEWTON_RADIUS of p.
+def _xi_vanishes(p, v):
+    """True when xi, whose value at p is v, has a zero within
+    ZERO_NEWTON_RADIUS of p.
 
     Decided on the decay-normalized magnitude |xi| e^{pi |t| / 4} (the
     raw linear floor would misfire at large t), then confirmed by the
     distance estimate |xi / xi'| for a simple zero, with xi' taken from
     a stencil wide enough to sit clear of the zero itself.
     """
-    v = xi(p)
     scale = v.log_modulus + 0.25 * math.pi * abs(p.imag)
     if scale > math.log(1e-3):  # clearly away from any zero
         return False
@@ -63,8 +63,8 @@ def s_matrix(s):
     s = _as_s(s)
     num = xi(2.0 * s)
     den = xi(-2.0 * s)
-    pole = _xi_vanishes(-2.0 * s)
-    zero = False if pole else _xi_vanishes(2.0 * s)
+    pole = _xi_vanishes(-2.0 * s, den)
+    zero = False if pole else _xi_vanishes(2.0 * s, num)
     return SMatrixValue(s=s, value=num / den, pole_flag=pole, zero_flag=zero)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, RangeError
-from .numerics import integrate_semi_infinite
 
 # B_2k / (2k (2k-1)) for the Stirling series of log Gamma.
 _STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
@@ -97,45 +96,38 @@ def _stirling(w, log):
     return res
 
 
-def _k_integrand(nu, y):
-    """Integrand of K_nu(y) = int_0^oo exp(-y cosh t) cosh(nu t) dt.
+def bessel_k(nu, y):
+    """Modified Bessel K of complex order for y > 0 and |Re nu| <= 5;
+    real for real nu and for purely imaginary nu.
 
-    Written so the exponential underflow wins before cosh overflows.
-    """
-    def f(t):
-        if y * 0.5 * math.exp(min(t, 700.0)) > 750.0:
-            return 0.0
-        decay = -y * math.cosh(t)
-        if decay < -745.0:
-            return 0.0
-        if nu.imag == 0.0:
-            return math.exp(decay) * math.cosh(nu.real * t)
-        return math.exp(decay) * cmath.cosh(nu * t)
-    return f
-
-
-def bessel_k(nu, y, tol=1e-13):
-    """Modified Bessel K of complex order via the real integral
-    representation; uniformly valid for purely imaginary order.
-
-    Real for real nu and for purely imaginary nu (the integrand is then
-    real).  Requires y > 0 and |Re nu| <= 5.
+    One trapezoid sum of int_0^oo exp(-y cosh t) cosh(nu t) dt (DLMF
+    10.32.9).  Its error falls like e^(-2 pi b / h) (Trefethen and
+    Weideman, SIAM Review 56, 2014) against the growth e^(|Im nu| b) and
+    e^(y b^2 / 2) of the integrand at Im t = b, hence the step below.
+    The sum stops where y (cosh T - 1) >= 40 + 5 T.  Against mpmath for
+    1e-20 <= y <= 700 it is within 1e-14 relative, except that at
+    imaginary order the terms cancel down to |K| ~ e^(-pi |nu| / 2):
+    3e-12 relative at nu = 5i, 1e-10 at nu = 7i, y = 1e-20.
     """
     nu = _as_order(nu)
-    if y <= 0.0:
-        raise DomainError("bessel_k requires y > 0")
+    if not 0.0 < y < math.inf:
+        raise DomainError("bessel_k requires finite y > 0")
     if abs(nu.real) > BESSEL_K_MAX_REAL_ORDER:
         raise RangeError("|Re nu| > %g unsupported" % BESSEL_K_MAX_REAL_ORDER)
-    if nu.real < 0 or (nu.real == 0 and nu.imag < 0):
-        nu = -nu  # K_{-nu} = K_nu
-    f = _k_integrand(nu, y)
-    rough = integrate_semi_infinite(f, 0.0, max(tol, 1e-6))
-    scale = max(abs(rough.value), math.exp(-min(y, 600.0)) * 1e-12, 1e-280)
-    res = integrate_semi_infinite(f, 0.0, tol * scale)
-    v = res.value
+    r = math.sqrt(y)
+    h = min(0.1, 2.0 * math.pi / (abs(nu.imag) + 40.0 + 13.0 * r))
+    cut = 0.0
+    for _ in range(4):  # fixed point of 2 y sinh^2(T/2) = 40 + 5 T
+        cut = 2.0 * math.asinh(math.sqrt(20.0 + 2.5 * cut) / r)
+    t = h * np.arange(int(cut / h) + 1)
+    # -y cosh t = -y - 2 (sqrt(y) sinh(t/2))^2 keeps the exponent accurate
+    # near t = 0 and finite for tiny y; e^-y comes out of the sum.
+    e = -2.0 * (r * np.sinh(0.5 * t)) ** 2
+    f = np.exp(e + nu * t) + np.exp(e - nu * t)
+    v = 0.5 * h * math.exp(-y) * (f.sum() - 0.5 * f[0])
     if nu.imag == 0.0 or nu.real == 0.0:
         return complex(v.real, 0.0)
-    return v
+    return complex(v)
 
 
 def _bessel_j_series(nu, x):

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +199,17 @@ def test_smatrix_eval_identity(capsys):
     assert abs(v["re"] - 1.0) < 1e-12 and abs(v["im"]) < 1e-12
 
 
+def test_smatrix_eval_at_pole_reports_no_log_modulus(capsys):
+    # the float nearest -1/4 + i t_1/2: xi(-2s) is rounding noise there
+    code, out, _ = run(capsys, "smatrix", "eval", "--re", "-0.25",
+                       "--im", "7.067362570867347", "--deterministic")
+    assert code == EXIT_OK
+    results = json.loads(out, parse_constant=pytest.fail)["results"]
+    assert results["pole"] is True
+    assert results["value"] is None
+    assert results["log_modulus"] is None
+
+
 def test_smatrix_scan_unitarity(capsys):
     code, out, _ = run(capsys, "smatrix", "scan", "--tau-max", "10",
                        "--step", "0.5", "--deterministic")
@@ -228,6 +241,30 @@ def test_quantum_khuri_real_coupling(capsys):
                        "--deterministic")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["residual"] == 0.0
+
+
+def _cli_subprocess(*argv):
+    src = os.path.dirname(os.path.dirname(rzlab.__file__))
+    out = subprocess.run([sys.executable, "-m", "rzlab.cli"] + list(argv)
+                         + ["--deterministic"], capture_output=True,
+                         text=True, timeout=10.0,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == EXIT_OK, out.stderr
+    return json.loads(out.stdout)["results"]
+
+
+def test_moment_near_re_nu_one_meets_deadline():
+    # Re nu close to 1, where y K_nu(y)^2 is nearly singular at y = 0
+    lam = complex(0.3, 1.2)
+    nu = cmath.sqrt(lam + 0.25)
+    assert 0.96 < nu.real < 0.98
+    got = _cli_subprocess("quantum", "khuri", "--lambda", "0.3",
+                          "--im-lambda", "1.2")["residual"]
+    want = abs(lam.imag) * abs(nu / cmath.sin(math.pi * nu))
+    assert abs(got - want) < 1e-12 * want
+    got = _cli_subprocess("quantum", "kmoment", "--nu", "0.97")["integral"]
+    want = 0.5 * math.pi * 0.97 / math.sin(math.pi * 0.97)
+    assert abs(complex(got["re"], got["im"]) - want) < 1e-12 * want
 
 
 def test_quantum_jost_verify(capsys):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
-                          DivergenceError, DomainError, PreconditionError)
+                          PreconditionError)
 from rzlab.numerics import (BracketInterval, ContourRectangle,
                             QuadratureResult, find_root_bracketed,
-                            integrate_adaptive, integrate_semi_infinite,
-                            principal_value_integral, winding_number)
+                            integrate_adaptive, winding_number)
 
 
 def test_quadrature_result_validation():
@@ -57,48 +56,6 @@ def test_integrate_budget_exhaustion():
 def test_integrate_empty_interval():
     r = integrate_adaptive(lambda x: 1.0, 2.0, 2.0, 1e-10)
     assert r.value == 0j
-
-
-def test_semi_infinite_exponential():
-    r = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, 1e-12)
-    assert abs(r.value - 1.0) < 1e-11
-
-
-def test_semi_infinite_gaussian_moment():
-    # int_0^oo x e^{-x^2} dx = 1/2
-    r = integrate_semi_infinite(lambda x: x * math.exp(-x * x), 0.0, 1e-12)
-    assert abs(r.value - 0.5) < 1e-11
-
-
-def test_semi_infinite_rejects_nondecaying():
-    with pytest.raises(DivergenceError):
-        integrate_semi_infinite(lambda x: 1.0, 0.0, 1e-8)
-    with pytest.raises(DivergenceError):
-        integrate_semi_infinite(lambda x: x / (1.0 + x), 0.0, 1e-8)
-
-
-def test_principal_value_odd_kernel():
-    # PV int_{-1}^{1} dx / x = 0
-    v = principal_value_integral(lambda x: 1.0, 0.0, -1.0, 1.0, 1e-12)
-    assert abs(v) < 1e-12
-
-
-def test_principal_value_known_value():
-    # PV int_0^2 e^x/(x-1) dx = e * Ei(1) - e * E1(1) is awkward; use
-    # f(x) = x instead: PV int_0^2 x/(x-1) dx = 2 + ln(1) = 2.
-    v = principal_value_integral(lambda x: x, 1.0, 0.0, 2.0, 1e-12)
-    assert abs(v - 2.0) < 1e-11
-
-
-def test_principal_value_asymmetric_window():
-    # PV int_{-1}^{3} dx/(x-0) = ln 3
-    v = principal_value_integral(lambda x: 1.0, 0.0, -1.0, 3.0, 1e-12)
-    assert abs(v - math.log(3.0)) < 1e-11
-
-
-def test_principal_value_requires_interior_pole():
-    with pytest.raises(DomainError):
-        principal_value_integral(lambda x: 1.0, 2.0, -1.0, 1.0, 1e-10)
 
 
 def test_root_bracketed_cosine():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from rzlab.errors import (DivergenceError, DomainError,
@@ -94,6 +95,39 @@ def test_k_moment_matches_closed_form_with_half():
         assert abs(got - want) < 1e-8 * abs(want)
 
 
+def _mp_moment(nu):
+    """pi nu / (2 sin pi nu) in high precision; 1/2 at nu = 0."""
+    if nu == 0:
+        return 0.5
+    with mpmath.workdps(30):
+        nu = mpmath.mpc(nu)
+        return complex(mpmath.pi * nu / (2 * mpmath.sin(mpmath.pi * nu)))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.999, 2.5, 4.9, 0.25 + 1j,
+                                0.5 + 3j, 5j, 7j, -0.7, 0.97 + 0.4j,
+                                0.6 + 2j])
+def test_k_moment_matches_mpmath_closed_form(nu):
+    if abs(complex(nu).real) >= 1.0:
+        with pytest.raises(DivergenceError):
+            k_moment_integral(nu)
+        return
+    want = _mp_moment(nu)
+    r = k_moment_integral(nu)
+    assert abs(r.value - want) < 1e-12 * abs(want)
+    # one adaptive pass: a bounded number of bessel_k evaluations
+    assert r.evaluations < 3000
+
+
+def test_k_moment_conditioning_next_to_one():
+    # the integral grows like 1/(2 (1 - nu)); its relative error may grow
+    # as eps / (1 - nu), the conditioning of the integral in nu
+    for nu in (1.0 - 1e-4, 1.0 - 1e-7):
+        want = _mp_moment(nu)
+        got = k_moment_integral(nu).value
+        assert abs(got - want) < 10 * 2.0 ** -52 / (1.0 - nu) * abs(want)
+
+
 def test_k_moment_divergence_and_pole_guards():
     with pytest.raises(DivergenceError):
         k_moment_integral(1.0)
@@ -104,6 +138,7 @@ def test_k_moment_divergence_and_pole_guards():
 def test_fit_moment_coefficient_adjudication():
     fitted = fit_moment_coefficient()
     assert abs(fitted - 0.5) < 1e-6
+    assert abs(fitted - 0.5) < 1e-12
     # the printed factor 1/8 is inconsistent with quadrature
     assert abs(fitted - 0.125) > 0.3
 

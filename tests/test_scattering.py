@@ -45,6 +45,26 @@ def test_s_matrix_pole_and_zero_flags():
     assert not m.pole_flag and not m.zero_flag
 
 
+def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
+    # xi(2s) and xi(-2s) serve both the value and the pole/zero flags
+    import rzlab.scattering as scattering
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real_xi(p)
+
+    real_xi = scattering.xi
+    monkeypatch.setattr(scattering, "xi", counted)
+    m = s_matrix(complex(0.3, 40.0))
+    assert not m.pole_flag and not m.zero_flag
+    assert len(calls) == 2
+    # at an F+ zero (a pole of S) only the derivative stencil is added
+    del calls[:]
+    assert s_matrix(complex(-0.25, 0.5 * T1)).pole_flag
+    assert len(calls) == 4
+
+
 def test_jost_plus_is_reciprocal():
     s = complex(0.07, 0.9)
     prod = jost_plus(s).value * s_matrix(s).value
