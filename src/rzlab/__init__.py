@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # The one xi kernel: the numpy Euler-Maclaurin sum rzlab.zeta.zeta_em, called
 # on one point or on a batch of points that share its number of terms
-# (zeta.log_xi_array, which zero scans and contour sides use); zero
+# (zeta.log_xi_array, which zero scans and winding contours use); zero
 # brackets are refined by Brent's method one point at a time.
 backend_name = "python"
 

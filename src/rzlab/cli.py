@@ -257,7 +257,8 @@ def cmd_jost_verify(args):
 
 
 def cmd_khuri(args):
-    from .quantum import khuri_reality_residual
+    from .quantum import (MOMENT_RELATIVE_IM_MAX, OrderParameter,
+                          khuri_reality_residual)
 
     lam = complex(args.lam, args.im_lambda)
     residual = khuri_reality_residual(lam)
@@ -265,8 +266,17 @@ def cmd_khuri(args):
                "real_coupling": lam.imag == 0.0}
     rows = [{"lambda_re": lam.real, "lambda_im": lam.imag,
              "residual": residual}]
+    # a real coupling returns 0 before any moment is computed
+    nu = OrderParameter.from_coupling(lam).nu
+    diagnostics = []
+    if lam.imag != 0.0 and abs(nu.imag) >= MOMENT_RELATIVE_IM_MAX:
+        diagnostics.append(
+            "|Im nu| = %.4g >= %g: the moment integral, and so the "
+            "residual, is accurate only in absolute terms (bessel_k "
+            "cancels down to e^(-pi |Im nu| / 2))"
+            % (abs(nu.imag), MOMENT_RELATIVE_IM_MAX))
     return ({"lambda": args.lam, "im_lambda": args.im_lambda}, results,
-            rows, [], EXIT_OK)
+            rows, diagnostics, EXIT_OK)
 
 
 def cmd_hadamard(args):

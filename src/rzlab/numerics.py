@@ -204,10 +204,10 @@ def winding_number(g, rect, magnitude_floor=1e-300, max_depth=40):
 
     g maps an array of points to the array of its values.  Each side is
     sampled SAMPLES_PER_UNIT times per unit of its length (at least
-    MIN_SIDE_SAMPLES) and evaluated in one call; phase steps between
-    consecutive samples are then refined by bisection, one point per
-    call, until every step is below pi/2, which rules out 2 pi aliasing
-    near zeros close to the contour.
+    MIN_SIDE_SAMPLES), and the four sides are evaluated in one call;
+    phase steps between consecutive samples are then refined by
+    bisection, one point per call, until every step is below pi/2,
+    which rules out 2 pi aliasing near zeros close to the contour.
     """
     corners = [complex(rect.re_min, rect.im_min),
                complex(rect.re_max, rect.im_min),
@@ -222,12 +222,14 @@ def winding_number(g, rect, magnitude_floor=1e-300, max_depth=40):
                                     % z[np.argmax(low)])
         return np.angle(w)
 
-    total = 0.0
+    sides = []
     for i in range(4):
         za, zb = corners[i], corners[(i + 1) % 4]
         m = max(MIN_SIDE_SAMPLES, int(SAMPLES_PER_UNIT * abs(zb - za)))
-        pts = za + (zb - za) * np.arange(m + 1) / m
-        ph = phases(pts)
+        sides.append(za + (zb - za) * np.arange(m + 1) / m)
+    ends = np.cumsum([len(pts) for pts in sides])[:-1]
+    total = 0.0
+    for pts, ph in zip(sides, np.split(phases(np.concatenate(sides)), ends)):
         steps = _wrap_phase(np.diff(ph))
         fine = np.abs(steps) < 0.5 * math.pi
         total += steps[fine].sum()

@@ -107,7 +107,8 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
 
 def count_zeros_rectangle(rect, nudge=1e-3):
     """Number of xi zeros (with multiplicity) inside the rectangle,
-    by the argument principle, each side evaluated in one batched call.
+    by the argument principle, the four sides evaluated in one batched
+    call.
 
     If a zero sits on the horizontal boundary at sampling resolution,
     the rectangle is nudged by +-1e-3 in t before giving up.

@@ -243,6 +243,24 @@ def test_quantum_khuri_real_coupling(capsys):
     assert json.loads(out)["results"]["residual"] == 0.0
 
 
+@pytest.mark.parametrize("argv,flagged", [
+    # rho = 0.7 + 14.1347i, so nu = rho - 1/2 ~ 0.2 + 14.13i
+    (("--lambda", "-200", "--im-lambda", "5.654"), True),
+    (("--lambda", "0.3", "--im-lambda", "0.5"), False),
+    (("--lambda", "-200"), False),
+])
+def test_quantum_khuri_flags_absolute_accuracy(capsys, argv, flagged):
+    code, out, _ = run(capsys, "quantum", "khuri", *argv, "--deterministic")
+    assert code == EXIT_OK
+    diagnostics = json.loads(out)["diagnostics"]
+    if flagged:
+        assert len(diagnostics) == 1
+        assert "|Im nu| = 14.13 >= 10" in diagnostics[0]
+        assert "absolute" in diagnostics[0]
+    else:
+        assert diagnostics == []
+
+
 def _cli_subprocess(*argv):
     src = os.path.dirname(os.path.dirname(rzlab.__file__))
     out = subprocess.run([sys.executable, "-m", "rzlab.cli"] + list(argv)

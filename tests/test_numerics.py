@@ -121,8 +121,9 @@ def test_winding_zero_on_contour_raises():
         winding_number(lambda z: z - 0.5, rect)
 
 
-def test_winding_samples_each_side_in_one_call():
-    # sides of length 1 and 25: 32 samples (the floor) and 10 per unit
+def test_winding_samples_all_sides_in_one_call():
+    # sides of length 1 and 25: 32 samples (the floor) and 10 per unit,
+    # 33 + 251 + 33 + 251 points in the first call, then one per call
     sizes = []
 
     def g(z):
@@ -131,5 +132,5 @@ def test_winding_samples_each_side_in_one_call():
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
     assert winding_number(g, rect) == 1
-    assert sizes[:4] == [33, 251, 33, 251]
-    assert all(n == 1 for n in sizes[4:])
+    assert sizes[0] == 568
+    assert all(n == 1 for n in sizes[1:])
