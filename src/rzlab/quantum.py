@@ -113,7 +113,7 @@ def asymptotic_residual(k, nu, y):
 def _plane_wave_tail(k, nu, y, n_terms=14):
     """(f, f') at large ky from e^{iky} sum_m i^m a_m(nu) / (ky)^m,
     the standard large-argument expansion whose m = 0 term is the bare
-    plane wave; independent of the power-series Hankel route."""
+    plane wave; independent of hankel1's Sommerfeld integral."""
     x = k * y
     a = 1.0 + 0j
     s = a

@@ -26,6 +26,13 @@ class ZetaZero:
     index: int
 
 
+def _sign(phase):
+    """+-1 as the phase of log xi(1/2 + it), a number or an array, lies
+    nearer 0 or pi; plain arithmetic keeps a number cheap."""
+    folded = (phase + math.pi) % (2.0 * math.pi) - math.pi
+    return 1 - 2 * (abs(folded) >= 0.5 * math.pi)
+
+
 def critical_line_function(t):
     """xi(1/2 + it) snapped to its exactly-real value.
 
@@ -33,15 +40,8 @@ def critical_line_function(t):
     rounding of 0 or pi and is snapped so the sign is unambiguous.
     """
     v = xi(complex(0.5, abs(t)))
-    sign = 1 if abs(v.phase) < 0.5 * math.pi else -1
+    sign = _sign(v.phase)
     return SignedLogComplex(v.log_modulus, 0.0 if sign > 0 else math.pi, sign)
-
-
-def _signed_log_mag(t):
-    """Sign times log-magnitude of xi(1/2+it); monotone proxy unusable,
-    used only for sign changes and root refinement."""
-    v = critical_line_function(t)
-    return v.sign_hint, v.log_modulus
 
 
 def _scaled(sign, lm, t):
@@ -53,11 +53,9 @@ def _scaled(sign, lm, t):
 
 def _scan(grid):
     """Signs and log-magnitudes of xi(1/2 + it) over the grid, from one
-    batched evaluation, with the sign read as critical_line_function
-    reads it."""
+    batched evaluation."""
     lx = log_xi_array(0.5 + 1j * np.abs(grid))
-    phase = (lx.imag + math.pi) % (2.0 * math.pi) - math.pi
-    return np.where(np.abs(phase) < 0.5 * math.pi, 1, -1), lx.real
+    return _sign(lx.imag), lx.real
 
 
 def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
@@ -89,9 +87,9 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     log_mod = {}
 
     def f(t):
-        sign, lm = _signed_log_mag(t)
-        log_mod[t] = lm
-        return float(_scaled(sign, lm, t))
+        v = critical_line_function(t)
+        log_mod[t] = v.log_modulus
+        return float(_scaled(v.sign_hint, v.log_modulus, t))
 
     zeros = []
     for j in np.flatnonzero(signs[:-1] != signs[1:]).tolist():

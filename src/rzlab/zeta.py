@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, RangeError
-from .specfun import log_gamma, _log_sin, _normalize_phase
+from .specfun import log_gamma, _log_sin
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
 # (t_100 ~ 236.5).  Euler-Maclaurin with n = _em_terms(t) <= 88 terms

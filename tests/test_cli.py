@@ -292,6 +292,15 @@ def test_quantum_jost_verify(capsys):
     assert json.loads(out)["results"]["max_rel_error"] < 1e-6
 
 
+def test_quantum_jost_verify_at_large_argument(capsys):
+    # the samples reach k y = 25, near the top of hankel1's range
+    code, out, _ = run(capsys, "quantum", "jost-verify",
+                       "--lambda", "3.6115465327657468",
+                       "--k", "2.957343936945446", "--deterministic")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["max_rel_error"] < 1e-6
+
+
 def test_hadamard_profile(capsys):
     code, out, _ = run(capsys, "hadamard", "--num-zeros", "20", "--at", "2",
                        "--deterministic")
