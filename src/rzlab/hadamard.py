@@ -44,10 +44,6 @@ class ZeroCatalog:
         return len(self.ordinates)
 
 
-def default_xi_eval(z):
-    return xi(z).to_complex()
-
-
 def fit_constants():
     """Hadamard constants of xi in closed form: A = log xi(0) = log 1/2
     and B = (log xi)'(0) = -gamma/2 - 1 + (1/2) log 4 pi (Davenport,
@@ -86,11 +82,8 @@ def hadamard_partial(params, catalog, z, n):
     return value
 
 
-def convergence_profile(z, n_list, catalog, params=None,
-                        xi_eval=default_xi_eval):
+def convergence_profile(z, n_list, catalog, params):
     """Relative residual |P_N(z) - xi(z)| / |xi(z)| for each N."""
-    if params is None:
-        params = fit_constants()
-    target = xi_eval(complex(z))
+    target = xi(complex(z)).to_complex()
     return [abs(hadamard_partial(params, catalog, z, n) - target) / abs(target)
             for n in n_list]

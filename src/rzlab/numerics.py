@@ -136,7 +136,7 @@ def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
     return QuadratureResult(total_val, total_err, evals)
 
 
-def find_root_bracketed(f, interval, tol, max_iter=200, f_lo=None, f_hi=None):
+def find_root_bracketed(f, interval, tol, f_lo=None, f_hi=None):
     """Brent's method (zeroin; Brent 1973, Algorithms for Minimization
     without Derivatives, ch. 4) for a sign change of real-valued f.
 
@@ -157,7 +157,7 @@ def find_root_bracketed(f, interval, tol, max_iter=200, f_lo=None, f_hi=None):
         raise PreconditionError("no sign change on bracket [%g, %g]" % (a, b))
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(200):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
@@ -194,12 +194,13 @@ def find_root_bracketed(f, interval, tol, max_iter=200, f_lo=None, f_hi=None):
     return b
 
 
-def _wrap_phase(d):
-    """Reduce phase differences to (-pi, pi]."""
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
+def _fold_phase(x):
+    """x mod 2 pi in (-pi, pi] for a float or an array, by arithmetic that
+    keeps a float cheap (rounding may put x just above pi on -pi)."""
+    return math.pi - (math.pi - x) % math.tau
 
 
-def winding_number(g, rect, magnitude_floor=1e-300, max_depth=40):
+def winding_number(g, rect):
     """Total argument change of g around the rectangle boundary, / 2 pi.
 
     g maps an array of points to the array of its values.  Each side is
@@ -216,7 +217,7 @@ def winding_number(g, rect, magnitude_floor=1e-300, max_depth=40):
 
     def phases(z):
         w = np.asarray(g(z), dtype=complex)
-        low = np.abs(w) < magnitude_floor
+        low = np.abs(w) < 1e-300
         if low.any():
             raise BoundaryZeroError("|g| below floor at boundary point %s"
                                     % z[np.argmax(low)])
@@ -230,18 +231,18 @@ def winding_number(g, rect, magnitude_floor=1e-300, max_depth=40):
     ends = np.cumsum([len(pts) for pts in sides])[:-1]
     total = 0.0
     for pts, ph in zip(sides, np.split(phases(np.concatenate(sides)), ends)):
-        steps = _wrap_phase(np.diff(ph))
+        steps = _fold_phase(np.diff(ph))
         fine = np.abs(steps) < 0.5 * math.pi
         total += steps[fine].sum()
         stack = [(pts[j], pts[j + 1], ph[j], ph[j + 1], 0)
                  for j in np.flatnonzero(~fine)]
         while stack:
             z0, z1, p0, p1, depth = stack.pop()
-            d = _wrap_phase(p1 - p0)
+            d = _fold_phase(p1 - p0)
             if abs(d) < 0.5 * math.pi:
                 total += d
                 continue
-            if depth >= max_depth:
+            if depth >= 40:
                 raise BoundaryZeroError(
                     "phase step not resolving near %s; zero on contour?" % z0)
             zm = 0.5 * (z0 + z1)

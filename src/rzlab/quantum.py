@@ -129,8 +129,7 @@ def _plane_wave_tail(k, nu, y, n_terms=14):
     return e * s, k * e * (1j * s + ds)
 
 
-def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
-                      rtol=1e-11, atol=1e-12):
+def jost_solution_ode(k, lam, y_end, y_start):
     """Independent route to the Jost solution: integrate
     f'' = (V - k^2) f inward from the plane-wave regime at y_start.
 
@@ -139,7 +138,7 @@ def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
     large-argument tail expansion, so the O(1/ky) plane-wave error does
     not limit accuracy), y_start^2 finite for the potential lam/y^2,
     and y_end above the singular-origin floor 1e-3.
-    Returns [(y, f(y))] on a uniform grid from y_end up to y_start.
+    Returns [(y, f(y))] at 200 evenly spaced y from y_end to y_start.
     """
     # scipy.integrate takes most of a second to import, and no other
     # function here needs it.
@@ -168,10 +167,10 @@ def jost_solution_ode(k, lam, y_end, y_start, n_samples=200,
         d2 = (lam / (y * y) - k * k) * f
         return [gr, gi, d2.real, d2.imag]
 
-    ys = np.linspace(y_start, y_end, n_samples)
+    ys = np.linspace(y_start, y_end, 200)
     sol = solve_ivp(rhs, (y_start, y_end),
                     [f0.real, f0.imag, df0.real, df0.imag],
-                    t_eval=ys, rtol=rtol, atol=atol, method="DOP853")
+                    t_eval=ys, rtol=1e-11, atol=1e-12, method="DOP853")
     if not sol.success:
         raise IntegrationLimitError("ODE integration failed: %s" % sol.message)
     samples = [(float(y), complex(fr, fi))

@@ -1,8 +1,9 @@
 """Number-theoretic scattering objects built on xi.
 
-S(s) = xi(2s)/xi(-2s), the zero-energy Jost function F+(s) =
-xi(-2s)/xi(2s), the zero <-> pole correspondence on Re s = -1/4, the
-coupling spectrum, and the flat-wave zero Fourier coefficient.
+S(s) = xi(2s)/xi(-2s) at a point with pole/zero flags, log S on an
+array of points, the zero-energy Jost function F+(s) = xi(-2s)/xi(2s),
+the zero <-> pole correspondence on Re s = -1/4, the coupling spectrum,
+and the flat-wave zero Fourier coefficient.
 
 The s-plane here is the shifted one: a zeta zero rho corresponds to
 s = -rho/2, so the first-zero pole of S sits at s = -1/4 - i t_1 / 2.
@@ -12,9 +13,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import VerificationError
 from .numerics import ContourRectangle, winding_number
-from .zeta import SignedLogComplex, _as_s, xi
+from .zeta import SignedLogComplex, _as_s, log_xi_array, xi
 
 # A point p counts as a xi zero when it lies within this distance of
 # one (simple zeros: |xi/xi'| is the distance to the zero).
@@ -68,6 +71,14 @@ def s_matrix(s):
     return SMatrixValue(s=s, value=num / den, pole_flag=pole, zero_flag=zero)
 
 
+def log_s_matrix(s):
+    """log S = log xi(2s) - log xi(-2s) at every point of the complex
+    array s, with no pole/zero flags: the way S is evaluated at more
+    than one point.  Its phase is not folded into (-pi, pi]."""
+    s = np.asarray(s, dtype=complex)
+    return log_xi_array(2.0 * s) - log_xi_array(-2.0 * s)
+
+
 def jost_plus(s):
     """Zero-energy Jost function F+(s) = xi(-2s)/xi(2s) = 1/S(s)."""
     m = s_matrix(s)
@@ -75,27 +86,23 @@ def jost_plus(s):
                         pole_flag=m.zero_flag, zero_flag=m.pole_flag)
 
 
-def zero_to_jost_zero(t_n, verify=True):
-    """Map a zeta-zero ordinate to the predicted F+ zero -1/4 + i t_n/2.
-
-    With verify=True the contract is checked: |F+| < 1e-6 there and the
-    winding of F+ on a 0.05-radius box around the point equals 1.  A
-    failure falsifies the implementation, not the correspondence.
+def zero_to_jost_zero(t_n):
+    """Map a zeta-zero ordinate to the predicted F+ zero -1/4 + i t_n/2,
+    checking the contract: |F+| < 1e-6 there, and F+ = exp(-log S)
+    winds once around a 0.05-radius box about the point.  A failure
+    falsifies the implementation, not the correspondence.
     """
     p = complex(-0.25, 0.5 * t_n)
-    if verify:
-        fp = jost_plus(p)
-        if not (fp.value.abs() < 1e-6 and fp.zero_flag):
-            raise VerificationError(
-                "|F+| = %.3g at %s; expected a zero there"
-                % (fp.value.abs(), p))
-        rect = ContourRectangle(p.real - 0.05, p.real + 0.05,
-                                p.imag - 0.05, p.imag + 0.05)
-        w = winding_number(
-            lambda zs: [jost_plus(z).value.to_complex() for z in zs], rect)
-        if w != 1:
-            raise VerificationError(
-                "winding of F+ around %s is %d, expected 1" % (p, w))
+    fp = jost_plus(p)
+    if not (fp.value.abs() < 1e-6 and fp.zero_flag):
+        raise VerificationError(
+            "|F+| = %.3g at %s; expected a zero there" % (fp.value.abs(), p))
+    rect = ContourRectangle(p.real - 0.05, p.real + 0.05,
+                            p.imag - 0.05, p.imag + 0.05)
+    w = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rect)
+    if w != 1:
+        raise VerificationError(
+            "winding of F+ around %s is %d, expected 1" % (p, w))
     return p
 
 

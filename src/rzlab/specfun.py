@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, RangeError
+from .numerics import _fold_phase
 
 # B_2k / (2k (2k-1)) for the Stirling series of log Gamma.
 _STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
@@ -38,9 +39,9 @@ def _as_order(nu):
 
 
 def _normalize_phase(w):
-    """Fold Im(w) into [-pi, pi) so exp(w) is branch-independent; w may
+    """Fold Im(w) into (-pi, pi] so exp(w) is branch-independent; w may
     be a number or an array."""
-    return w.real + 1j * ((w.imag + math.pi) % (2.0 * math.pi) - math.pi)
+    return w.real + 1j * _fold_phase(w.imag)
 
 
 def _log_sin(z):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BoundaryZeroError, PreconditionError
 from .numerics import (MAX_GRID_POINTS, BracketInterval, ContourRectangle,
-                       find_root_bracketed, winding_number)
+                       _fold_phase, find_root_bracketed, winding_number)
 from .zeta import SignedLogComplex, T_MAX, log_xi_array, xi
 
 DEFAULT_STEP = 0.1
@@ -29,8 +29,7 @@ class ZetaZero:
 def _sign(phase):
     """+-1 as the phase of log xi(1/2 + it), a number or an array, lies
     nearer 0 or pi; plain arithmetic keeps a number cheap."""
-    folded = (phase + math.pi) % (2.0 * math.pi) - math.pi
-    return 1 - 2 * (abs(folded) >= 0.5 * math.pi)
+    return 1 - 2 * (abs(_fold_phase(phase)) >= 0.5 * math.pi)
 
 
 def critical_line_function(t):
@@ -103,7 +102,7 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     return zeros
 
 
-def count_zeros_rectangle(rect, nudge=1e-3):
+def count_zeros_rectangle(rect):
     """Number of xi zeros (with multiplicity) inside the rectangle,
     by the argument principle, the four sides evaluated in one batched
     call.
@@ -113,7 +112,7 @@ def count_zeros_rectangle(rect, nudge=1e-3):
     """
     g = lambda z: np.exp(log_xi_array(z))
     for attempt, (dlo, dhi) in enumerate(
-            [(0.0, 0.0), (-nudge, nudge), (nudge, -nudge)]):
+            [(0.0, 0.0), (-1e-3, 1e-3), (1e-3, -1e-3)]):
         r = ContourRectangle(rect.re_min, rect.re_max,
                              rect.im_min + dlo, rect.im_max + dhi)
         try:

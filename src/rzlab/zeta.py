@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, RangeError
+from .numerics import _fold_phase
 from .specfun import log_gamma, _log_sin
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
@@ -98,9 +99,7 @@ class SignedLogComplex:
 
     @staticmethod
     def from_log(logw):
-        ph = (logw.imag + math.pi) % (2.0 * math.pi) - math.pi
-        if ph == -math.pi:
-            ph = math.pi
+        ph = _fold_phase(logw.imag)
         return SignedLogComplex(logw.real, ph, 1 if abs(ph) < 0.5 * math.pi else -1)
 
     @staticmethod

@@ -92,7 +92,7 @@ def test_criterion_04_unitarity():
 
 def test_criterion_05_jost_zero_correspondence(zeros_to_100):
     for z in zeros_to_100[:10]:
-        p = zero_to_jost_zero(z.ordinate, verify=True)  # winding check inside
+        p = zero_to_jost_zero(z.ordinate)  # winding check inside
         assert jost_plus(p).value.abs() < 1e-6
         lam = coupling_at_zero(z.ordinate).coupling
         assert lam.imag == 0.0

@@ -146,6 +146,7 @@ def test_scan_beyond_window_evaluates_nothing(monkeypatch, capsys):
     def refuse(s):
         raise AssertionError("evaluated S at %r" % s)
     monkeypatch.setattr(rzlab.scattering, "s_matrix", refuse)
+    monkeypatch.setattr(rzlab.scattering, "log_s_matrix", refuse)
     code, out, err = run(capsys, "smatrix", "scan", "--tau-max", "130.5",
                          "--step", "0.5")
     assert code == EXIT_DOMAIN and out == ""
@@ -215,6 +216,17 @@ def test_smatrix_scan_unitarity(capsys):
                        "--step", "0.5", "--deterministic")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["max_deviation"] < 1e-8
+
+
+def test_smatrix_scan_to_window_edge(capsys):
+    # 261 points up to tau = 130, where S(i tau) needs xi at +-260i
+    code, out, _ = run(capsys, "smatrix", "scan", "--tau-max", "130",
+                       "--step", "0.5", "--deterministic")
+    assert code == EXIT_OK
+    results = json.loads(out)["results"]
+    assert len(results["series"]) == 261
+    assert results["series"][-1]["tau"] == 130.0
+    assert results["max_deviation"] < 1e-8
 
 
 def test_smatrix_correspondence(capsys):

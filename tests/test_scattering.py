@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from rzlab.errors import VerificationError
 from rzlab.scattering import (coupling_at_zero, coupling_from_root,
-                              flat_wave, jost_plus, s_matrix,
+                              flat_wave, jost_plus, log_s_matrix, s_matrix,
                               zero_to_jost_zero)
 from rzlab.zeta import ComplexArgument
 
@@ -72,14 +73,44 @@ def test_jost_plus_is_reciprocal():
 
 
 def test_zero_to_jost_zero_verified():
-    p = zero_to_jost_zero(T1, verify=True)
+    p = zero_to_jost_zero(T1)
     assert p == complex(-0.25, 0.5 * T1)
     assert jost_plus(p).value.abs() < 1e-6
 
 
 def test_zero_to_jost_zero_rejects_non_zero():
     with pytest.raises(VerificationError):
-        zero_to_jost_zero(15.0, verify=True)  # not a zero ordinate
+        zero_to_jost_zero(15.0)  # not a zero ordinate
+
+
+def test_zero_to_jost_zero_evaluates_s_matrix_once(monkeypatch):
+    # the point check takes the scalar S; the winding box takes log_s_matrix
+    import rzlab.scattering as scattering
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return real_s_matrix(s)
+
+    real_s_matrix = scattering.s_matrix
+    monkeypatch.setattr(scattering, "s_matrix", counted)
+    zero_to_jost_zero(T1)
+    assert calls == [complex(-0.25, 0.5 * T1)]
+
+
+def test_log_s_matrix_matches_s_matrix():
+    # clear of the poles and zeros of S (Re s = +-1/4) and of the trivial
+    # zeros' gamma poles at real s = -1, -2, ...; half of every point
+    # pair is reflected, and |Im 2s| comes within 0.2 of T_MAX = 260
+    re = (-4.9, -1.7, -0.6, -0.4, -0.1, 0.0, 0.05, 0.1, 0.4, 0.6, 1.7, 4.9)
+    im = (-129.9, -129.5, -100.3, -40.2, -3.1, 0.0, 0.7, 2.2, 15.0, 60.5,
+          129.5, 129.9)
+    s = np.array([complex(a, b) for a in re for b in im]).reshape(12, 12)
+    got = np.exp(log_s_matrix(s))
+    assert got.shape == s.shape
+    for z, g in zip(s.ravel(), got.ravel()):
+        want = s_matrix(complex(z)).value.to_complex()
+        assert abs(g - want) <= 1e-12 * abs(want), z
 
 
 def test_coupling_at_zero_real_and_below_quarter():

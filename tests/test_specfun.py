@@ -57,7 +57,9 @@ def test_log_gamma_pole():
 
 
 def test_log_gamma_phase_principal():
-    for z in (complex(0.5, 30.0), complex(-3.3, 12.0), complex(20.0, -50.0)):
+    # Gamma < 0 on (-1, 0) and (-3, -2): the phase is pi, never -pi
+    for z in (complex(0.5, 30.0), complex(-3.3, 12.0), complex(20.0, -50.0),
+              -0.5, -0.25, -2.5):
         assert -math.pi < log_gamma(z).imag <= math.pi
 
 
