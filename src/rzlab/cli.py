@@ -107,6 +107,8 @@ def _first_zeros(n):
     from .zeros import find_zeros
     from .zeta import T_MAX
 
+    if n < 1:
+        raise PreconditionError("--num-zeros must be at least 1")
     t_max = min(float(T_MAX), 20.0 + 3.0 * n)
     while True:
         zeros = find_zeros(0.0, t_max)
@@ -187,14 +189,14 @@ def cmd_smatrix_scan(args):
 
 
 def cmd_smatrix_correspondence(args):
-    from .scattering import jost_plus, zero_to_jost_zero
+    from .scattering import zero_to_jost_zero
 
     diagnostics = []
     rows = []
     for z in _first_zeros(args.num_zeros):
         p = complex(-0.25, 0.5 * z.ordinate)
         try:
-            mag = jost_plus(zero_to_jost_zero(z.ordinate)).value.abs()
+            mag = zero_to_jost_zero(z.ordinate).value.abs()
         except VerificationError as exc:
             mag = None
             diagnostics.append(str(exc))

@@ -87,10 +87,12 @@ def jost_plus(s):
 
 
 def zero_to_jost_zero(t_n):
-    """Map a zeta-zero ordinate to the predicted F+ zero -1/4 + i t_n/2,
-    checking the contract: |F+| < 1e-6 there, and F+ = exp(-log S)
-    winds once around a 0.05-radius box about the point.  A failure
-    falsifies the implementation, not the correspondence.
+    """Map a zeta-zero ordinate to the predicted F+ zero p = -1/4 + i
+    t_n/2, checking the contract: |F+| < 1e-6 there, and F+ = exp(-log
+    S) winds once around a 0.05-radius box about the point.  Returns
+    the F+ value at p (its .s is p), so callers need not evaluate S
+    there again.  A failure falsifies the implementation, not the
+    correspondence.
     """
     p = complex(-0.25, 0.5 * t_n)
     fp = jost_plus(p)
@@ -103,7 +105,7 @@ def zero_to_jost_zero(t_n):
     if w != 1:
         raise VerificationError(
             "winding of F+ around %s is %d, expected 1" % (p, w))
-    return p
+    return fp
 
 
 def coupling_at_zero(t_n):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import PoleError, RangeError
 from .numerics import _fold_phase
-from .specfun import log_gamma, _log_sin
+from .specfun import log_gamma, _log_sin, _stirling
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
 # (t_100 ~ 236.5).  Euler-Maclaurin with n = _em_terms(t) <= 88 terms
@@ -253,13 +253,45 @@ def zeta_times_s_minus_1(s):
     return _laurent(d)
 
 
+def _log_xi_reflected(s, g, log):
+    """log xi(s) for -10 <= Re s < 0 from g = (s/2)(s - 1) zeta(1 - s):
+
+        xi(s) = 2^s pi^(s/2) Gamma(1 - s) / Gamma(1 - s/2) g,
+
+    which is the definition with zeta(s) reflected and Gamma(s/2)
+    sin(pi s / 2) = pi / Gamma(1 - s/2) (DLMF 5.5.3), so no Gamma pole
+    meets zeta's trivial zeros at s = -2, -4, ...  s and g are numbers
+    or arrays, with log = cmath.log or np.log to match.  Both Stirling
+    values are added unfolded: each fold would round a phase near 1000
+    rad at |Im s| = 260, and the phase of the sum is not folded either.
+    """
+    # log_gamma's shifts, 12 - Re of each argument rounded up, for the
+    # leftmost arguments: those of the rightmost s
+    hi = s.real.max() if isinstance(s, np.ndarray) else s.real
+    return (_stirling(1.0 - s, math.ceil(11.0 + hi), log)
+            - _stirling(1.0 - 0.5 * s, math.ceil(11.0 + 0.5 * hi), log)
+            + s * _LOG_2 + 0.5 * s * _LOG_PI + log(g))
+
+
 def log_xi(s):
     """log xi(s) with xi(s) = (1/2) s (s-1) pi^{-s/2} Gamma(s/2) zeta(s).
 
-    Assembled as log Gamma(s/2 + 1) - (s/2) log pi + log((s-1) zeta(s)),
-    using s Gamma(s/2) = 2 Gamma(s/2 + 1); entire at s = 0 and s = 1.
+    For Re s >= 0, assembled as log Gamma(s/2 + 1) - (s/2) log pi +
+    log((s-1) zeta(s)), using s Gamma(s/2) = 2 Gamma(s/2 + 1); entire at
+    s = 0 and s = 1.  For Re s < 0, the pole-free Gamma ratio of
+    _log_xi_reflected with zeta at 1 - s, so the trivial zeros s = -2,
+    -4, ... are answered; within _REFLECTED_LAURENT_RADIUS of 0,
+    (s/2)(s - 1) zeta(1 - s) = ((1 - s)/2) (-s) zeta(1 - s) comes from
+    the Laurent series.  The phase is not folded into (-pi, pi].
     """
     s = _as_s(s)
+    if s.real < 0.0:
+        _check_window(s)
+        if abs(s) < _REFLECTED_LAURENT_RADIUS:
+            g = 0.5 * (1.0 - s) * _laurent(-s)
+        else:
+            g = 0.5 * s * (s - 1.0) * _zeta_em_window(1.0 - s)
+        return _log_xi_reflected(s, g, cmath.log)
     g = zeta_times_s_minus_1(s)
     return (log_gamma(0.5 * s + 1.0) - 0.5 * s * _LOG_PI + cmath.log(g))
 
@@ -268,33 +300,46 @@ def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
     point, up to rounding.
 
-    Points in the Euler-Maclaurin region (Re s >= 0, |s - 1| >= 1e-6,
-    |Im s| <= T_MAX) share zeta_em calls: grouped by their number of
-    terms n and cut into chunks of _CHUNK_TERMS // max(n, 44) points.
-    Every other point takes the scalar log_xi.
+    Points of the window (Re s >= -10, |Im s| <= T_MAX) share zeta_em
+    calls, at s where Re s >= 0 and at 1 - s where Re s < 0, which takes
+    log_xi's reflected assembly: grouped by their number of terms n and
+    cut into chunks of _CHUNK_TERMS // max(n, 44) points.  The scalar
+    log_xi takes only the points outside the window, those within 1e-6
+    of s = 1 and those within _REFLECTED_LAURENT_RADIUS of 0 with Re s
+    < 0.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    batched = ((flat.real >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
-               & (np.abs(flat.imag) <= T_MAX))
-    for i in np.flatnonzero(~batched):
+    window = (flat.real >= SIGMA_MIN) & (np.abs(flat.imag) <= T_MAX)
+    direct = window & (flat.real >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
+    reflected = (window & (flat.real < 0.0)
+                 & (np.abs(flat) >= _REFLECTED_LAURENT_RADIUS))
+    for i in np.flatnonzero(~(direct | reflected)):
         out[i] = log_xi(flat[i])
-    idx = np.flatnonzero(batched)
+    # the k direct points first, then the reflected ones
+    idx = np.concatenate((np.flatnonzero(direct), np.flatnonzero(reflected)))
     if not idx.size:
         return out.reshape(s.shape)
+    k = np.count_nonzero(direct)
     z = flat[idx]
+    zd, zr = z[:k], z[k:]
+    w = np.concatenate((zd, 1.0 - zr))
     terms = _em_terms(z.imag).astype(int)
-    zeta_z = np.empty(z.shape, dtype=complex)
+    zeta_w = np.empty(z.shape, dtype=complex)
     order = np.argsort(terms, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(terms[order])) + 1):
         n = int(terms[group[0]])
         chunk = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL))
         for lo in range(0, len(group), chunk):
             j = group[lo:lo + chunk]
-            zeta_z[j] = zeta_em(z.real[j], z.imag[j], n)
-    out[idx] = (log_gamma(0.5 * z + 1.0) - 0.5 * z * _LOG_PI
-                + np.log((z - 1.0) * zeta_z))
+            zeta_w[j] = zeta_em(w.real[j], w.imag[j], n)
+    if zd.size:
+        out[idx[:k]] = (log_gamma(0.5 * zd + 1.0) - 0.5 * zd * _LOG_PI
+                        + np.log((zd - 1.0) * zeta_w[:k]))
+    if zr.size:
+        out[idx[k:]] = _log_xi_reflected(
+            zr, 0.5 * zr * (zr - 1.0) * zeta_w[k:], np.log)
     return out.reshape(s.shape)
 
 

@@ -92,8 +92,9 @@ def test_criterion_04_unitarity():
 
 def test_criterion_05_jost_zero_correspondence(zeros_to_100):
     for z in zeros_to_100[:10]:
-        p = zero_to_jost_zero(z.ordinate)  # winding check inside
-        assert jost_plus(p).value.abs() < 1e-6
+        fp = zero_to_jost_zero(z.ordinate)  # winding check inside
+        assert fp.s == complex(-0.25, 0.5 * z.ordinate)
+        assert jost_plus(fp.s).value.abs() < 1e-6
         lam = coupling_at_zero(z.ordinate).coupling
         assert lam.imag == 0.0
         assert lam.real < -0.25

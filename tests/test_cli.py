@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import pytest
 
 import rzlab
@@ -110,6 +111,9 @@ BAD_INPUTS = [
     # the round trip's grid is capped like the scans'
     (("dispersion", "roundtrip", "--nodes", "1000001"), EXIT_DOMAIN),
     (("dispersion", "roundtrip", "--nodes", "1000000000000"), EXIT_DOMAIN),
+    # both zero catalogs need at least one zero
+    (("smatrix", "correspondence", "--num-zeros", "-2"), EXIT_DOMAIN),
+    (("smatrix", "correspondence", "--num-zeros", "0"), EXIT_DOMAIN),
 ]
 
 
@@ -151,6 +155,20 @@ def test_scan_beyond_window_evaluates_nothing(monkeypatch, capsys):
                          "--step", "0.5")
     assert code == EXIT_DOMAIN and out == ""
     assert "T_MAX/2 = 130" in err
+
+
+@pytest.mark.parametrize("mode", [("smatrix", "correspondence"),
+                                  ("hadamard",)])
+def test_num_zeros_checked_before_scan(monkeypatch, capsys, mode):
+    import rzlab.zeros
+
+    def refuse(*args):
+        raise AssertionError("scanned for zeros")
+    monkeypatch.setattr(rzlab.zeros, "find_zeros", refuse)
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, *mode, "--num-zeros", n)
+        assert code == EXIT_DOMAIN and out == ""
+        assert "--num-zeros must be at least 1" in err
 
 
 def test_failed_correspondence_row_is_null(monkeypatch, capsys):
@@ -211,6 +229,20 @@ def test_smatrix_eval_at_pole_reports_no_log_modulus(capsys):
     assert results["log_modulus"] is None
 
 
+def test_smatrix_eval_at_trivial_zero(capsys):
+    # S(-1) = xi(-2)/xi(2) = xi(3)/xi(2) = 9 zeta(3) / pi^2, with the
+    # trivial zero of zeta at -2 cancelled by the pole of Gamma(-1)
+    code, out, _ = run(capsys, "smatrix", "eval", "--re", "-1", "--im", "0",
+                       "--deterministic")
+    assert code == EXIT_OK
+    results = json.loads(out, parse_constant=pytest.fail)["results"]
+    assert results["pole"] is False and results["zero"] is False
+    want = 9.0 * float(mpmath.zeta(3)) / math.pi ** 2
+    assert abs(results["value"]["re"] - want) < 1e-13 * want
+    assert abs(results["value"]["im"]) < 1e-13
+    assert math.isfinite(results["log_modulus"])
+
+
 def test_smatrix_scan_unitarity(capsys):
     code, out, _ = run(capsys, "smatrix", "scan", "--tau-max", "10",
                        "--step", "0.5", "--deterministic")
@@ -235,6 +267,27 @@ def test_smatrix_correspondence(capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["results"]["passes"] == 3
+
+
+def test_smatrix_correspondence_evaluates_s_once_per_zero(monkeypatch,
+                                                          capsys):
+    # the point check inside zero_to_jost_zero is the only scalar S at p
+    import rzlab.scattering
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return real_s_matrix(s)
+
+    real_s_matrix = rzlab.scattering.s_matrix
+    monkeypatch.setattr(rzlab.scattering, "s_matrix", counted)
+    code, out, _ = run(capsys, "smatrix", "correspondence",
+                       "--num-zeros", "2", "--deterministic")
+    assert code == EXIT_OK
+    rows = json.loads(out)["results"]["per_zero"]
+    assert calls == [complex(r["jost_zero_re"], r["jost_zero_im"])
+                     for r in rows]
+    assert all(r["jost_magnitude"] < 1e-6 for r in rows)
 
 
 def test_quantum_kmoment_flags_discrepancy(capsys):

@@ -73,9 +73,10 @@ def test_jost_plus_is_reciprocal():
 
 
 def test_zero_to_jost_zero_verified():
-    p = zero_to_jost_zero(T1)
-    assert p == complex(-0.25, 0.5 * T1)
-    assert jost_plus(p).value.abs() < 1e-6
+    fp = zero_to_jost_zero(T1)
+    assert fp.s == complex(-0.25, 0.5 * T1)
+    assert fp.value.abs() < 1e-6 and fp.zero_flag
+    assert fp == jost_plus(fp.s)
 
 
 def test_zero_to_jost_zero_rejects_non_zero():

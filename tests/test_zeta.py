@@ -4,12 +4,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzlab.zeta
 from rzlab.errors import PoleError, RangeError
-from rzlab.zeta import (ComplexArgument, SignedLogComplex, T_MAX, log_xi,
-                        log_xi_array, xi, xi_symmetry_residual, zeta,
-                        zeta_em, zeta_times_s_minus_1)
+from rzlab.zeta import (SIGMA_MIN, ComplexArgument, SignedLogComplex, T_MAX,
+                        log_xi, log_xi_array, xi, xi_symmetry_residual,
+                        zeta, zeta_em, zeta_times_s_minus_1)
 
 # Frozen references from an independent high-precision evaluation.
 ZETA_REFS = [
@@ -262,3 +263,51 @@ def test_zeta_and_log_xi_against_mpmath_grid(sigma):
     for name, err, bound in zip(("zeta", "log_xi", "log_xi_array"), got,
                                 GRID_BOUNDS[sigma]):
         assert err <= bound, (name, err, bound)
+
+
+def _mp_xi(s):
+    """xi(s) from mpmath at 30 digits: the definition at 1 - s, or at s
+    itself near 0, where forming 1 - s would round the pole of zeta."""
+    with mpmath.workdps(30):
+        u = mpmath.mpc(s) if abs(s) < 1.0 else 1 - mpmath.mpc(s)
+        return complex(u * (u - 1) / 2 * mpmath.pi ** (-u / 2)
+                       * mpmath.gamma(u / 2) * mpmath.zeta(u))
+
+
+@pytest.mark.parametrize("s", [-2.0, -4.0, -6.0, -8.0, -10.0,
+                               complex(-2.0, 1e-9)])
+def test_log_xi_at_trivial_zeros(s):
+    # the Gamma pole at s/2 = -1, -2, ... meets zeta's trivial zero there
+    want = _mp_xi(s)
+    got = (log_xi(s), complex(log_xi_array(np.array([s]))[0]))
+    for g in got:
+        assert abs(cmath.exp(g) / want - 1.0) < 1e-14, (s, g)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(SIGMA_MIN, 0.0, exclude_max=True),
+       st.floats(-T_MAX, T_MAX))
+def test_reflected_log_xi_matches_mpmath_property(re, im):
+    # the bound is the sigma = -10 grid bound for log_xi and log_xi_array
+    s = complex(re, im)
+    want = _mp_xi(s)
+    scalar = log_xi(s)
+    array = complex(log_xi_array(np.array([s]))[0])
+    for g in (scalar, array):
+        assert abs(cmath.exp(g) / want - 1.0) <= 4.87e-13, (s, g)
+    assert abs(cmath.exp(array - scalar) - 1.0) <= 4.87e-13
+
+
+def test_log_xi_array_batches_reflected_points(monkeypatch):
+    # the xi(2s) half of the F+ winding box about -1/4 + i t_1/2, a
+    # trivial zero and two points on the edge of the window
+    t1 = 14.134725141734694
+    box = np.concatenate(_box_sides(-0.6, -0.4, t1 - 0.1, t1 + 0.1))
+    pts = np.concatenate((box, [-2.0, -10.0, complex(-3.0, -T_MAX)]))
+    want = np.array([log_xi(complex(z)) for z in pts])
+
+    def refuse(s):
+        raise AssertionError("scalar log_xi at %r" % s)
+    monkeypatch.setattr(rzlab.zeta, "log_xi", refuse)
+    got = log_xi_array(pts)
+    assert np.max(np.abs(np.exp(got - want) - 1.0)) < 1e-12
