@@ -30,10 +30,10 @@ EXIT_VERIFICATION = 3
 EXIT_USAGE = 64
 
 _DOMAIN_ERRORS = (DomainError, RangeError, PreconditionError, GridError,
-                  PoleError, IntegrationLimitError, ValueError,
-                  ArithmeticError)
+                  PoleError, IntegrationLimitError, DivergenceError,
+                  ValueError, ArithmeticError)
 _VERIFICATION_ERRORS = (VerificationError, BudgetExhaustedError,
-                        DivergenceError, BoundaryZeroError)
+                        BoundaryZeroError)
 
 
 class _UsageExit(Exception):
@@ -115,7 +115,7 @@ def _first_zeros(n):
         if len(zeros) >= n:
             return zeros[:n]
         if t_max >= T_MAX:
-            raise VerificationError(
+            raise RangeError(
                 "only %d zeros available below the evaluation ceiling t = %g"
                 % (len(zeros), T_MAX))
         t_max = min(float(T_MAX), 1.5 * t_max)
@@ -126,11 +126,8 @@ def cmd_zeros(args):
     from .zeros import count_zeros_rectangle, find_zeros
 
     zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
-    if args.t_max > args.t_min:
-        rect = ContourRectangle(0.0, 1.0, max(args.t_min, 1e-3), args.t_max)
-        rect_count = count_zeros_rectangle(rect)
-    else:
-        rect_count = 0
+    rect = ContourRectangle(0.0, 1.0, max(args.t_min, 1e-3), args.t_max)
+    rect_count = count_zeros_rectangle(rect)
     consistent = rect_count == len(zeros)
     diagnostics = [] if consistent else [
         "line scan found %d zeros but the contour count is %d"

@@ -64,13 +64,11 @@ class RealLineSamples:
 
 
 def blaschke_product(spec, k, sign):
-    """Pi_+-(k) = prod (k -+ i k_j) / (k +- i k_j); unimodular for real k.
-
-    sign is '+' or '-' (alternatively +1 / -1).
-    """
-    plus = sign in ("+", 1)
-    if not plus and sign not in ("-", -1):
+    """Pi_+-(k) = prod (k -+ i k_j) / (k +- i k_j), sign '+' or '-';
+    unimodular for real k."""
+    if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    plus = sign == "+"
     k = np.asarray(k, dtype=complex)
     prod = np.ones_like(k)
     for kj in spec.bound_state_momenta:

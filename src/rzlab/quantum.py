@@ -110,15 +110,15 @@ def asymptotic_residual(k, nu, y):
     return abs(f - cmath.exp(1j * k * y))
 
 
-def _plane_wave_tail(k, nu, y, n_terms=14):
-    """(f, f') at large ky from e^{iky} sum_m i^m a_m(nu) / (ky)^m,
+def _plane_wave_tail(k, nu, y):
+    """(f, f') at large ky from e^{iky} sum_{m <= 14} i^m a_m(nu) / (ky)^m,
     the standard large-argument expansion whose m = 0 term is the bare
     plane wave; independent of hankel1's Sommerfeld integral."""
     x = k * y
     a = 1.0 + 0j
     s = a
     ds = 0j  # d/dx of the sum
-    for m in range(1, n_terms + 1):
+    for m in range(1, 15):
         a *= (4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m)
         term = (1j ** m) * a / x ** m
         s += term
@@ -260,14 +260,14 @@ def k_moment_closed_form(nu, coefficient):
     return complex(v.real, 0.0) if abs(v.imag) < 1e-14 * abs(v) else v
 
 
-def fit_moment_coefficient(tol=1e-10):
+def fit_moment_coefficient():
     """Measure the closed-form prefactor as quadrature / (pi nu / sin pi nu)
     at nu = 1/2, where the integral is elementarily pi/4.
 
     Standard tables give 1/2; the printed source value 1/8 disagrees
     with quadrature, and reports flag the discrepancy.
     """
-    measured = k_moment_integral(0.5, tol=tol).value.real
+    measured = k_moment_integral(0.5, tol=1e-10).value.real
     return measured / (math.pi * 0.5 / math.sin(math.pi * 0.5))
 
 

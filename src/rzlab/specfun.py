@@ -63,25 +63,26 @@ def log_gamma(z):
     throughout; every point then takes the shift of the leftmost one.
     """
     if isinstance(z, np.ndarray):
-        lo = z.real.min(initial=12.0)
-        if lo < 0.5:
+        if z.real.min(initial=12.0) < 0.5:
             raise DomainError("array log_gamma needs Re z >= 1/2")
-        return _normalize_phase(
-            _stirling(z, max(0, math.ceil(12.0 - lo)), np.log))
+        return _normalize_phase(_stirling(z, np.log))
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError("log_gamma pole at nonpositive integer %g" % z.real)
     if z.real < 0.5:
         w = _LOG_PI - _log_sin(math.pi * z) - log_gamma(1.0 - z)
         return _normalize_phase(w)
-    return _normalize_phase(
-        _stirling(z, max(0, math.ceil(12.0 - z.real)), cmath.log))
+    return _normalize_phase(_stirling(z, cmath.log))
 
 
-def _stirling(z, n, log):
-    """log Gamma(z), Re z >= 1/2, by Stirling at w = z + n, Re w >= 12, and
-    one log (cmath.log or np.log) of q = prod (z + j) / w for the shift:
-    its n factors have modulus in [1/25, 1], so q cannot overflow."""
+def _stirling(z, log):
+    """log Gamma(z), Re z >= 1/2, unfolded, for a number or an array z
+    with log = cmath.log or np.log to match.  Stirling at w = z + n, with
+    n = 12 - Re z rounded up at the leftmost point, so Re w >= 12
+    throughout, and one log of q = prod (z + j) / w for the shift: its n
+    factors have modulus in [1/25, 1], so q cannot overflow."""
+    lo = z.real.min(initial=12.0) if isinstance(z, np.ndarray) else z.real
+    n = max(0, math.ceil(12.0 - lo))
     w = z + n
     zi = 1.0 / w
     q = 1.0

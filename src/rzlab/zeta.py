@@ -89,24 +89,19 @@ class ComplexArgument:
 
 @dataclass(frozen=True)
 class SignedLogComplex:
-    """w = exp(log_modulus + i phase), phase normalized to (-pi, pi].
-
-    sign_hint is +-1 for real-valued contexts (phase near 0 vs pi).
-    """
+    """w = exp(log_modulus + i phase), phase normalized to (-pi, pi]."""
     log_modulus: float
     phase: float
-    sign_hint: int = 1
 
     @staticmethod
     def from_log(logw):
-        ph = _fold_phase(logw.imag)
-        return SignedLogComplex(logw.real, ph, 1 if abs(ph) < 0.5 * math.pi else -1)
+        return SignedLogComplex(logw.real, _fold_phase(logw.imag))
 
     @staticmethod
     def from_complex(w):
         w = complex(w)
         if w == 0:
-            return SignedLogComplex(-math.inf, 0.0, 1)
+            return SignedLogComplex(-math.inf, 0.0)
         return SignedLogComplex.from_log(cmath.log(w))
 
     def to_complex(self):
@@ -139,10 +134,10 @@ def _as_s(s):
 
 
 def _check_window(s):
-    if abs(s.imag) > T_MAX:
+    if not abs(s.imag) <= T_MAX:
         raise RangeError("|Im s| = %g outside supported window (<= %g)"
                          % (abs(s.imag), T_MAX))
-    if s.real < SIGMA_MIN:
+    if not s.real >= SIGMA_MIN:
         raise RangeError("Re s = %g below supported window (>= %g)"
                          % (s.real, SIGMA_MIN))
 
@@ -205,9 +200,10 @@ def _zeta_em_window(s):
 
 def _log_chi(s):
     """log of the functional-equation factor chi(s) = 2^s pi^{s-1}
-    sin(pi s / 2) Gamma(1 - s), so zeta(s) = chi(s) zeta(1-s)."""
+    sin(pi s / 2) Gamma(1 - s), so zeta(s) = chi(s) zeta(1-s).  log
+    Gamma(1 - s) is taken unfolded, as in _log_xi_reflected."""
     return (s * _LOG_2 + (s - 1.0) * _LOG_PI + _log_sin(0.5 * math.pi * s)
-            + log_gamma(1.0 - s))
+            + _stirling(1.0 - s, cmath.log))
 
 
 def zeta(s):
@@ -265,11 +261,7 @@ def _log_xi_reflected(s, g, log):
     values are added unfolded: each fold would round a phase near 1000
     rad at |Im s| = 260, and the phase of the sum is not folded either.
     """
-    # log_gamma's shifts, 12 - Re of each argument rounded up, for the
-    # leftmost arguments: those of the rightmost s
-    hi = s.real.max() if isinstance(s, np.ndarray) else s.real
-    return (_stirling(1.0 - s, math.ceil(11.0 + hi), log)
-            - _stirling(1.0 - 0.5 * s, math.ceil(11.0 + 0.5 * hi), log)
+    return (_stirling(1.0 - s, log) - _stirling(1.0 - 0.5 * s, log)
             + s * _LOG_2 + 0.5 * s * _LOG_PI + log(g))
 
 

@@ -114,6 +114,13 @@ BAD_INPUTS = [
     # both zero catalogs need at least one zero
     (("smatrix", "correspondence", "--num-zeros", "-2"), EXIT_DOMAIN),
     (("smatrix", "correspondence", "--num-zeros", "0"), EXIT_DOMAIN),
+    # divergent moments and catalogs beyond the window are domain errors
+    (("quantum", "kmoment", "--nu", "1"), EXIT_DOMAIN),
+    (("quantum", "khuri", "--lambda", "0.75"), EXIT_DOMAIN),
+    (("smatrix", "correspondence", "--num-zeros", "115"), EXIT_DOMAIN),
+    (("hadamard", "--num-zeros", "115"), EXIT_DOMAIN),
+    (("smatrix", "correspondence", "--num-zeros", "200"), EXIT_DOMAIN),
+    (("hadamard", "--num-zeros", "150"), EXIT_DOMAIN),
 ]
 
 

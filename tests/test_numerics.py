@@ -53,6 +53,15 @@ def test_integrate_budget_exhaustion():
     assert exc.value.best_estimate.evaluations <= 200
 
 
+def test_integrate_stops_at_the_rounding_floor():
+    # no split can reach tol = 1e-300: the stagnation stop returns the
+    # value with its honest error estimate instead of spending the budget
+    r = integrate_adaptive(math.exp, 0.0, 1.0, 1e-300)
+    assert abs(r.value - (math.e - 1.0)) < 1e-14
+    assert 1e-300 < r.error_estimate < 1e-13
+    assert r.evaluations < 2000
+
+
 def test_integrate_empty_interval():
     r = integrate_adaptive(lambda x: 1.0, 2.0, 2.0, 1e-10)
     assert r.value == 0j

@@ -2,12 +2,14 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from rzlab.errors import PreconditionError
 from rzlab.numerics import ContourRectangle
 from rzlab.zeros import (count_zeros_rectangle, critical_line_function,
                          find_zeros)
+from rzlab.zeta import T_MAX, log_xi_array
 
 # First ordinates, frozen from an independent high-precision evaluation.
 FIRST_ORDINATES = (14.134725141734694, 21.022039638771555,
@@ -18,7 +20,6 @@ FIRST_ORDINATES = (14.134725141734694, 21.022039638771555,
 def test_critical_line_function_is_real_signed():
     v = critical_line_function(10.0)
     assert v.phase in (0.0, math.pi)
-    assert v.sign_hint in (-1, 1)
 
 
 def test_find_zeros_first_five():
@@ -78,6 +79,16 @@ def test_find_zeros_match_mpmath(zeros_to_250):
         with mpmath.workdps(25):
             ref = mpmath.zetazero(n).imag
         assert abs(zeros_to_250[n - 1].ordinate - float(ref)) < 5e-11, n
+
+
+def test_no_float_lands_on_a_zero():
+    # find_zeros scans its grid once, with no shift off a zero: at every
+    # zero below T_MAX and at the floats on either side, log |xi| stays
+    # far above the -inf of a grid point that lands on a zero
+    t = np.array([z.ordinate for z in find_zeros(0.0, T_MAX)])
+    assert len(t) == 114
+    for u in (t, np.nextafter(t, 0.0), np.nextafter(t, np.inf)):
+        assert np.all(log_xi_array(0.5 + 1j * u).real > -300.0)
 
 
 def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
