@@ -4,6 +4,9 @@ the Bessel-K moment integral, and the reality argument for the
 zero-energy coupling spectrum.
 
 Units: 2m/hbar^2 = 1, so the coupling is dimensionless and V = lambda/y^2.
+
+numpy is the only dependency: the Jost ODE is integrated by a Magnus
+propagator written here, not by a general-purpose solver.
 """
 
 import cmath
@@ -18,6 +21,11 @@ from .numerics import integrate_adaptive, QuadratureResult
 from .specfun import _log_sin, bessel_k, hankel1, log_gamma
 
 ODE_Y_FLOOR = 1e-3
+# jost_solution_ode's step rule: the largest advance of the phase k y
+# plus the potential's scale sqrt(|lambda| + 1) per step, in log y.
+_ODE_STEP = 0.05
+# Gauss-Legendre nodes of a step, as fractions of it.
+_GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 # k_moment_integral's quadrature ends in y, its series/quadrature split,
 # the terms per I series, and the largest |Im nu| its scale follows.
 _MOMENT_Y_MIN, _MOMENT_Y_MAX = 1e-20, 60.0
@@ -91,16 +99,20 @@ def zero_energy_solutions(s, y):
 def jost_solution_analytic(k, nu, y):
     """Jost solution sqrt(pi k y / 2) e^{i(pi nu/2 + pi/4)} H1_nu(k y).
 
-    Half-integer nu = 1/2 collapses exactly to the plane wave e^{iky}.
+    y may be a number, which gives a complex, or a list or array, which
+    gives an array from one hankel1 call.  Half-integer nu = 1/2 collapses
+    exactly to the plane wave e^{iky}.
     """
-    if k <= 0 or y <= 0:
+    ys = np.asarray(y, dtype=float)
+    if not (k > 0 and np.all(ys > 0)):
         raise DomainError("need k > 0 and y > 0")
     nu = complex(nu)
     if nu.imag == 0.0 and abs(nu.real - 0.5) < 1e-14:
-        return cmath.exp(1j * k * y)
-    amp = math.sqrt(0.5 * math.pi * k * y)
-    phase = cmath.exp(1j * (0.5 * math.pi * nu + 0.25 * math.pi))
-    return amp * phase * hankel1(nu, k * y)
+        f = np.exp(1j * k * ys)
+    else:
+        phase = cmath.exp(1j * (0.5 * math.pi * nu + 0.25 * math.pi))
+        f = np.sqrt(0.5 * math.pi * k * ys) * phase * hankel1(nu, k * ys)
+    return complex(f) if ys.ndim == 0 else f
 
 
 def asymptotic_residual(k, nu, y):
@@ -129,6 +141,14 @@ def _plane_wave_tail(k, nu, y):
     return e * s, k * e * (1j * s + ds)
 
 
+def _bracket(a, b):
+    """[a, b] of traceless 2x2 matrices, each held as the rows (alpha,
+    beta, gamma) of [[alpha, beta], [gamma, -alpha]]."""
+    return np.array([a[1] * b[2] - b[1] * a[2],
+                     2.0 * (a[0] * b[1] - b[0] * a[1]),
+                     2.0 * (b[0] * a[2] - a[0] * b[2])])
+
+
 def jost_solution_ode(k, lam, y_end, y_start):
     """Independent route to the Jost solution: integrate
     f'' = (V - k^2) f inward from the plane-wave regime at y_start.
@@ -139,11 +159,22 @@ def jost_solution_ode(k, lam, y_end, y_start):
     not limit accuracy), y_start^2 finite for the potential lam/y^2,
     and y_end above the singular-origin floor 1e-3.
     Returns [(y, f(y))] at 200 evenly spaced y from y_end to y_start.
-    """
-    # scipy.integrate takes most of a second to import, and no other
-    # function here needs it.
-    from scipy.integrate import solve_ivp
 
+    The system u' = A u, u = (f, f'), A = [[0, 1], [q, 0]] with q =
+    lambda/y^2 - k^2, is linear, so each step's propagator exp(Omega)
+    is closed form: Omega is the sixth-order Magnus sum of Blanes, Casas
+    and Ros (BIT 40, 2000) from q at the step's three Gauss nodes, and
+    since Omega is traceless, exp(Omega) = cosh(d) I + (sinh(d)/d) Omega
+    with d^2 = -det Omega.  Every step's propagator comes from one numpy
+    pass; a Python loop carries u through them.  Output interval y_i >
+    y_i+1 takes (k y_i + sqrt(|lambda| + 1)) log(y_i / y_i+1) / 0.05
+    steps, rounded up and spaced geometrically: the steps follow the
+    phase k y and the potential's scale in log y, so an interval that
+    spans decades at tiny k stays a few thousand steps.  The
+    preconditions bound the total to about 28,000.  Against mpmath, on
+    lambda in [-5, 6] (also complex, |Im lambda| <= 3) and k in [0.3, 3],
+    it is within 2e-12 relative on 1 <= y <= 10 and at y_start.
+    """
     if not (y_start > y_end > 0):
         raise PreconditionError("need y_start > y_end > 0")
     y_max = float(y_start)
@@ -159,22 +190,40 @@ def jost_solution_ode(k, lam, y_end, y_start):
         raise PreconditionError(
             "y_start too small: not yet in the plane-wave regime")
 
-    f0, df0 = _plane_wave_tail(k, nu, y_start)
-
-    def rhs(y, u):
-        fr, fi, gr, gi = u
-        f = complex(fr, fi)
-        d2 = (lam / (y * y) - k * k) * f
-        return [gr, gi, d2.real, d2.imag]
-
-    ys = np.linspace(y_start, y_end, 200)
-    sol = solve_ivp(rhs, (y_start, y_end),
-                    [f0.real, f0.imag, df0.real, df0.imag],
-                    t_eval=ys, rtol=1e-11, atol=1e-12, method="DOP853")
-    if not sol.success:
-        raise IntegrationLimitError("ODE integration failed: %s" % sol.message)
-    samples = [(float(y), complex(fr, fi))
-               for y, fr, fi in zip(sol.t, sol.y[0], sol.y[1])]
+    ys = np.linspace(y_max, y_end, 200)
+    log_ratio = np.log(ys[1:] / ys[:-1])
+    n = np.maximum(1, np.ceil((k * ys[:-1] + math.sqrt(abs(lam) + 1.0))
+                              * -log_ratio / _ODE_STEP)).astype(int)
+    # step j of interval i runs from ys[i] (ys[i+1] / ys[i])^(j / n_i)
+    interval = np.repeat(np.arange(len(n)), n)
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    left = ys[interval] * np.exp(j / n[interval] * log_ratio[interval])
+    h = np.diff(np.append(left, ys[-1]))
+    q1, q2, q3 = lam / (left + np.multiply.outer(_GAUSS, h)) ** 2 - k * k
+    zero = np.zeros_like(q2)
+    a1 = np.array([zero, h, h * q2])
+    a2 = np.array([zero, zero, math.sqrt(15.0) / 3.0 * h * (q3 - q1)])
+    a3 = np.array([zero, zero, 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)])
+    c1 = _bracket(a1, a2)
+    c2 = -_bracket(a1, 2.0 * a3 + c1) / 60.0
+    alpha, beta, gamma = (a1 + a3 / 12.0
+                          + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0)
+    d2 = alpha * alpha + beta * gamma
+    d = np.sqrt(d2)
+    ch = np.cosh(d)
+    small = np.abs(d) < 1e-3  # sinh(d)/d by its series there
+    d = np.where(small, 1.0, d)
+    sh = np.where(small, 1.0 + d2 / 6.0 + d2 * d2 / 120.0, np.sinh(d) / d)
+    f, g = _plane_wave_tail(k, nu, y_start)
+    fs = [f]
+    for e00, e01, e10, e11 in zip(*(v.tolist() for v in (
+            ch + sh * alpha, sh * beta, sh * gamma, ch - sh * alpha))):
+        f, g = e00 * f + e01 * g, e10 * f + e11 * g
+        fs.append(f)
+    values = np.array(fs)[np.concatenate(([0], np.cumsum(n)))]
+    if not np.isfinite(values).all():
+        raise RangeError("the Jost solution overflows a float")
+    samples = list(zip(ys.tolist(), values.tolist()))
     samples.reverse()  # ascending in y
     return samples
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError, RangeError
-from .numerics import _fold_phase
+from .numerics import MAX_GRID_POINTS, _fold_phase
 
 # B_2k / (2k (2k-1)) for the Stirling series of log Gamma.
 _STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
              -691.0 / 360360, 1.0 / 156, -3617.0 / 122400, 43867.0 / 244188)
 
 _LOG_PI = math.log(math.pi)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
 
 BESSEL_K_MAX_REAL_ORDER = 5.0
@@ -152,27 +153,44 @@ def hankel1(nu, x):
     Against mpmath for 1e-6 <= x <= 30 and |Re nu| <= 5 it is within
     1e-14 relative at real order.  Phase rounding grows with the range
     e^(pi |Im nu|) of the terms: 3e-14 for |Im nu| <= 2, 2e-13 at order
-    3i, 2.7e-12 at 0.62 + 3i, x = 2.5e-3.  Beyond the float range (nu =
-    2.5, x = 1e-200) it raises RangeError."""
+    3i, 2.7e-12 at 0.62 + 3i, x = 2.5e-3.
+
+    x may be a number, which gives a complex, or an array of arguments,
+    which gives an array of that shape.  An array takes one node grid:
+    the step of its largest x and the range of its smallest, each row's
+    largest exponent taken out on its own.  RangeError for an empty
+    array, for any x outside (0, 30], for a grid above MAX_GRID_POINTS
+    nodes (|Im nu| beyond about 10^6), and where |H1| leaves the float
+    range (nu = 2.5, x = 1e-200)."""
     nu = _as_order(nu)
-    if not 0.0 < x <= HANKEL_MAX_ARGUMENT:
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if not (flat.size and np.all((flat > 0.0) & (flat <= HANKEL_MAX_ARGUMENT))):
         raise RangeError("hankel1 supports 0 < x <= %g" % HANKEL_MAX_ARGUMENT)
-    h = _trapezoid_step(nu, x)
+    h = _trapezoid_step(nu, flat.max())
     a = abs(nu.real)
-    lx = math.log(x)
+    x_min = float(flat.min())
+    lx_min = math.log(x_min)
     lo = hi = 0.0
     for _ in range(4):  # asinh(c / x) without forming c / x
-        lo, hi = [math.log(c + math.hypot(c, x)) - lx
+        lo, hi = [math.log(c + math.hypot(c, x_min)) - lx_min
                   for c in (40.0 + 2.0 * a * lo, 40.0 + a * hi)]
+    if flat.size * (lo + hi) / h > MAX_GRID_POINTS:
+        raise RangeError("hankel1 would sum more than %d nodes"
+                         % MAX_GRID_POINTS)
     u = h * np.arange(-int(lo / h), int(hi / h) + 1)
     g = 2.0 * np.arctan(np.tanh(0.5 * u))  # sin g = tanh u, cos g = sech u
+    lx = np.log(flat)[:, None]
     # -x sinh u from exponentials of log x -+ u stays finite for subnormal
-    # x, and the largest term is taken out: nothing overflows before H1
-    e = (0.5 * (np.exp(lx - u) - np.exp(lx + u)) * np.sin(g)
-         - nu * (u + 1j * (0.5 * math.pi + g)))
-    m = e.real.max()
-    s = h / math.pi * (np.exp(e - m) * (1.0 + 1j * np.cos(g))).sum()
-    try:
-        return cmath.exp(m + 1j * (x - 0.5 * math.pi) + cmath.log(s))
-    except OverflowError:
-        raise RangeError("|H1_nu(x)| overflows a float") from None
+    # x; on the rows of larger x it may overflow to -inf, a zero term
+    with np.errstate(over="ignore"):
+        e = (0.5 * (np.exp(lx - u) - np.exp(lx + u)) * np.sin(g)
+             - nu * (u + 1j * (0.5 * math.pi + g)))
+    m = e.real.max(axis=1)
+    s = h / math.pi * (np.exp(e - m[:, None]) * (1.0 + 1j * np.cos(g))).sum(
+        axis=1)
+    w = m + 1j * (flat - 0.5 * math.pi) + np.log(s)
+    if not (w.real < _LOG_FLOAT_MAX).all():
+        raise RangeError("|H1_nu(x)| overflows a float")
+    v = np.exp(w)
+    return complex(v[0]) if xs.ndim == 0 else v.reshape(xs.shape)

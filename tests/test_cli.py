@@ -1,13 +1,17 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzlab
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
@@ -297,6 +301,17 @@ def test_smatrix_correspondence_evaluates_s_once_per_zero(monkeypatch,
     assert all(r["jost_magnitude"] < 1e-6 for r in rows)
 
 
+def test_correspondence_magnitude_has_two_digits(capsys):
+    # |F+| at the float nearest a zero is rounding noise: only its first
+    # two significant digits are reported
+    code, out, _ = run(capsys, "smatrix", "correspondence",
+                       "--num-zeros", "5", "--deterministic")
+    assert code == EXIT_OK
+    mags = [r["jost_magnitude"] for r in json.loads(out)["results"]["per_zero"]]
+    assert len(mags) == 5
+    assert all(v == float("%.2g" % v) for v in mags)
+
+
 def test_quantum_kmoment_flags_discrepancy(capsys):
     code, out, _ = run(capsys, "quantum", "kmoment", "--nu", "0.5",
                        "--deterministic")
@@ -371,6 +386,66 @@ def test_quantum_jost_verify_at_large_argument(capsys):
                        "--k", "2.957343936945446", "--deterministic")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["max_rel_error"] < 1e-6
+
+
+@pytest.mark.parametrize("k", ["1e-4", "1e-10", "1e-100"])
+def test_quantum_jost_verify_at_tiny_k(capsys, k):
+    # y_start = 25/k: the last output interval spans from about y_start/199
+    # down to 1, and the graded step rule keeps it a few thousand steps
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "quantum", "jost-verify", "--lambda", "2",
+                       "--k", k, "--deterministic")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["max_rel_error"] < 1e-8
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError("non-finite number %s in the report" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(st.floats(-1e300, 1e300), st.floats(-12.0, 12.0)),
+       st.one_of(st.floats(1e-300, 1e300),
+                 st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
+def test_jost_verify_fuzz(lam, k):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["quantum", "jost-verify", "--lambda=%r" % lam,
+                     "--k=%r" % k, "--deterministic"])
+    assert time.perf_counter() - start < 2.0, (lam, k)
+    assert code in (EXIT_OK, EXIT_DOMAIN), (lam, k, err.getvalue())
+    if code == EXIT_OK:
+        assert _strict_json(out.getvalue())["results"]["samples"]
+    else:
+        assert out.getvalue() == ""
+
+
+def test_readme_commands_import_no_scipy():
+    # numpy is the only runtime dependency: the README's nine example
+    # commands, run in one interpreter, never load any scipy module
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        commands = [line.split()[1:] for line in fh
+                    if line.startswith("rzlab ")]
+    assert len(commands) == 9
+    code = ("import json, os, sys\n"
+            "from rzlab.cli import main\n"
+            "codes = [main(argv + ['--deterministic', '--out', os.devnull])\n"
+            "         for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))")
+    src = os.path.dirname(os.path.dirname(rzlab.__file__))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    codes, scipy_modules = json.loads(out.stdout)
+    assert codes == [EXIT_OK] * 9
+    assert scipy_modules == []
 
 
 def test_hadamard_profile(capsys):

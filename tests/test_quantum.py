@@ -2,7 +2,9 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rzlab.errors import (DivergenceError, DomainError,
                           IntegrationLimitError, PoleError,
@@ -68,6 +70,49 @@ def test_jost_ode_matches_analytic():
                 ref = jost_solution_analytic(k, nu, y)
                 worst = max(worst, abs(f - ref) / abs(ref))
         assert worst < 1e-6
+
+
+def _mp_jost(k, nu, y):
+    """sqrt(pi k y / 2) e^(i(pi nu/2 + pi/4)) H1_nu(k y) in high precision."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpc(nu)
+        return complex(mpmath.sqrt(mpmath.pi * k * y / 2)
+                       * mpmath.exp(1j * (mpmath.pi * nu / 2 + mpmath.pi / 4))
+                       * mpmath.hankel1(nu, k * y))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats(-5.0, 6.0), st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       st.floats(0.3, 3.0))
+def test_jost_ode_matches_mpmath_property(re_lam, im_lam, k):
+    lam = complex(re_lam, im_lam)
+    nu = OrderParameter.from_coupling(lam).nu
+    samples = jost_solution_ode(k, lam, 1.0, 25.0 / k)
+    inside = [s for s in samples if 1.0 <= s[0] <= 10.0]
+    # the Magnus propagator's worst found is 1.5e-12; solve_ivp's was
+    # 2.9e-11
+    for y, f in (inside[0], inside[len(inside) // 2], inside[-1],
+                 samples[-1]):
+        want = _mp_jost(k, nu, y)
+        assert abs(f - want) < 1e-10 * abs(want), y
+
+
+def test_jost_ode_returns_the_even_grid():
+    samples = jost_solution_ode(1.0, 2.0, 1.0, 25.0)
+    assert [y for y, _ in samples] == np.linspace(25.0, 1.0, 200)[::-1].tolist()
+    assert all(type(y) is float and type(f) is complex for y, f in samples)
+
+
+def test_jost_analytic_array_matches_scalar_calls():
+    ys = np.linspace(1.0, 10.0, 7)
+    for nu in (1.5, 2.1794494717703369j, 0.5, 0.3 + 0.4j):
+        got = jost_solution_analytic(1.3, nu, ys)
+        want = [jost_solution_analytic(1.3, nu, y) for y in ys]
+        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+    # the plane-wave shortcut holds for arrays too
+    assert (jost_solution_analytic(2.0, 0.5, ys) == np.exp(2j * ys)).all()
+    with pytest.raises(DomainError):
+        jost_solution_analytic(1.0, 1.5, np.array([1.0, 0.0]))
 
 
 def test_jost_ode_preconditions():

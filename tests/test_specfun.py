@@ -223,3 +223,33 @@ def test_hankel1_overflow_is_range_error():
     # |H1_2.5(1e-200)| ~ 1e500 is not a float
     with pytest.raises(RangeError):
         hankel1(2.5, 1e-200)
+
+
+@pytest.mark.parametrize("nu", H_GRID_NU)
+def test_hankel1_array_matches_scalar_calls(nu):
+    xs = np.array(H_GRID_X)
+    got = hankel1(nu, xs)
+    assert got.shape == xs.shape
+    # the array sums every x on one grid, the step of x = 30 and the
+    # range of x = 1e-6, so both carry their own phase rounding: within
+    # 7.1e-15 at real order and |Im nu| <= 1.7, and 4.2e-14 at 2.18i,
+    # x = 1e-6, where the scalar call is itself 4.3e-14 from mpmath
+    bound = 1e-14 * math.exp(max(0.0, math.pi * (abs(complex(nu).imag)
+                                                  - 1.5)))
+    for x, v in zip(H_GRID_X, got):
+        want = hankel1(nu, x)
+        assert type(want) is complex
+        assert abs(v - want) < bound * abs(want), x
+
+
+def test_hankel1_array_range_errors():
+    with pytest.raises(RangeError):
+        hankel1(0.7, np.array([]))
+    for bad in (0.0, 31.0):
+        with pytest.raises(RangeError):
+            hankel1(0.7, np.array([1.0, bad, 20.0]))
+    # a grid above MAX_GRID_POINTS nodes is refused before it is built
+    with pytest.raises(RangeError):
+        hankel1(1e7j, 25.0)
+    with pytest.raises(RangeError):
+        hankel1(0.7, np.full(10 ** 5, 25.0))
