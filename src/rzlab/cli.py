@@ -126,7 +126,7 @@ def cmd_zeros(args):
     from .zeros import count_zeros_rectangle, find_zeros
 
     zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
-    rect = ContourRectangle(0.0, 1.0, max(args.t_min, 1e-3), args.t_max)
+    rect = ContourRectangle(0.0, 1.0, args.t_min, args.t_max)
     rect_count = count_zeros_rectangle(rect)
     consistent = rect_count == len(zeros)
     diagnostics = [] if consistent else [

@@ -200,20 +200,32 @@ def _fold_phase(x):
     return math.pi - (math.pi - x) % math.tau
 
 
-def winding_number(g, rect):
+def winding_number(g, rect, mirror=False):
     """Total argument change of g around the rectangle boundary, / 2 pi.
 
     g maps an array of points to the array of its values.  Each side is
     sampled SAMPLES_PER_UNIT times per unit of its length (at least
-    MIN_SIDE_SAMPLES), and the four sides are evaluated in one call;
+    MIN_SIDE_SAMPLES), and all samples are evaluated in one call;
     phase steps between consecutive samples are then refined by
     bisection, one point per call, until every step is below pi/2,
     which rules out 2 pi aliasing near zeros close to the contour.
+
+    mirror=True is for g with g(re_min + re_max - conj z) = conj g(z),
+    as xi(1 - conj s) = conj xi(s) about Re s = 1/2.  The left half of
+    the boundary then mirrors the right half and carries the same
+    argument change, so only the right half is sampled: from the bottom
+    midpoint through the two right corners to the top midpoint, both
+    ends on the symmetry line, where g is real.  Its argument change is
+    a multiple of pi, and / pi it is the count.
     """
-    corners = [complex(rect.re_min, rect.im_min),
-               complex(rect.re_max, rect.im_min),
-               complex(rect.re_max, rect.im_max),
-               complex(rect.re_min, rect.im_max)]
+    lo = complex(rect.re_min, rect.im_min)
+    hi = complex(rect.re_max, rect.im_max)
+    right = [complex(hi.real, lo.imag), hi]
+    if mirror:
+        mid = 0.5 * (rect.re_min + rect.re_max)
+        path = [complex(mid, lo.imag)] + right + [complex(mid, hi.imag)]
+    else:
+        path = [lo] + right + [complex(lo.real, hi.imag), lo]
 
     def phases(z):
         w = np.asarray(g(z), dtype=complex)
@@ -224,10 +236,11 @@ def winding_number(g, rect):
         return np.angle(w)
 
     sides = []
-    for i in range(4):
-        za, zb = corners[i], corners[(i + 1) % 4]
+    for za, zb in zip(path, path[1:]):
         m = max(MIN_SIDE_SAMPLES, int(SAMPLES_PER_UNIT * abs(zb - za)))
-        sides.append(za + (zb - za) * np.arange(m + 1) / m)
+        pts = za + (zb - za) * np.arange(m + 1) / m
+        pts[-1] = zb  # za + (zb - za) m / m can round past zb
+        sides.append(pts)
     ends = np.cumsum([len(pts) for pts in sides])[:-1]
     total = 0.0
     for pts, ph in zip(sides, np.split(phases(np.concatenate(sides)), ends)):
@@ -249,7 +262,7 @@ def winding_number(g, rect):
             pm = phases(np.array([zm]))[0]
             stack.append((z0, zm, p0, pm, depth + 1))
             stack.append((zm, z1, pm, p1, depth + 1))
-    w = total / (2.0 * math.pi)
+    w = total / (math.pi if mirror else 2.0 * math.pi)
     n = round(w)
     if abs(w - n) > 0.25:
         raise BoundaryZeroError(

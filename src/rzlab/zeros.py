@@ -1,8 +1,9 @@
 """Nontrivial-zero location and counting.
 
 Sign-change scanning of the real-valued xi(1/2 + it), plus
-argument-principle counts over critical-strip rectangles; the two
-routes cross-check each other.
+argument-principle counts over critical-strip rectangles, taken on the
+right half of the boundary by xi's mirror symmetry about Re s = 1/2;
+the two routes cross-check each other.
 """
 
 import math
@@ -76,6 +77,7 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
                                 % (step, MAX_GRID_POINTS))
     n = int(math.ceil(span))
     grid = t_min + np.arange(n + 1) * (t_max - t_min) / n
+    grid[-1] = t_max  # the last sum can round past t_max, and so past T_MAX
     # no grid point lands on a zero: at the floats next to each zero below
     # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
     signs, lms = _scan(grid)
@@ -102,18 +104,24 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
 
 def count_zeros_rectangle(rect):
     """Number of xi zeros (with multiplicity) inside the rectangle,
-    by the argument principle, the four sides evaluated in one batched
+    by the argument principle, the boundary evaluated in one batched
     call.
+
+    A rectangle symmetric about the critical line (re_min + re_max = 1,
+    as every strip count is) takes winding_number's mirror path: xi(1 -
+    conj s) = conj xi(s), so only the right half of the boundary is
+    evaluated.  Any other rectangle is counted on the full boundary.
 
     If a zero sits on the horizontal boundary at sampling resolution,
     the rectangle is nudged by +-1e-3 in t before giving up.
     """
     g = lambda z: np.exp(log_xi_array(z))
+    mirror = rect.re_min + rect.re_max == 1.0
     for dlo, dhi in [(0.0, 0.0), (-1e-3, 1e-3), (1e-3, -1e-3)]:
         r = ContourRectangle(rect.re_min, rect.re_max,
                              rect.im_min + dlo, rect.im_max + dhi)
         try:
-            return winding_number(g, r)
+            return winding_number(g, r, mirror=mirror)
         except BoundaryZeroError as exc:
             err = exc
     raise err

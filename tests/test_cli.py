@@ -60,6 +60,28 @@ def test_zeros_deterministic_byte_identical(capsys):
     assert json.loads(out3)["results"] == json.loads(out1)["results"]
 
 
+@pytest.mark.parametrize("t_max", ["0.0005", "0.001"])
+def test_zeros_window_at_the_real_axis(capsys, t_max):
+    # the contour starts at t_min itself: xi is real and positive on the
+    # real axis, so a window below 1e-3 is counted, not refused
+    code, out, err = run(capsys, "zeros", "--t-min", "0", "--t-max", t_max,
+                         "--deterministic")
+    assert (code, err) == (EXIT_OK, "")
+    results = json.loads(out)["results"]
+    assert results["count"] == results["rectangle_count"] == 0
+    assert results["cross_check"] == "consistent"
+
+
+@pytest.mark.parametrize("t_min", ["23.015", "78.33", "89.19629023304175"])
+def test_zeros_window_up_to_t_max(capsys, t_min):
+    # the scan grid (23.015) or the contour's right side (78.33) would end
+    # an ulp above T_MAX = 260 without their last point pinned
+    code, out, err = run(capsys, "zeros", "--t-min", t_min, "--t-max", "260",
+                         "--deterministic")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["results"]["cross_check"] == "consistent"
+
+
 def test_timestamp_present_by_default(capsys):
     _, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "10")
     assert "timestamp" in json.loads(out)
@@ -422,6 +444,38 @@ def test_jost_verify_fuzz(lam, k):
         assert _strict_json(out.getvalue())["results"]["samples"]
     else:
         assert out.getvalue() == ""
+
+
+_ANY_FLOAT = st.one_of(st.floats(-1e300, 1e300), st.floats(-5.0, 270.0),
+                      st.floats(-1e-3, 1e-3))
+
+
+@st.composite
+def _windows(draw):
+    """Any two finite ends, or an end and a width up to 30 above it."""
+    t_min = draw(_ANY_FLOAT)
+    if draw(st.booleans()):
+        return t_min, draw(_ANY_FLOAT)
+    return t_min, t_min + draw(st.floats(0.0, 30.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_windows(), st.floats(0.05, 0.5), st.floats(5e-324, 1e300))
+def test_zeros_fuzz(window, step, tol):
+    t_min, t_max = window
+    argv = ["zeros", "--t-min=%r" % t_min, "--t-max=%r" % t_max,
+            "--step=%r" % step, "--tol=%r" % tol, "--deterministic"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0, argv
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_VERIFICATION), (argv, err)
+    if code == EXIT_DOMAIN:
+        assert out.getvalue() == ""
+    else:
+        consistent = _strict_json(out.getvalue())["results"]["cross_check"]
+        assert (consistent == "consistent") == (code == EXIT_OK), argv
 
 
 def test_readme_commands_import_no_scipy():

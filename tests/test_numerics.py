@@ -143,3 +143,99 @@ def test_winding_samples_all_sides_in_one_call():
     assert winding_number(g, rect) == 1
     assert sizes[0] == 568
     assert all(n == 1 for n in sizes[1:])
+
+
+def _mirror_symmetric(roots):
+    """i^N prod (z - r) over the roots and the mirror 1 - conj r of each
+    root off the midline: g(1 - conj z) = conj g(z), the symmetry of xi
+    about Re s = 1/2."""
+    roots = list(roots) + [1.0 - r.conjugate() for r in roots
+                           if r.real != 0.5]
+
+    def g(z):
+        w = np.full(np.shape(z), 1j ** len(roots), dtype=complex)
+        for r in roots:
+            w *= z - r
+        return w
+    return g
+
+
+@pytest.mark.parametrize("roots,count", [
+    ([], 0),
+    # midline roots, one of them close to the top edge
+    ([0.5 + 2j], 1),
+    ([0.5 + 1.5j, 0.5 + 2j, 0.5 + 4.2j, 0.5 + 4.9999j], 4),
+    # off-line pairs: inside, and one pair straddling both sides
+    ([0.3 + 2j], 2),
+    ([0.25 + 3j, 0.5 + 3.5j, -0.5 + 1j, 0.1 + 1.2j], 5),
+    ([1.5 + 2.5j], 0),
+    # pairs near the right side, just inside and just outside
+    ([0.9999 + 3j, 1.0001 + 4j], 2),
+    # roots beyond the top and bottom edges
+    ([0.5 + 0.5j, 0.5 + 6j, 0.8 + 0.99j, 0.7 + 5.01j], 0),
+])
+def test_winding_mirror_matches_full_contour(roots, count):
+    g = _mirror_symmetric(roots)
+    rect = ContourRectangle(0.0, 1.0, 1.0, 5.0)
+    assert winding_number(g, rect) == count
+    assert winding_number(g, rect, mirror=True) == count
+
+
+def test_winding_mirror_samples_the_right_half_in_one_call():
+    # the half sides have length 1/2 and take the 32-sample floor, the
+    # right side 10 per unit: 33 + 251 + 33 points, half of the full path
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return 1j * (z - complex(0.5, 3.0))
+
+    rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
+    assert winding_number(g, rect, mirror=True) == 1
+    assert sizes[0] == 317
+    assert all(n == 1 for n in sizes[1:])
+
+
+def test_winding_mirror_zero_on_top_edge_raises():
+    g = _mirror_symmetric([0.5 + 5j])
+    with pytest.raises(BoundaryZeroError):
+        winding_number(g, ContourRectangle(0.0, 1.0, 1.0, 5.0), mirror=True)
+
+
+def test_count_rectangle_nudges_past_a_midline_root_on_the_top_edge(
+        monkeypatch):
+    # count_zeros_rectangle raises on the exact zero of the top midpoint
+    # and retries with the top edge 1e-3 higher, which takes the root in
+    import rzlab.zeros
+
+    g = _mirror_symmetric([0.5 + 2j, 0.5 + 5j, 0.4 + 5.5j])
+    calls = []
+
+    def log_g(z):
+        calls.append(z)
+        with np.errstate(divide="ignore"):
+            return np.log(g(z))
+
+    monkeypatch.setattr(rzlab.zeros, "log_xi_array", log_g)
+    assert rzlab.zeros.count_zeros_rectangle(
+        ContourRectangle(0.0, 1.0, 1.0, 5.0)) == 2
+    assert calls[0][-1] == 0.5 + 5j
+    assert calls[-1][-1] == complex(0.5, 5.0 + 1e-3)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_winding_samples_stay_on_the_rectangle(mirror):
+    # computed as za + (zb - za) m / m, the right side's last sample
+    # would sit at Im z = 260.00000000000006; each side ends on its
+    # corner exactly, so g is never asked for a point beyond it
+    rect = ContourRectangle(0.0, 1.0, 78.33, 260.0)
+    seen = []
+
+    def g(z):
+        seen.append(z)
+        return 1j * (z - complex(0.5, 100.0))
+
+    assert winding_number(g, rect, mirror=mirror) == 1
+    z = np.concatenate(seen)
+    assert z.imag.min() == 78.33 and z.imag.max() == 260.0
+    assert z.real.min() == (0.5 if mirror else 0.0) and z.real.max() == 1.0

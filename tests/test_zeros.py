@@ -4,9 +4,11 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import rzlab.zeros
 from rzlab.errors import PreconditionError
-from rzlab.numerics import ContourRectangle
+from rzlab.numerics import ContourRectangle, winding_number
 from rzlab.zeros import (count_zeros_rectangle, critical_line_function,
                          find_zeros)
 from rzlab.zeta import T_MAX, log_xi_array
@@ -96,8 +98,44 @@ def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
     for _ in range(40):
         width = rng.uniform(1.0, 10.0)
         lo = rng.uniform(0.0, 250.0 - width)
-        rect = ContourRectangle(0.0, 1.0, max(lo, 1e-3), lo + width)
+        rect = ContourRectangle(0.0, 1.0, lo, lo + width)
         expected = len(find_zeros(lo, lo + width))
         assert expected == sum(1 for z in zeros_to_250
                                if lo < z.ordinate < lo + width)
         assert count_zeros_rectangle(rect) == expected, (lo, width)
+
+
+def test_strip_count_evaluates_half_the_contour(monkeypatch):
+    # xi(1 - conj s) = conj xi(s): the right half of the boundary carries
+    # the count, 2,567 points against 5,066 on the full rectangle
+    points = []
+
+    def counted(z):
+        points.append(np.size(z))
+        return log_xi_array(z)
+
+    monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
+    assert count_zeros_rectangle(ContourRectangle(0.0, 1.0, 1e-3, 250.0)) \
+        == 108
+    assert sum(points) <= 2600
+
+
+@pytest.fixture(scope="module")
+def ordinates_to_260():
+    return np.array([z.ordinate for z in find_zeros(0.0, T_MAX)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(0.0, T_MAX),
+       st.one_of(st.floats(0.0, T_MAX), st.floats(0.0, 2.0)))
+def test_mirror_count_matches_full_contour_and_scan(ordinates_to_260, lo,
+                                                    width):
+    # windows anywhere in the window of evaluation, wide or within a few
+    # zero spacings, with both edges clear of every zero
+    hi = min(lo + width, T_MAX)
+    assume(hi > lo)
+    assume(np.abs(ordinates_to_260 - lo).min() >= 1e-6)
+    assume(np.abs(ordinates_to_260 - hi).min() >= 1e-6)
+    rect = ContourRectangle(0.0, 1.0, lo, hi)
+    full = winding_number(lambda z: np.exp(log_xi_array(z)), rect)
+    assert count_zeros_rectangle(rect) == full == len(find_zeros(lo, hi))
