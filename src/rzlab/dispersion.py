@@ -133,8 +133,8 @@ def _pv_on_grid(grid, w, idx):
                        * np.fft.fft(kernel))[:, idx]
     k = grid[idx]
     wi = w[idx]
-    dw = np.gradient(w, grid)[idx]
-    return (sums[0] - wi * sums[1] + (b - a) / (n - 1) * e[idx] * dw
+    h = (b - a) / (n - 1)
+    return (sums[0] - wi * sums[1] + h * e[idx] * np.gradient(w, h)[idx]
             + wi * np.log((b - k) / (k - a)))
 
 

@@ -1,6 +1,6 @@
 """Shared numeric kernels: adaptive Gauss-Kronrod quadrature on a finite
-interval, bracketed root refinement, and argument-principle winding
-counts.
+interval, bracketed root refinement, the sign of a computed real value,
+and argument-principle winding counts.
 
 All routines are pure functions over caller-supplied callables; nothing
 here knows about zeta or scattering.
@@ -200,6 +200,12 @@ def _fold_phase(x):
     return math.pi - (math.pi - x) % math.tau
 
 
+def real_sign(phase):
+    """+-1 as phase, a number or an array, lies nearer 0 or pi: the sign of
+    a real value computed with a noisy phase (cheap for a number)."""
+    return 1 - 2 * (abs(_fold_phase(phase)) >= 0.5 * math.pi)
+
+
 def winding_number(g, rect, mirror=False):
     """Total argument change of g around the rectangle boundary, / 2 pi.
 
@@ -215,8 +221,9 @@ def winding_number(g, rect, mirror=False):
     the boundary then mirrors the right half and carries the same
     argument change, so only the right half is sampled: from the bottom
     midpoint through the two right corners to the top midpoint, both
-    ends on the symmetry line, where g is real.  Its argument change is
-    a multiple of pi, and / pi it is the count.
+    ends on the symmetry line, where g is real: real_sign snaps their
+    phases to 0 or pi, so the computed sign there decides a zero at an
+    end.  The argument change is a multiple of pi, / pi the count.
     """
     lo = complex(rect.re_min, rect.im_min)
     hi = complex(rect.re_max, rect.im_max)
@@ -242,8 +249,11 @@ def winding_number(g, rect, mirror=False):
         pts[-1] = zb  # za + (zb - za) m / m can round past zb
         sides.append(pts)
     ends = np.cumsum([len(pts) for pts in sides])[:-1]
+    ph = phases(np.concatenate(sides))
+    if mirror:
+        ph[[0, -1]] = 0.5 * math.pi * (1 - real_sign(ph[[0, -1]]))
     total = 0.0
-    for pts, ph in zip(sides, np.split(phases(np.concatenate(sides)), ends)):
+    for pts, ph in zip(sides, np.split(ph, ends)):
         steps = _fold_phase(np.diff(ph))
         fine = np.abs(steps) < 0.5 * math.pi
         total += steps[fine].sum()
@@ -252,7 +262,9 @@ def winding_number(g, rect, mirror=False):
         while stack:
             z0, z1, p0, p1, depth = stack.pop()
             d = _fold_phase(p1 - p0)
-            if abs(d) < 0.5 * math.pi:
+            # at a zero on a mirror end the snapped phase sets the sign
+            if abs(d) < 0.5 * math.pi or depth >= 40 and mirror and (
+                    z0 == path[0] or z1 == path[-1]):
                 total += d
                 continue
             if depth >= 40:
@@ -262,9 +274,5 @@ def winding_number(g, rect, mirror=False):
             pm = phases(np.array([zm]))[0]
             stack.append((z0, zm, p0, pm, depth + 1))
             stack.append((zm, z1, pm, p1, depth + 1))
-    w = total / (math.pi if mirror else 2.0 * math.pi)
-    n = round(w)
-    if abs(w - n) > 0.25:
-        raise BoundaryZeroError(
-            "winding total %.6f is not close to an integer" % w)
-    return int(n)
+    # exact multiple: the steps telescope between equal or snapped ends
+    return round(total / (math.pi if mirror else 2.0 * math.pi))

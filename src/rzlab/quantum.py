@@ -186,7 +186,9 @@ def jost_solution_ode(k, lam, y_end, y_start):
             % ODE_Y_FLOOR)
     lam = complex(lam)
     nu = OrderParameter.from_coupling(lam).nu
-    if asymptotic_residual(k, nu, y_start) >= 2e-1:
+    f, g = _plane_wave_tail(k, nu, y_start)
+    # the tail's own residual |f e^{-iky} - 1|; not ... < refuses a NaN
+    if not abs(f * cmath.exp(-1j * k * y_start) - 1.0) < 2e-1:
         raise PreconditionError(
             "y_start too small: not yet in the plane-wave regime")
 
@@ -214,7 +216,6 @@ def jost_solution_ode(k, lam, y_end, y_start):
     small = np.abs(d) < 1e-3  # sinh(d)/d by its series there
     d = np.where(small, 1.0, d)
     sh = np.where(small, 1.0 + d2 / 6.0 + d2 * d2 / 120.0, np.sinh(d) / d)
-    f, g = _plane_wave_tail(k, nu, y_start)
     fs = [f]
     for e00, e01, e10, e11 in zip(*(v.tolist() for v in (
             ch + sh * alpha, sh * beta, sh * gamma, ch - sh * alpha))):

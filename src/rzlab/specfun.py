@@ -71,7 +71,9 @@ def log_gamma(z):
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError("log_gamma pole at nonpositive integer %g" % z.real)
     if z.real < 0.5:
-        w = _LOG_PI - _log_sin(math.pi * z) - log_gamma(1.0 - z)
+        n = round(z.real)  # z - n is exact: sin stays accurate at a pole
+        w = (_LOG_PI - _log_sin(math.pi * (z - n)) - 1j * math.pi * n
+             - log_gamma(1.0 - z))
         return _normalize_phase(w)
     return _normalize_phase(_stirling(z, cmath.log))
 
@@ -116,7 +118,8 @@ def bessel_k(nu, y):
     - 1) >= 40 + 5 T.  Against mpmath for 1e-20 <= y <= 700 it is within
     1e-14 relative, except that at imaginary order the terms cancel down
     to |K| ~ e^(-pi |nu| / 2): 3e-12 relative at nu = 5i, 1e-10 at
-    nu = 7i, y = 1e-20.
+    nu = 7i, y = 1e-20.  RangeError for a sum above MAX_GRID_POINTS
+    nodes (|Im nu| beyond about 10^5 at y = 1e-20).
     """
     nu = _as_order(nu)
     if not 0.0 < y < math.inf:
@@ -128,6 +131,9 @@ def bessel_k(nu, y):
     cut = 0.0
     for _ in range(4):  # fixed point of 2 y sinh^2(T/2) = 40 + 5 T
         cut = 2.0 * math.asinh(math.sqrt(20.0 + 2.5 * cut) / r)
+    if cut / h > MAX_GRID_POINTS:
+        raise RangeError("bessel_k would sum more than %d nodes"
+                         % MAX_GRID_POINTS)
     t = h * np.arange(int(cut / h) + 1)
     # -y cosh t = -y - 2 (sqrt(y) sinh(t/2))^2 keeps the exponent accurate
     # near t = 0 and finite for tiny y; e^-y comes out of the sum.

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryZeroError, PreconditionError
-from .numerics import (MAX_GRID_POINTS, BracketInterval, ContourRectangle,
-                       _fold_phase, find_root_bracketed, winding_number)
+from .errors import PreconditionError
+from .numerics import (MAX_GRID_POINTS, BracketInterval,
+                       find_root_bracketed, real_sign, winding_number)
 from .zeta import SignedLogComplex, T_MAX, log_xi_array, xi
 
 DEFAULT_STEP = 0.1
@@ -27,12 +27,6 @@ class ZetaZero:
     index: int
 
 
-def _sign(phase):
-    """+-1 as the phase of log xi(1/2 + it), a number or an array, lies
-    nearer 0 or pi; plain arithmetic keeps a number cheap."""
-    return 1 - 2 * (abs(_fold_phase(phase)) >= 0.5 * math.pi)
-
-
 def critical_line_function(t):
     """xi(1/2 + it) snapped to its exactly-real value.
 
@@ -41,7 +35,7 @@ def critical_line_function(t):
     """
     v = xi(complex(0.5, abs(t)))
     return SignedLogComplex(v.log_modulus,
-                            0.0 if _sign(v.phase) > 0 else math.pi)
+                            0.0 if real_sign(v.phase) > 0 else math.pi)
 
 
 def _scaled(sign, lm, t):
@@ -55,7 +49,7 @@ def _scan(grid):
     """Signs and log-magnitudes of xi(1/2 + it) over the grid, from one
     batched evaluation."""
     lx = log_xi_array(0.5 + 1j * np.abs(grid))
-    return _sign(lx.imag), lx.real
+    return real_sign(lx.imag), lx.real
 
 
 def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
@@ -88,7 +82,7 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     def f(t):
         v = critical_line_function(t)
         log_mod[t] = v.log_modulus
-        return float(_scaled(_sign(v.phase), v.log_modulus, t))
+        return float(_scaled(real_sign(v.phase), v.log_modulus, t))
 
     zeros = []
     for j in np.flatnonzero(signs[:-1] != signs[1:]).tolist():
@@ -110,18 +104,8 @@ def count_zeros_rectangle(rect):
     A rectangle symmetric about the critical line (re_min + re_max = 1,
     as every strip count is) takes winding_number's mirror path: xi(1 -
     conj s) = conj xi(s), so only the right half of the boundary is
-    evaluated.  Any other rectangle is counted on the full boundary.
-
-    If a zero sits on the horizontal boundary at sampling resolution,
-    the rectangle is nudged by +-1e-3 in t before giving up.
+    evaluated, its ends on the critical line signed by real_sign as
+    find_zeros' grid is.  Any other rectangle takes the full boundary.
     """
-    g = lambda z: np.exp(log_xi_array(z))
-    mirror = rect.re_min + rect.re_max == 1.0
-    for dlo, dhi in [(0.0, 0.0), (-1e-3, 1e-3), (1e-3, -1e-3)]:
-        r = ContourRectangle(rect.re_min, rect.re_max,
-                             rect.im_min + dlo, rect.im_max + dhi)
-        try:
-            return winding_number(g, r, mirror=mirror)
-        except BoundaryZeroError as exc:
-            err = exc
-    raise err
+    return winding_number(lambda z: np.exp(log_xi_array(z)), rect,
+                          mirror=rect.re_min + rect.re_max == 1.0)

@@ -14,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzlab
+import rzlab.hadamard
+import rzlab.quantum
+import rzlab.scattering
+import rzlab.zeros
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                        EXIT_VERIFICATION, build_parser, main)
-from rzlab.errors import VerificationError
+from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
+                          VerificationError)
 
 
 def run(capsys, *argv):
@@ -225,6 +230,45 @@ def test_failed_correspondence_row_is_null(monkeypatch, capsys):
     assert row.split(",")[header.split(",").index("jost_magnitude")] == ""
 
 
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("module,name,replacement,argv", [
+    ("zeros", "count_zeros_rectangle", lambda rect: 99,
+     ["zeros", "--t-min", "0", "--t-max", "15"]),
+    ("scattering", "zero_to_jost_zero", _raise(VerificationError("forced")),
+     ["smatrix", "correspondence", "--num-zeros", "1"]),
+    ("hadamard", "convergence_profile",
+     lambda at, checkpoints, catalog, params: [1.0] * len(checkpoints),
+     ["hadamard", "--num-zeros", "25"]),
+])
+def test_cross_check_verdict_exit_3_writes_a_report(
+        monkeypatch, capsys, module, name, replacement, argv):
+    monkeypatch.setattr(getattr(rzlab, module), name, replacement)
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert code == EXIT_VERIFICATION and err == ""
+    assert _strict_json(out)["diagnostics"]
+
+
+@pytest.mark.parametrize("module,name,exc,argv", [
+    ("zeros", "count_zeros_rectangle", BoundaryZeroError("forced"),
+     ["zeros", "--t-min", "0", "--t-max", "15"]),
+    ("quantum", "k_moment_integral", BudgetExhaustedError("forced"),
+     ["quantum", "kmoment"]),
+    ("scattering", "s_matrix", VerificationError("forced"),
+     ["smatrix", "eval"]),
+])
+def test_raised_exit_3_writes_only_its_stderr_line(
+        monkeypatch, capsys, module, name, exc, argv):
+    monkeypatch.setattr(getattr(rzlab, module), name, _raise(exc))
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert code == EXIT_VERIFICATION and out == ""
+    assert err == "verification failure: forced\n"
+
+
 def test_parser_built_once(capsys):
     run(capsys, "smatrix", "eval", "--deterministic")
     run(capsys, "quantum", "khuri", "--lambda", "-5", "--deterministic")
@@ -352,6 +396,15 @@ def test_quantum_khuri_real_coupling(capsys):
     assert json.loads(out)["results"]["residual"] == 0.0
 
 
+def test_quantum_khuri_at_huge_imaginary_order_is_a_range_error(capsys):
+    # nu = 1e-9 + 5.8e7 i: each K_nu sum would take some 5e8 nodes
+    code, out, err = run(capsys, "quantum", "khuri",
+                         "--lambda=-3363850199106957.0",
+                         "--im-lambda=2.355446822143624")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "more than 1000000 nodes" in err
+
+
 @pytest.mark.parametrize("argv,flagged", [
     # rho = 0.7 + 14.1347i, so nu = rho - 1/2 ~ 0.2 + 14.13i
     (("--lambda", "-200", "--im-lambda", "5.654"), True),
@@ -428,34 +481,56 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# any finite float, the extremes +-1e300, and values within 1e-3 of 0
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([1e300, -1e300]), st.floats(-1e-3, 1e-3))
+
+
+def _near(lo, hi):
+    """Any finite float, or one of the range where a mode does its work."""
+    return st.one_of(_FINITE, st.floats(lo, hi))
+
+
+def _fuzz(*argv):
+    """main(argv) as a fuzz case: within 2 s, a documented exit code, no
+    warning, nothing on stdout for exits 2 and 64 and strict JSON for
+    exit 0.  Returns the exit code and stdout."""
+    argv = list(argv) + ["--deterministic"]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0, argv
+    assert [str(w.message) for w in caught] == [], argv
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_VERIFICATION, EXIT_USAGE), \
+        (argv, err.getvalue())
+    if code in (EXIT_DOMAIN, EXIT_USAGE):
+        assert out.getvalue() == "", argv
+    if code == EXIT_OK:
+        assert _strict_json(out.getvalue())["results"], argv
+    return code, out.getvalue()
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.one_of(st.floats(-1e300, 1e300), st.floats(-12.0, 12.0)),
        st.one_of(st.floats(1e-300, 1e300),
                  st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
 def test_jost_verify_fuzz(lam, k):
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["quantum", "jost-verify", "--lambda=%r" % lam,
-                     "--k=%r" % k, "--deterministic"])
-    assert time.perf_counter() - start < 2.0, (lam, k)
-    assert code in (EXIT_OK, EXIT_DOMAIN), (lam, k, err.getvalue())
+    code, out = _fuzz("quantum", "jost-verify", "--lambda=%r" % lam,
+                      "--k=%r" % k)
+    assert code in (EXIT_OK, EXIT_DOMAIN), (lam, k)
     if code == EXIT_OK:
-        assert _strict_json(out.getvalue())["results"]["samples"]
-    else:
-        assert out.getvalue() == ""
-
-
-_ANY_FLOAT = st.one_of(st.floats(-1e300, 1e300), st.floats(-5.0, 270.0),
-                      st.floats(-1e-3, 1e-3))
+        assert _strict_json(out)["results"]["samples"]
 
 
 @st.composite
 def _windows(draw):
     """Any two finite ends, or an end and a width up to 30 above it."""
-    t_min = draw(_ANY_FLOAT)
+    t_min = draw(_near(-5.0, 270.0))
     if draw(st.booleans()):
-        return t_min, draw(_ANY_FLOAT)
+        return t_min, draw(_near(-5.0, 270.0))
     return t_min, t_min + draw(st.floats(0.0, 30.0))
 
 
@@ -464,18 +539,102 @@ def _windows(draw):
 def test_zeros_fuzz(window, step, tol):
     t_min, t_max = window
     argv = ["zeros", "--t-min=%r" % t_min, "--t-max=%r" % t_max,
-            "--step=%r" % step, "--tol=%r" % tol, "--deterministic"]
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert time.perf_counter() - start < 2.0, argv
-    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_VERIFICATION), (argv, err)
-    if code == EXIT_DOMAIN:
-        assert out.getvalue() == ""
-    else:
-        consistent = _strict_json(out.getvalue())["results"]["cross_check"]
+            "--step=%r" % step, "--tol=%r" % tol]
+    code, out = _fuzz(*argv)
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_VERIFICATION), argv
+    if code != EXIT_DOMAIN:
+        consistent = _strict_json(out)["results"]["cross_check"]
         assert (consistent == "consistent") == (code == EXIT_OK), argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_near(-12.0, 12.0), _near(-140.0, 140.0))
+def test_smatrix_eval_fuzz(re, im):
+    _fuzz("smatrix", "eval", "--re=%r" % re, "--im=%r" % im)
+
+
+@st.composite
+def _scans(draw):
+    """(tau_max, step); a step below 0.01 comes only with a tau_max that
+    the CLI rejects (negative, or more than 10^6 points), so that no
+    accepted scan exceeds 13,001 points."""
+    step = draw(_near(0.01, 1.0))
+    if 0.0 < step < 0.01:
+        return draw(st.one_of(st.floats(-1e300, 0.0, exclude_max=True),
+                              st.floats(1e6 * step, 1e300))), step
+    return draw(_near(0.0, 140.0)), step
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_scans())
+def test_smatrix_scan_fuzz(scan):
+    tau_max, step = scan
+    _fuzz("smatrix", "scan", "--tau-max=%r" % tau_max, "--step=%r" % step)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(-5, 130))
+def test_smatrix_correspondence_fuzz(num_zeros):
+    _fuzz("smatrix", "correspondence", "--num-zeros=%d" % num_zeros)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_near(-1.5, 1.5))
+def test_kmoment_fuzz(nu):
+    _fuzz("quantum", "kmoment", "--nu=%r" % nu)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_near(-5.0, 5.0), _near(-3.0, 3.0))
+def test_khuri_fuzz(lam, im_lam):
+    _fuzz("quantum", "khuri", "--lambda=%r" % lam, "--im-lambda=%r" % im_lam)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(-5, 130), _near(-10.0, 10.0), _near(-260.0, 260.0))
+def test_hadamard_fuzz(num_zeros, at_re, at_im):
+    _fuzz("hadamard", "--num-zeros=%d" % num_zeros, "--at=%r" % at_re,
+          "--at-im=%r" % at_im)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(["unit", "rational", "bound-state"]),
+       _near(-100.0, 100.0),
+       st.one_of(st.integers(max_value=20001), st.integers(6, 20001),
+                 st.integers(min_value=10 ** 6 + 1)))
+def test_dispersion_roundtrip_fuzz(model, half_width, nodes):
+    _fuzz("dispersion", "roundtrip", "--model=%s" % model,
+          "--half-width=%r" % half_width, "--nodes=%d" % nodes)
+
+
+def test_dispersion_roundtrip_at_a_huge_half_width_warns_nothing():
+    # per-node spacings of 1e296 once overflowed inside np.gradient
+    code, _ = _fuzz("dispersion", "roundtrip", "--model", "unit",
+                    "--half-width", "6.17e299", "--nodes", "12050")
+    assert code == EXIT_OK
+
+
+def test_zeros_consistent_where_a_window_edge_is_a_computed_zero():
+    # the scan's grid and the contour's mirror end read one computed xi at
+    # the edge, through one sign rule: both count the edge zero or neither
+    from rzlab.zeros import find_zeros
+    from rzlab.zeta import T_MAX
+
+    ts = [z.ordinate for z in find_zeros(0.0, T_MAX)]
+    windows = ([(t, t + 1.0) for t in ts if t + 1.0 <= T_MAX]
+               + [(t - 1.0, t) for t in ts]
+               + list(zip(ts, ts[1:])) + list(zip(ts, ts[2:])))
+    assert len(windows) == 227 + 225
+    failed = []
+    for t_min, t_max in windows:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["zeros", "--t-min=%r" % t_min, "--t-max=%r" % t_max,
+                         "--deterministic"])
+        if code != EXIT_OK or _strict_json(
+                out.getvalue())["results"]["cross_check"] != "consistent":
+            failed.append((t_min, t_max, code))
+    assert failed == []
 
 
 def test_readme_commands_import_no_scipy():

@@ -8,7 +8,7 @@ from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
                           PreconditionError)
 from rzlab.numerics import (BracketInterval, ContourRectangle,
                             QuadratureResult, find_root_bracketed,
-                            integrate_adaptive, winding_number)
+                            integrate_adaptive, real_sign, winding_number)
 
 
 def test_quadrature_result_validation():
@@ -202,25 +202,39 @@ def test_winding_mirror_zero_on_top_edge_raises():
         winding_number(g, ContourRectangle(0.0, 1.0, 1.0, 5.0), mirror=True)
 
 
-def test_count_rectangle_nudges_past_a_midline_root_on_the_top_edge(
-        monkeypatch):
-    # count_zeros_rectangle raises on the exact zero of the top midpoint
-    # and retries with the top edge 1e-3 higher, which takes the root in
+def _with_top_value(monkeypatch, value):
+    """count_zeros_rectangle over [0, 1] x [1, 5] for a mirror-symmetric g
+    with roots at 0.5 + 2i and, on the top edge's midpoint, 0.5 + 5i,
+    where g is replaced by value.  On the midline g = (t - 2)(t - 5)
+    (0.01 + (t - 5.5)^2) is negative between the two roots."""
     import rzlab.zeros
 
     g = _mirror_symmetric([0.5 + 2j, 0.5 + 5j, 0.4 + 5.5j])
-    calls = []
 
     def log_g(z):
-        calls.append(z)
+        w = g(z)
+        w[z == 0.5 + 5j] = value
         with np.errstate(divide="ignore"):
-            return np.log(g(z))
+            return np.log(w)
 
     monkeypatch.setattr(rzlab.zeros, "log_xi_array", log_g)
-    assert rzlab.zeros.count_zeros_rectangle(
-        ContourRectangle(0.0, 1.0, 1.0, 5.0)) == 2
-    assert calls[0][-1] == 0.5 + 5j
-    assert calls[-1][-1] == complex(0.5, 5.0 + 1e-3)
+    return rzlab.zeros.count_zeros_rectangle(
+        ContourRectangle(0.0, 1.0, 1.0, 5.0))
+
+
+@pytest.mark.parametrize("phase", [0.3, -1.2, 1.5, 1.6, 2.0, -2.9, math.pi])
+def test_count_rectangle_snaps_a_midline_root_on_the_top_edge(
+        monkeypatch, phase):
+    # a root on the top midpoint computes as a tiny value with a noise
+    # phase; real_sign reads it as the scan would: + is a sign change
+    # above the root at 2, so the top root is inside, - leaves it out
+    count = _with_top_value(monkeypatch, 1e-12 * cmath.exp(1j * phase))
+    assert count == (2 if real_sign(phase) > 0 else 1)
+
+
+def test_count_rectangle_exact_zero_on_a_mirror_end_raises(monkeypatch):
+    with pytest.raises(BoundaryZeroError, match="below floor"):
+        _with_top_value(monkeypatch, 0.0)
 
 
 @pytest.mark.parametrize("mirror", [False, True])

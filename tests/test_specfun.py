@@ -124,6 +124,13 @@ def test_bessel_k_large_imaginary_order_does_not_alias():
             assert abs(bessel_k(nu, y) - _mp_bessel_k(nu, y)) < 1e-14 * scale
 
 
+def test_bessel_k_refuses_a_sum_above_the_grid_cap():
+    # the step 2 pi / |Im nu| would put some 5e8 nodes below the cut
+    with pytest.raises(RangeError, match="more than 1000000 nodes"):
+        bessel_k(complex(1e-9, 5.8e7), 1e-20)
+    bessel_k(complex(0.1, 1e5), 1e-20)  # about 8e5 nodes: summed
+
+
 def test_bessel_k_real_for_imaginary_order():
     v = bessel_k(complex(0.0, 3.0), 0.7)
     assert v.imag == 0.0
@@ -195,6 +202,25 @@ def test_hankel1_matches_mpmath_on_grid(nu):
     for x in H_GRID_X:
         want = _mp_hankel1(nu, x)
         assert abs(hankel1(nu, x) - want) < 1e-12 * abs(want), x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.floats(0.5, 12.0),
+                 st.floats(-9.5, 0.5, exclude_max=True)),
+       st.floats(-131.0, 131.0))
+def test_log_gamma_matches_mpmath_property(re, im):
+    # both branches, Stirling after the shift and the reflection left of
+    # Re z = 1/2, over the heights log xi asks for at |Im s| <= 262
+    z = complex(re, im)
+    if im == 0.0 and re == round(re) and re <= 0.0:
+        with pytest.raises(PoleError):
+            log_gamma(z)
+        return
+    with mpmath.workdps(30):
+        want = complex(mpmath.loggamma(mpmath.mpc(re, im)))
+    d = log_gamma(z) - want
+    d = complex(d.real, math.remainder(d.imag, math.tau))  # modulo 2 pi i
+    assert abs(d) < 1e-14 * max(1.0, abs(want)), z
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

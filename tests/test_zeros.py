@@ -61,11 +61,12 @@ def test_count_zeros_empty_rectangle():
     assert count_zeros_rectangle(rect) == 0
 
 
-def test_count_zeros_nudges_past_boundary_zero():
-    # top edge passes (nearly) through the first zero; the nudge retry
-    # must still produce a definite count for the nudged rectangle
+def test_count_zeros_at_a_boundary_zero_matches_the_scan():
+    # the top edge passes (nearly) through the first zero: the contour's
+    # mirror end and the scan's last grid point read one computed xi
     rect = ContourRectangle(0.0, 1.0, 0.001, FIRST_ORDINATES[0])
-    assert count_zeros_rectangle(rect) in (0, 1)
+    assert count_zeros_rectangle(rect) == len(
+        find_zeros(0.001, FIRST_ORDINATES[0]))
 
 
 @pytest.fixture(scope="module")
