@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 domain/range error, 3 verification failure,
 """
 
 import argparse
+import cmath
 import csv
 import datetime
 import functools
@@ -148,8 +149,8 @@ def cmd_smatrix_eval(args):
 
     m = s_matrix(complex(args.re, args.im))
     # at a pole both the value and its log modulus are rounding noise
-    value = None if m.pole_flag else _complex_str(m.value.to_complex())
-    log_modulus = None if m.pole_flag else m.value.log_modulus
+    value = None if m.pole_flag else _complex_str(cmath.exp(m.log_value))
+    log_modulus = None if m.pole_flag else m.log_value.real
     results = {"s": _complex_str(m.s), "value": value,
                "log_modulus": log_modulus, "pole": m.pole_flag,
                "zero": m.zero_flag}
@@ -195,7 +196,8 @@ def cmd_smatrix_correspondence(args):
         try:
             # |F+| at the float nearest a zero is rounding noise (about
             # 1e-14), so only its first two digits are reported
-            mag = float("%.2g" % zero_to_jost_zero(z.ordinate).value.abs())
+            fp = zero_to_jost_zero(z.ordinate)
+            mag = float("%.2g" % math.exp(fp.log_value.real))
         except VerificationError as exc:
             mag = None
             diagnostics.append(str(exc))
@@ -278,7 +280,8 @@ def cmd_khuri(args):
 
 
 def cmd_hadamard(args):
-    from .hadamard import ZeroCatalog, convergence_profile, fit_constants
+    from .hadamard import (RESIDUAL_FLOOR, ZeroCatalog, convergence_profile,
+                           fit_constants)
 
     catalog = ZeroCatalog.from_zeros(_first_zeros(args.num_zeros))
     params = fit_constants()
@@ -287,7 +290,8 @@ def cmd_hadamard(args):
                           if n <= args.num_zeros})
     profile = convergence_profile(at, checkpoints, catalog, params)
     rows = [{"n": n, "residual": r} for n, r in zip(checkpoints, profile)]
-    decreasing = all(b < a for a, b in zip(profile, profile[1:]))
+    decreasing = all(b < a or max(a, b) <= RESIDUAL_FLOOR
+                     for a, b in zip(profile, profile[1:]))
     diagnostics = [] if decreasing else ["residual profile not decreasing"]
     results = {"constants": {"a": _complex_str(params.a),
                              "b": _complex_str(params.b)},

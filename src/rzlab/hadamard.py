@@ -15,6 +15,9 @@ from .errors import PreconditionError
 from .zeta import xi
 
 EULER_GAMMA = 0.5772156649015329
+# A residual at or below this is xi's own rounding: the largest bound on
+# log_xi's relative error against mpmath (GRID_BOUNDS, tests/test_zeta.py).
+RESIDUAL_FLOOR = 4.87e-13
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,6 @@ def hadamard_partial(params, catalog, z, n):
 
 def convergence_profile(z, n_list, catalog, params):
     """Relative residual |P_N(z) - xi(z)| / |xi(z)| for each N."""
-    target = xi(complex(z)).to_complex()
+    target = xi(complex(z))
     return [abs(hadamard_partial(params, catalog, z, n) - target) / abs(target)
             for n in n_list]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .numerics import ContourRectangle, winding_number
-from .zeta import SignedLogComplex, _as_s, log_xi_array, xi
+from .zeta import _as_s, log_xi, log_xi_array, xi
 
 # A point p counts as a xi zero when it lies within this distance of
 # one (simple zeros: |xi/xi'| is the distance to the zero).
@@ -26,8 +26,9 @@ ZERO_NEWTON_RADIUS = 1e-6
 
 @dataclass(frozen=True)
 class SMatrixValue:
+    """S or F+ = 1/S at s, as its log with the phase unfolded."""
     s: complex
-    value: SignedLogComplex
+    log_value: complex
     pole_flag: bool
     zero_flag: bool
 
@@ -41,8 +42,8 @@ class CouplingValue:
     coupling: complex
 
 
-def _xi_vanishes(p, v):
-    """True when xi, whose value at p is v, has a zero within
+def _xi_vanishes(p, lx):
+    """True when xi, whose log at p is lx, has a zero within
     ZERO_NEWTON_RADIUS of p.
 
     Decided on the decay-normalized magnitude |xi| e^{pi |t| / 4} (the
@@ -50,25 +51,26 @@ def _xi_vanishes(p, v):
     distance estimate |xi / xi'| for a simple zero, with xi' taken from
     a stencil wide enough to sit clear of the zero itself.
     """
-    scale = v.log_modulus + 0.25 * math.pi * abs(p.imag)
+    scale = lx.real + 0.25 * math.pi * abs(p.imag)
     if scale > math.log(1e-3):  # clearly away from any zero
         return False
     h = 1e-3
-    deriv = (xi(p + h).to_complex() - xi(p - h).to_complex()) / (2.0 * h)
+    deriv = (xi(p + h) - xi(p - h)) / (2.0 * h)
     if deriv == 0:
         return False
-    distance = v.abs() / abs(deriv)
+    distance = math.exp(lx.real) / abs(deriv)
     return distance < ZERO_NEWTON_RADIUS
 
 
 def s_matrix(s):
     """S(s) = xi(2s)/xi(-2s) in log form, with pole/zero flags."""
     s = _as_s(s)
-    num = xi(2.0 * s)
-    den = xi(-2.0 * s)
+    num = log_xi(2.0 * s)
+    den = log_xi(-2.0 * s)
     pole = _xi_vanishes(-2.0 * s, den)
     zero = False if pole else _xi_vanishes(2.0 * s, num)
-    return SMatrixValue(s=s, value=num / den, pole_flag=pole, zero_flag=zero)
+    return SMatrixValue(s=s, log_value=num - den, pole_flag=pole,
+                        zero_flag=zero)
 
 
 def log_s_matrix(s):
@@ -82,7 +84,7 @@ def log_s_matrix(s):
 def jost_plus(s):
     """Zero-energy Jost function F+(s) = xi(-2s)/xi(2s) = 1/S(s)."""
     m = s_matrix(s)
-    return SMatrixValue(s=m.s, value=m.value.reciprocal(),
+    return SMatrixValue(s=m.s, log_value=-m.log_value,
                         pole_flag=m.zero_flag, zero_flag=m.pole_flag)
 
 
@@ -96,9 +98,10 @@ def zero_to_jost_zero(t_n):
     """
     p = complex(-0.25, 0.5 * t_n)
     fp = jost_plus(p)
-    if not (fp.value.abs() < 1e-6 and fp.zero_flag):
+    mag = math.exp(fp.log_value.real)
+    if not (mag < 1e-6 and fp.zero_flag):
         raise VerificationError(
-            "|F+| = %.3g at %s; expected a zero there" % (fp.value.abs(), p))
+            "|F+| = %.3g at %s; expected a zero there" % (mag, p))
     rect = ContourRectangle(p.real - 0.05, p.real + 0.05,
                             p.imag - 0.05, p.imag + 0.05)
     w = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rect)
@@ -136,6 +139,6 @@ def flat_wave(s, y):
     m = s_matrix(s)
     if m.pole_flag:
         raise VerificationError("S(s) has a pole at %s" % s)
-    sv = m.value.to_complex()
+    sv = cmath.exp(m.log_value)
     ly = math.log(y)
     return cmath.exp((0.5 + s) * ly) + sv * cmath.exp((0.5 - s) * ly)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import PreconditionError
 from .numerics import (MAX_GRID_POINTS, BracketInterval,
                        find_root_bracketed, real_sign, winding_number)
-from .zeta import SignedLogComplex, T_MAX, log_xi_array, xi
+from .zeta import T_MAX, log_xi, log_xi_array
 
 DEFAULT_STEP = 0.1
 DEFAULT_TOL = 1e-10
@@ -25,17 +25,6 @@ class ZetaZero:
     ordinate: float
     residual: float
     index: int
-
-
-def critical_line_function(t):
-    """xi(1/2 + it) snapped to its exactly-real value.
-
-    xi is real on the critical line; the computed phase lands within
-    rounding of 0 or pi and is snapped so the sign is unambiguous.
-    """
-    v = xi(complex(0.5, abs(t)))
-    return SignedLogComplex(v.log_modulus,
-                            0.0 if real_sign(v.phase) > 0 else math.pi)
 
 
 def _scaled(sign, lm, t):
@@ -80,9 +69,9 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     log_mod = {}
 
     def f(t):
-        v = critical_line_function(t)
-        log_mod[t] = v.log_modulus
-        return float(_scaled(real_sign(v.phase), v.log_modulus, t))
+        lx = log_xi(complex(0.5, t))
+        log_mod[t] = lx.real
+        return float(_scaled(real_sign(lx.imag), lx.real, t))
 
     zeros = []
     for j in np.flatnonzero(signs[:-1] != signs[1:]).tolist():

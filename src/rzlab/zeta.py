@@ -1,5 +1,6 @@
 """Riemann zeta on the desk-scale window and the completed xi function,
-held in underflow-safe log form (|xi(1/2+it)| ~ exp(-pi t / 4)).
+held as its complex log, which never underflows (|xi(1/2+it)| ~
+exp(-pi t / 4)).
 """
 
 import cmath
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError, RangeError
-from .numerics import _fold_phase
 from .specfun import log_gamma, _log_sin, _stirling
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
@@ -85,46 +85,6 @@ class ComplexArgument:
     @property
     def s(self):
         return complex(self.sigma, self.t)
-
-
-@dataclass(frozen=True)
-class SignedLogComplex:
-    """w = exp(log_modulus + i phase), phase normalized to (-pi, pi]."""
-    log_modulus: float
-    phase: float
-
-    @staticmethod
-    def from_log(logw):
-        return SignedLogComplex(logw.real, _fold_phase(logw.imag))
-
-    @staticmethod
-    def from_complex(w):
-        w = complex(w)
-        if w == 0:
-            return SignedLogComplex(-math.inf, 0.0)
-        return SignedLogComplex.from_log(cmath.log(w))
-
-    def to_complex(self):
-        if self.log_modulus == -math.inf:
-            return 0j
-        return cmath.exp(complex(self.log_modulus, self.phase))
-
-    def abs(self):
-        return math.exp(self.log_modulus) if self.log_modulus != -math.inf else 0.0
-
-    def __mul__(self, other):
-        return SignedLogComplex.from_log(
-            complex(self.log_modulus + other.log_modulus,
-                    self.phase + other.phase))
-
-    def __truediv__(self, other):
-        return SignedLogComplex.from_log(
-            complex(self.log_modulus - other.log_modulus,
-                    self.phase - other.phase))
-
-    def reciprocal(self):
-        return SignedLogComplex.from_log(
-            complex(-self.log_modulus, -self.phase))
 
 
 def _as_s(s):
@@ -336,8 +296,9 @@ def log_xi_array(s):
 
 
 def xi(s):
-    """Completed xi function as a SignedLogComplex (underflow-safe)."""
-    return SignedLogComplex.from_log(log_xi(s))
+    """Completed xi function as a complex number, exp(log_xi(s)).
+    Callers whose values may under- or overflow take log_xi itself."""
+    return cmath.exp(log_xi(s))
 
 
 def xi_symmetry_residual(s):
@@ -347,9 +308,7 @@ def xi_symmetry_residual(s):
     out the common magnitude scale.
     """
     s = _as_s(s)
-    a = xi(s)
-    b = xi(1.0 - s)
-    scale = max(a.log_modulus, b.log_modulus)
-    wa = cmath.exp(complex(a.log_modulus - scale, a.phase))
-    wb = cmath.exp(complex(b.log_modulus - scale, b.phase))
+    a, b = log_xi(s), log_xi(1.0 - s)
+    scale = max(a.real, b.real)
+    wa, wb = cmath.exp(a - scale), cmath.exp(b - scale)
     return abs(wa - wb) / (abs(wa) + abs(wb))

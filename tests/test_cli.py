@@ -669,6 +669,32 @@ def test_hadamard_profile(capsys):
     assert report["results"]["decreasing"] is True
 
 
+def test_hadamard_exact_product_is_not_a_failure(capsys):
+    # at 0 the truncated product is exact: every residual is the same
+    # rounding of xi(0) = 1/2, which the verdict must not read as rising
+    code, out, _ = run(capsys, "hadamard", "--num-zeros", "60", "--at", "0",
+                       "--deterministic")
+    assert code == EXIT_OK
+    rows = json.loads(out)["results"]["profile"]
+    assert len(rows) == 4
+    assert max(r["residual"] for r in rows) <= rzlab.hadamard.RESIDUAL_FLOOR
+
+
+@pytest.mark.parametrize("scale,expected", [
+    ((1.0, 1.0), EXIT_OK), ((0.5, 2.0), EXIT_VERIFICATION),
+    ((2.0, 2.0), EXIT_VERIFICATION), ((2.0, 3.0), EXIT_VERIFICATION)])
+def test_hadamard_profile_rising_above_the_floor_exits_3(
+        monkeypatch, capsys, scale, expected):
+    floor = rzlab.hadamard.RESIDUAL_FLOOR
+    monkeypatch.setattr(rzlab.hadamard, "convergence_profile",
+                        lambda at, checkpoints, catalog, params:
+                        [floor * f for f in scale])
+    code, out, _ = run(capsys, "hadamard", "--num-zeros", "25",
+                       "--deterministic")
+    assert code == expected
+    assert json.loads(out)["results"]["decreasing"] is (expected == EXIT_OK)
+
+
 def test_dispersion_roundtrip_unit(capsys):
     code, out, _ = run(capsys, "dispersion", "roundtrip", "--model", "unit",
                        "--nodes", "401", "--deterministic")

@@ -1,4 +1,3 @@
-import math
 import random
 
 import mpmath
@@ -9,19 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 import rzlab.zeros
 from rzlab.errors import PreconditionError
 from rzlab.numerics import ContourRectangle, winding_number
-from rzlab.zeros import (count_zeros_rectangle, critical_line_function,
-                         find_zeros)
+from rzlab.zeros import count_zeros_rectangle, find_zeros
 from rzlab.zeta import T_MAX, log_xi_array
 
 # First ordinates, frozen from an independent high-precision evaluation.
 FIRST_ORDINATES = (14.134725141734694, 21.022039638771555,
                    25.010857580145689, 30.424876125859513,
                    32.935061587739190)
-
-
-def test_critical_line_function_is_real_signed():
-    v = critical_line_function(10.0)
-    assert v.phase in (0.0, math.pi)
 
 
 def test_find_zeros_first_five():

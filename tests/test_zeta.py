@@ -4,11 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rzlab.zeta
 from rzlab.errors import PoleError, RangeError
-from rzlab.zeta import (SIGMA_MIN, ComplexArgument, SignedLogComplex, T_MAX,
+from rzlab.zeta import (SIGMA_MIN, ComplexArgument, T_MAX,
                         log_xi, log_xi_array, xi, xi_symmetry_residual,
                         zeta, zeta_em, zeta_times_s_minus_1)
 
@@ -85,16 +85,16 @@ def test_complex_argument():
 
 @pytest.mark.parametrize("s,ref", XI_REFS)
 def test_xi_reference(s, ref):
-    got = xi(s).to_complex()
+    got = xi(s)
     assert abs(got - ref) < 1e-11 * abs(ref)
 
 
 def test_xi_log_form_tracks_decay():
     # |xi(1/2 + it)| decays like exp(-pi t / 4); the log form must hold
     # the value far below linear underflow thresholds of naive products.
-    v = xi(complex(0.5, 200.0))
-    assert v.log_modulus < -100.0
-    assert math.isfinite(v.log_modulus)
+    lm = log_xi(complex(0.5, 200.0)).real
+    assert lm < -100.0
+    assert math.isfinite(lm)
 
 
 def test_xi_symmetry_residual_grid():
@@ -102,24 +102,9 @@ def test_xi_symmetry_residual_grid():
         assert xi_symmetry_residual(s) < 1e-10
 
 
-def test_signed_log_complex_roundtrip():
-    for w in (1.5 + 2.5j, -3.0 + 0.0j, 1e-200 - 1e-200j):
-        v = SignedLogComplex.from_complex(w)
-        assert abs(v.to_complex() - w) < 1e-13 * abs(w)
-    assert SignedLogComplex.from_complex(0).abs() == 0.0
-
-
-def test_signed_log_complex_algebra():
-    a = SignedLogComplex.from_complex(2.0 + 1.0j)
-    b = SignedLogComplex.from_complex(-0.5 + 3.0j)
-    assert abs((a * b).to_complex() - (2.0 + 1.0j) * (-0.5 + 3.0j)) < 1e-13
-    assert abs((a / b).to_complex() - (2.0 + 1.0j) / (-0.5 + 3.0j)) < 1e-14
-    assert abs(a.reciprocal().to_complex() - 1.0 / (2.0 + 1.0j)) < 1e-15
-
-
 def test_log_xi_consistent_with_xi():
     s = complex(0.25, 18.0)
-    assert abs(cmath.exp(log_xi(s)) - xi(s).to_complex()) < 1e-12
+    assert abs(cmath.exp(log_xi(s)) - xi(s)) < 1e-12
 
 
 @pytest.mark.parametrize("x", [1e160, 1e300])
@@ -242,30 +227,41 @@ GRID_BOUNDS = {
 }
 
 
-def _grid_errors(sigma):
-    """Worst errors of zeta, log_xi and log_xi_array against mpmath over
-    sigma +- i GRID_T; log_xi is compared through the zeta it implies,
-    exp(log_xi - log of the prefactor s (s-1) pi^(-s/2) Gamma(s/2) / 2)."""
-    pts, zetas, prefactors = [], [], []
+def _mp_zeta_and_prefactor(s):
+    """zeta(s) and the log of xi's prefactor s (s-1) pi^(-s/2) Gamma(s/2)
+    / 2 = (s-1) pi^(-s/2) Gamma(s/2 + 1), from mpmath at 20 digits."""
     with mpmath.workdps(20):
-        for t in GRID_T:
-            s = mpmath.mpc(sigma, t)
-            z = complex(mpmath.zeta(s))
-            pre = complex(mpmath.log(s * (s - 1) / 2)
-                          - s / 2 * mpmath.log(mpmath.pi)
-                          + mpmath.loggamma(s / 2))
-            # both are real on the real axis: conjugate s, conjugate value
-            pts += [complex(sigma, t), complex(sigma, -t)]
-            zetas += [z, z.conjugate()]
-            prefactors += [pre, pre.conjugate()]
-    pts = np.array(pts)
+        s = mpmath.mpc(s)
+        return (complex(mpmath.zeta(s)),
+                complex(mpmath.log(s - 1) - s / 2 * mpmath.log(mpmath.pi)
+                        + mpmath.loggamma(s / 2 + 1)))
+
+
+def _errors(pts, zetas, prefactors, relative):
+    """Worst errors of zeta, log_xi and log_xi_array at the points pts
+    against mpmath's zetas, absolute or relative; log_xi is compared
+    through the zeta it implies, exp(log_xi - log of the prefactor)."""
+    pts = np.array(pts, dtype=complex)
     zetas, prefactors = np.array(zetas), np.array(prefactors)
-    scale = 1.0 if 0.0 <= sigma <= 1.0 else np.abs(zetas)
+    scale = np.abs(zetas) if relative else 1.0
     scalar_xi = np.array([log_xi(complex(s)) for s in pts])
     return tuple(float(np.max(np.abs(v - zetas) / scale)) for v in (
         np.array([zeta(complex(s)) for s in pts]),
         np.exp(scalar_xi - prefactors),
         np.exp(log_xi_array(pts) - prefactors)))
+
+
+def _grid_errors(sigma):
+    """Worst errors of zeta, log_xi and log_xi_array against mpmath over
+    sigma +- i GRID_T, absolute in the strip and relative elsewhere."""
+    pts, zetas, prefactors = [], [], []
+    for t in GRID_T:
+        z, pre = _mp_zeta_and_prefactor(complex(sigma, t))
+        # both are real on the real axis: conjugate s, conjugate value
+        pts += [complex(sigma, t), complex(sigma, -t)]
+        zetas += [z, z.conjugate()]
+        prefactors += [pre, pre.conjugate()]
+    return _errors(pts, zetas, prefactors, not 0.0 <= sigma <= 1.0)
 
 
 @pytest.mark.parametrize("sigma", sorted(GRID_BOUNDS))
@@ -307,6 +303,29 @@ def test_reflected_log_xi_matches_mpmath_property(re, im):
     for g in (scalar, array):
         assert abs(cmath.exp(g) / want - 1.0) <= 4.87e-13, (s, g)
     assert abs(cmath.exp(array - scalar) - 1.0) <= 4.87e-13
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(-T_MAX, T_MAX))
+def test_strip_zeta_and_log_xi_match_mpmath_property(re, im):
+    # absolute error, as on the strip grids, within the largest strip
+    # grid bound; |zeta| ~ 1/|s - 1| makes absolute error meaningless at
+    # the pole, whose neighbourhood the relative property below covers
+    s = complex(re, im)
+    assume(abs(s - 1.0) >= 1e-2)
+    z, pre = _mp_zeta_and_prefactor(s)
+    errs = _errors([s], [z], [pre], False)
+    assert max(errs) <= 2.16e-12, (s, errs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(1.0, 3.0, exclude_min=True), st.floats(-T_MAX, T_MAX))
+def test_right_of_strip_zeta_and_log_xi_match_mpmath_property(re, im):
+    # relative error, within the Re s = 3 grid bound
+    s = complex(re, im)
+    z, pre = _mp_zeta_and_prefactor(s)
+    errs = _errors([s], [z], [pre], True)
+    assert max(errs) <= 2.24e-13, (s, errs)
 
 
 def test_log_xi_array_batches_reflected_points(monkeypatch):
