@@ -2,8 +2,9 @@
 emits a JSON report (canonical) or a CSV projection for plotting.
 
 Each mode is one subparser carrying only the options it reads, and one
-handler returning (parameters, results, rows, diagnostics, exit_code);
-`main` wraps that in the report envelope and writes it.
+handler returning (results, rows, diagnostics, exit_code); `main` wraps
+that in the report envelope, whose parameters are the mode's own
+options, and writes it.
 
 Exit codes: 0 success, 2 domain/range error, 3 verification failure,
 64 usage error.
@@ -49,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_jobs():
-    """The deprecated RZLAB_JOBS value, else 1.  It is validated and
-    reported but selects nothing: every scan runs serially."""
+    """The RZLAB_JOBS value, else 1.  No mode reads it: it is kept only
+    for the header line of perfbench/run.py."""
     env = os.environ.get("RZLAB_JOBS")
     if env:
         try:
@@ -76,9 +77,16 @@ def _complex_str(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _write_report(args, parameters, results, rows, diagnostics):
+# Namespace entries that shape the report rather than the computation.
+_REPORT_ENTRIES = ("format", "out", "deterministic", "func", "command",
+                   "columns")
+
+
+def _write_report(args, results, rows, diagnostics):
     """Write the JSON envelope or its CSV projection.  The envelope is
     serialized either way, so a non-finite number is a range error."""
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in _REPORT_ENTRIES}
     envelope = {"command": args.command, "parameters": parameters,
                 "results": results, "diagnostics": list(diagnostics),
                 "version": __version__}
@@ -138,9 +146,7 @@ def cmd_zeros(args):
     results = {"zeros": rows, "count": len(zeros),
                "rectangle_count": rect_count,
                "cross_check": "consistent" if consistent else "inconsistent"}
-    parameters = {"t_min": args.t_min, "t_max": args.t_max,
-                  "step": args.step, "tol": args.tol, "jobs": args.jobs}
-    return (parameters, results, rows, diagnostics,
+    return (results, rows, diagnostics,
             EXIT_OK if consistent else EXIT_VERIFICATION)
 
 
@@ -158,7 +164,7 @@ def cmd_smatrix_eval(args):
              "value_re": value["re"] if value else "",
              "value_im": value["im"] if value else "",
              "pole": m.pole_flag, "zero": m.zero_flag}]
-    return {"re": args.re, "im": args.im}, results, rows, [], EXIT_OK
+    return results, rows, [], EXIT_OK
 
 
 def cmd_smatrix_scan(args):
@@ -182,8 +188,7 @@ def cmd_smatrix_scan(args):
     series = [{"tau": t, "unitarity_deviation": d}
               for t, d in zip(tau.tolist(), dev.tolist())]
     results = {"series": series, "max_deviation": float(dev.max())}
-    return ({"tau_max": args.tau_max, "step": args.step}, results, series,
-            [], EXIT_OK)
+    return results, series, [], EXIT_OK
 
 
 def cmd_smatrix_correspondence(args):
@@ -207,7 +212,7 @@ def cmd_smatrix_correspondence(args):
     passes = sum(row["winding_ok"] for row in rows)
     results = {"per_zero": rows, "passes": passes,
                "checked": args.num_zeros}
-    return ({"num_zeros": args.num_zeros}, results, rows, diagnostics,
+    return (results, rows, diagnostics,
             EXIT_OK if passes == args.num_zeros else EXIT_VERIFICATION)
 
 
@@ -233,41 +238,42 @@ def cmd_kmoment(args):
                "closed_form_printed": _complex_str(
                    k_moment_closed_form(args.nu, printed)),
                "coefficient_flag": flag}
-    return {"nu": args.nu}, results, rows, diagnostics, EXIT_OK
+    return results, rows, diagnostics, EXIT_OK
 
 
 def cmd_jost_verify(args):
-    from .quantum import (OrderParameter, jost_solution_analytic,
-                          jost_solution_ode)
+    from .quantum import (jost_solution_analytic, jost_solution_ode,
+                          order_from_coupling)
 
     if not args.k > 0.0:
         raise PreconditionError("k must be positive")
-    nu = OrderParameter.from_coupling(args.lam).nu
-    samples = [(y, f) for y, f in jost_solution_ode(args.k, args.lam, 1.0,
+    lam = vars(args)["lambda"]
+    nu = order_from_coupling(lam)
+    samples = [(y, f) for y, f in jost_solution_ode(args.k, lam, 1.0,
                                                     25.0 / args.k)
                if 1.0 <= y <= 10.0]
     f_ref = jost_solution_analytic(args.k, nu, [y for y, _ in samples])
     rows = [{"y": y, "f_ode_re": f.real, "f_ode_im": f.imag,
              "rel_error": abs(f - r) / abs(r)}
             for (y, f), r in zip(samples, f_ref.tolist())]
-    results = {"lambda": args.lam, "k": args.k, "nu": _complex_str(nu),
+    results = {"lambda": lam, "k": args.k, "nu": _complex_str(nu),
                "max_rel_error": max(row["rel_error"] for row in rows),
                "samples": rows}
-    return {"lambda": args.lam, "k": args.k}, results, rows, [], EXIT_OK
+    return results, rows, [], EXIT_OK
 
 
 def cmd_khuri(args):
-    from .quantum import (MOMENT_RELATIVE_IM_MAX, OrderParameter,
-                          khuri_reality_residual)
+    from .quantum import (MOMENT_RELATIVE_IM_MAX, khuri_reality_residual,
+                          order_from_coupling)
 
-    lam = complex(args.lam, args.im_lambda)
+    lam = complex(vars(args)["lambda"], args.im_lambda)
     residual = khuri_reality_residual(lam)
     results = {"lambda": _complex_str(lam), "residual": residual,
                "real_coupling": lam.imag == 0.0}
     rows = [{"lambda_re": lam.real, "lambda_im": lam.imag,
              "residual": residual}]
     # a real coupling returns 0 before any moment is computed
-    nu = OrderParameter.from_coupling(lam).nu
+    nu = order_from_coupling(lam)
     diagnostics = []
     if lam.imag != 0.0 and abs(nu.imag) >= MOMENT_RELATIVE_IM_MAX:
         diagnostics.append(
@@ -275,8 +281,7 @@ def cmd_khuri(args):
             "residual, is accurate only in absolute terms (bessel_k "
             "cancels down to e^(-pi |Im nu| / 2))"
             % (abs(nu.imag), MOMENT_RELATIVE_IM_MAX))
-    return ({"lambda": args.lam, "im_lambda": args.im_lambda}, results,
-            rows, diagnostics, EXIT_OK)
+    return results, rows, diagnostics, EXIT_OK
 
 
 def cmd_hadamard(args):
@@ -297,9 +302,7 @@ def cmd_hadamard(args):
                              "b": _complex_str(params.b)},
                "at": _complex_str(at), "profile": rows,
                "decreasing": decreasing}
-    parameters = {"num_zeros": args.num_zeros, "at_re": args.at_re,
-                  "at_im": args.at_im}
-    return (parameters, results, rows, diagnostics,
+    return (results, rows, diagnostics,
             EXIT_OK if decreasing else EXIT_VERIFICATION)
 
 
@@ -311,17 +314,19 @@ def cmd_dispersion(args):
     if args.nodes > MAX_GRID_POINTS:
         raise GridError("--nodes %d is above the cap of %d grid points"
                         % (args.nodes, MAX_GRID_POINTS))
+    if not math.isfinite(2.0 * args.half_width):
+        raise GridError("--half-width %g spans a grid wider than a float"
+                        % args.half_width)
     builders = {"unit": unit_model, "rational": rational_model,
                 "bound-state": bound_state_model}
     samples, spec = builders[args.model](half_width=args.half_width,
                                          nodes=args.nodes)
     residual = roundtrip_residual(samples, spec)
-    parameters = {"model": args.model, "half_width": args.half_width,
-                  "nodes": args.nodes}
-    results = dict(parameters, bound_states=list(spec.bound_state_momenta),
+    row = {"model": args.model, "half_width": args.half_width,
+           "nodes": args.nodes}
+    results = dict(row, bound_states=list(spec.bound_state_momenta),
                    roundtrip_residual=residual)
-    rows = [dict(parameters, residual=residual)]
-    return parameters, results, rows, [], EXIT_OK
+    return results, [dict(row, residual=residual)], [], EXIT_OK
 
 
 def _mode(sub, command, func, columns, **kwargs):
@@ -330,8 +335,6 @@ def _mode(sub, command, func, columns, **kwargs):
     p = sub.add_parser(command.rsplit(" ", 1)[-1], **kwargs)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write report to this file")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="deprecated and ignored (default: RZLAB_JOBS or 1)")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the timestamp field for byte-identical output")
     p.set_defaults(func=func, command=command, columns=columns)
@@ -372,7 +375,7 @@ def build_parser():
                            ).add_subparsers()
     p = _mode(modes, "quantum jost-verify", cmd_jost_verify,
               ("y", "f_ode_re", "f_ode_im", "rel_error"))
-    p.add_argument("--lambda", dest="lam", type=_finite, default=2.0)
+    p.add_argument("--lambda", type=_finite, default=2.0)
     p.add_argument("--k", type=_finite, default=1.0)
     p = _mode(modes, "quantum kmoment", cmd_kmoment,
               ("nu", "integral_re", "fitted_coefficient",
@@ -380,14 +383,14 @@ def build_parser():
     p.add_argument("--nu", type=_finite, default=0.5)
     p = _mode(modes, "quantum khuri", cmd_khuri,
               ("lambda_re", "lambda_im", "residual"))
-    p.add_argument("--lambda", dest="lam", type=_finite, default=2.0)
+    p.add_argument("--lambda", type=_finite, default=2.0)
     p.add_argument("--im-lambda", type=_finite, default=0.0)
 
     p = _mode(sub, "hadamard", cmd_hadamard, ("n", "residual"),
               help="truncated zero-product convergence")
     p.add_argument("--num-zeros", type=int, default=100)
     p.add_argument("--at", dest="at_re", type=_finite, default=2.0)
-    p.add_argument("--at-im", dest="at_im", type=_finite, default=0.0)
+    p.add_argument("--at-im", type=_finite, default=0.0)
 
     modes = sub.add_parser("dispersion",
                            help="dispersion reconstruction checks"
@@ -406,7 +409,6 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         if not hasattr(args, "func"):
             raise _UsageExit("a subcommand is required")
-        args.jobs = args.jobs or _default_jobs()
         *report, code = args.func(args)
         _write_report(args, *report)
         return code

@@ -8,7 +8,7 @@ correlation, so the round trip costs O(n log n).
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class BlaschkeSpec:
                            tuple(float(k) for k in self.bound_state_momenta))
         if any(k <= 0 for k in self.bound_state_momenta):
             raise ValueError("bound-state momenta must be positive")
-
-    @property
-    def count(self):
-        return len(self.bound_state_momenta)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ RESIDUAL_FLOOR = 4.87e-13
 
 @dataclass(frozen=True)
 class HadamardParams:
-    m: int  # order of the zero at the origin; 0 for xi since xi(0) != 0
     a: complex
     b: complex
 
@@ -53,12 +52,12 @@ def fit_constants():
     Multiplicative Number Theory, ch. 12)."""
     a = complex(math.log(0.5))
     b = complex(-0.5 * EULER_GAMMA - 1.0 + 0.5 * math.log(4.0 * math.pi))
-    return HadamardParams(m=0, a=a, b=b)
+    return HadamardParams(a=a, b=b)
 
 
 def hadamard_partial(params, catalog, z, n):
     """Partial Hadamard product over the first n ordinates:
-    z^m e^A e^{Bz} prod (1 - z/rho)(1 - z/conj rho) e^{z(1/rho + 1/conj rho)}.
+    e^A e^{Bz} prod (1 - z/rho)(1 - z/conj rho) e^{z(1/rho + 1/conj rho)}.
 
     Returns exactly 0 when z coincides with a catalog zero (relative
     tolerance 1e-12); that is a value, not an error.
@@ -67,8 +66,6 @@ def hadamard_partial(params, catalog, z, n):
         raise PreconditionError("n exceeds catalog size")
     z = complex(z)
     log_total = params.a + params.b * z
-    if params.m:
-        log_total += params.m * cmath.log(z)
     total_pairs = 0j
     for t in catalog.ordinates[:n]:
         rho = complex(0.5, t)

@@ -11,7 +11,6 @@ propagator written here, not by a general-purpose solver.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,34 +40,21 @@ _MOMENT_MAX_SCALED_IM = 8.0
 MOMENT_RELATIVE_IM_MAX = 10.0
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """V(y) = coupling / y^2 for y > 0, infinite barrier for y <= 0."""
-    coupling: complex
+def order_from_coupling(lam):
+    """nu = sqrt(lambda + 1/4), principal root with Re nu >= 0 (ties
+    broken to Im nu >= 0); K symmetry makes the choice observable-neutral."""
+    nu = cmath.sqrt(complex(lam) + 0.25)
+    if nu.real < 0 or (nu.real == 0 and nu.imag < 0):
+        nu = -nu
+    return nu
 
 
-@dataclass(frozen=True)
-class OrderParameter:
-    coupling: complex
-    nu: complex
-
-    @staticmethod
-    def from_coupling(lam):
-        """nu = sqrt(lambda + 1/4), principal root with Re nu >= 0
-        (ties broken to Im nu >= 0); K symmetry makes the choice
-        observable-neutral."""
-        lam = complex(lam)
-        nu = cmath.sqrt(lam + 0.25)
-        if nu.real < 0 or (nu.real == 0 and nu.imag < 0):
-            nu = -nu
-        return OrderParameter(coupling=lam, nu=nu)
-
-
-def potential(spec, y):
-    """lambda / y^2; y <= 0 is inside the infinite barrier."""
+def potential(lam, y):
+    """V(y) = lambda / y^2 for y > 0; y <= 0 is inside the infinite
+    barrier."""
     if y <= 0:
         raise DomainError("barrier region: V = infinity for y <= 0")
-    v = spec.coupling / (y * y)
+    v = complex(lam) / (y * y)
     return v.real if v.imag == 0 else v
 
 
@@ -185,7 +171,7 @@ def jost_solution_ode(k, lam, y_end, y_start):
             "cannot integrate through the y -> 0 singularity (floor %g)"
             % ODE_Y_FLOOR)
     lam = complex(lam)
-    nu = OrderParameter.from_coupling(lam).nu
+    nu = order_from_coupling(lam)
     f, g = _plane_wave_tail(k, nu, y_start)
     # the tail's own residual |f e^{-iky} - 1|; not ... < refuses a NaN
     if not abs(f * cmath.exp(-1j * k * y_start) - 1.0) < 2e-1:
@@ -321,21 +307,19 @@ def fit_moment_coefficient():
     return measured / (math.pi * 0.5 / math.sin(math.pi * 0.5))
 
 
-def khuri_reality_residual(lam, tau=1.0):
+def khuri_reality_residual(lam):
     """|Im(lambda)| times the positive normalization integral
-    (2/pi)(1/tau) int_0^oo y K_nu(y)^2 dy, with nu = sqrt(lambda + 1/4).
+    (2/pi) int_0^oo y K_nu(y)^2 dy, with nu = sqrt(lambda + 1/4).
 
     Vanishes identically for real lambda; for couplings from
     critical-line zeros it is exactly zero.
     """
-    if tau <= 0:
-        raise DomainError("tau must be positive")
     lam = complex(lam)
-    nu = OrderParameter.from_coupling(lam).nu
+    nu = order_from_coupling(lam)
     if abs(nu.real) >= 1.0:
         raise DivergenceError(
             "normalization integral diverges for |Re nu| >= 1")
     if lam.imag == 0.0:
         return 0.0  # integral is finite by the check above
     moment = k_moment_integral(nu, tol=1e-9)
-    return abs(lam.imag) * (2.0 / math.pi) / tau * abs(moment.value)
+    return abs(lam.imag) * (2.0 / math.pi) * abs(moment.value)

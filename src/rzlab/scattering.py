@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .numerics import ContourRectangle, winding_number
-from .zeta import _as_s, log_xi, log_xi_array, xi
+from .zeta import log_xi, log_xi_array, xi
 
 # A point p counts as a xi zero when it lies within this distance of
 # one (simple zeros: |xi/xi'| is the distance to the zero).
@@ -35,11 +35,6 @@ class SMatrixValue:
     def __post_init__(self):
         if self.pole_flag and self.zero_flag:
             raise ValueError("pole_flag and zero_flag are mutually exclusive")
-
-
-@dataclass(frozen=True)
-class CouplingValue:
-    coupling: complex
 
 
 def _xi_vanishes(p, lx):
@@ -64,7 +59,7 @@ def _xi_vanishes(p, lx):
 
 def s_matrix(s):
     """S(s) = xi(2s)/xi(-2s) in log form, with pole/zero flags."""
-    s = _as_s(s)
+    s = complex(s)
     num = log_xi(2.0 * s)
     den = log_xi(-2.0 * s)
     pole = _xi_vanishes(-2.0 * s, den)
@@ -117,7 +112,7 @@ def coupling_at_zero(t_n):
     On the critical line this is exactly -(1/4 + t_n^2): real, below
     -1/4.  Computed in that closed form so Im is exactly zero.
     """
-    return CouplingValue(complex(-(0.25 + t_n * t_n), 0.0))
+    return complex(-(0.25 + t_n * t_n), 0.0)
 
 
 def coupling_from_root(rho):
@@ -127,7 +122,7 @@ def coupling_from_root(rho):
     use this as the negative control.
     """
     rho = complex(rho)
-    return CouplingValue(rho * (rho - 1.0))
+    return rho * (rho - 1.0)
 
 
 def flat_wave(s, y):
@@ -135,7 +130,7 @@ def flat_wave(s, y):
     Eisenstein wave, for y > 0."""
     if y <= 0:
         raise ValueError("flat_wave requires y > 0")
-    s = _as_s(s)
+    s = complex(s)
     m = s_matrix(s)
     if m.pole_flag:
         raise VerificationError("S(s) has a pole at %s" % s)

@@ -7,7 +7,6 @@ RangeError is raised rather than returning degraded values.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +23,6 @@ _STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
 
 BESSEL_K_MAX_REAL_ORDER = 5.0
 HANKEL_MAX_ARGUMENT = 30.0
-
-
-@dataclass(frozen=True)
-class ComplexOrder:
-    nu: complex
-
-    def __post_init__(self):
-        if not (math.isfinite(self.nu.real) and math.isfinite(self.nu.imag)):
-            raise ValueError("order must be finite")
-
-
-def _as_order(nu):
-    return nu.nu if isinstance(nu, ComplexOrder) else complex(nu)
 
 
 def _normalize_phase(w):
@@ -121,7 +107,7 @@ def bessel_k(nu, y):
     nu = 7i, y = 1e-20.  RangeError for a sum above MAX_GRID_POINTS
     nodes (|Im nu| beyond about 10^5 at y = 1e-20).
     """
-    nu = _as_order(nu)
+    nu = complex(nu)
     if not 0.0 < y < math.inf:
         raise DomainError("bessel_k requires finite y > 0")
     if abs(nu.real) > BESSEL_K_MAX_REAL_ORDER:
@@ -168,7 +154,7 @@ def hankel1(nu, x):
     array, for any x outside (0, 30], for a grid above MAX_GRID_POINTS
     nodes (|Im nu| beyond about 10^6), and where |H1| leaves the float
     range (nu = 2.5, x = 1e-200)."""
-    nu = _as_order(nu)
+    nu = complex(nu)
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     if not (flat.size and np.all((flat > 0.0) & (flat <= HANKEL_MAX_ARGUMENT))):

@@ -5,7 +5,6 @@ exp(-pi t / 4)).
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,10 @@ from .specfun import log_gamma, _log_sin, _stirling
 # (worst absolute error over 200 ordinates up to 260).
 T_MAX = 260.0
 SIGMA_MIN = -10.0
+# Right edge: log xi(1e300) is 3.44e302, still finite.  From about
+# Re s = 5e305 log Gamma(s/2 + 1) and so log xi are inf, and nearer the
+# largest float the Euler-Maclaurin exponents -s log k overflow.
+SIGMA_MAX = 1e300
 
 _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
@@ -73,26 +76,6 @@ _LOG_K = np.log(np.arange(1, int(_em_terms(T_MAX)), dtype=float))
 _CHUNK_TERMS = 2 ** 13
 
 
-@dataclass(frozen=True)
-class ComplexArgument:
-    sigma: float
-    t: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
-            raise ValueError("components must be finite")
-
-    @property
-    def s(self):
-        return complex(self.sigma, self.t)
-
-
-def _as_s(s):
-    if isinstance(s, ComplexArgument):
-        return s.s
-    return complex(s)
-
-
 def _check_window(s):
     if not abs(s.imag) <= T_MAX:
         raise RangeError("|Im s| = %g outside supported window (<= %g)"
@@ -100,6 +83,9 @@ def _check_window(s):
     if not s.real >= SIGMA_MIN:
         raise RangeError("Re s = %g below supported window (>= %g)"
                          % (s.real, SIGMA_MIN))
+    if not s.real <= SIGMA_MAX:
+        raise RangeError("Re s = %g above supported window (<= %g)"
+                         % (s.real, SIGMA_MAX))
 
 
 def zeta_em(sigma, t, n):
@@ -167,12 +153,12 @@ def _log_chi(s):
 
 
 def zeta(s):
-    """zeta(s) on the window Re s >= -10, |Im s| <= 260 (s != 1).
+    """zeta(s) on the window -10 <= Re s <= 1e300, |Im s| <= 260 (s != 1).
 
     Euler-Maclaurin for Re s >= 0; the functional equation reflects
     Re s < 0 to Re s > 1.
     """
-    s = _as_s(s)
+    s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has its pole at s = 1")
     _check_window(s)
@@ -201,7 +187,7 @@ def _laurent(d):
 
 def zeta_times_s_minus_1(s):
     """(s - 1) zeta(s), entire on the window; stable through s = 1."""
-    s = _as_s(s)
+    s = complex(s)
     _check_window(s)
     d = s - 1.0
     if abs(d) >= 1e-6:
@@ -236,7 +222,7 @@ def log_xi(s):
     (s/2)(s - 1) zeta(1 - s) = ((1 - s)/2) (-s) zeta(1 - s) comes from
     the Laurent series.  The phase is not folded into (-pi, pi].
     """
-    s = _as_s(s)
+    s = complex(s)
     if s.real < 0.0:
         _check_window(s)
         if abs(s) < _REFLECTED_LAURENT_RADIUS:
@@ -252,18 +238,19 @@ def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
     point, up to rounding.
 
-    Points of the window (Re s >= -10, |Im s| <= T_MAX) share zeta_em
-    calls, at s where Re s >= 0 and at 1 - s where Re s < 0, which takes
-    log_xi's reflected assembly: grouped by their number of terms n and
-    cut into chunks of _CHUNK_TERMS // max(n, 44) points.  The scalar
-    log_xi takes only the points outside the window, those within 1e-6
-    of s = 1 and those within _REFLECTED_LAURENT_RADIUS of 0 with Re s
-    < 0.
+    Points of the window (-10 <= Re s <= 1e300, |Im s| <= T_MAX) share
+    zeta_em calls, at s where Re s >= 0 and at 1 - s where Re s < 0,
+    which takes log_xi's reflected assembly: grouped by their number of
+    terms n and cut into chunks of _CHUNK_TERMS // max(n, 44) points.
+    The scalar log_xi takes only the points outside the window, those
+    within 1e-6 of s = 1 and those within _REFLECTED_LAURENT_RADIUS of 0
+    with Re s < 0.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    window = (flat.real >= SIGMA_MIN) & (np.abs(flat.imag) <= T_MAX)
+    window = ((flat.real >= SIGMA_MIN) & (flat.real <= SIGMA_MAX)
+              & (np.abs(flat.imag) <= T_MAX))
     direct = window & (flat.real >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
     reflected = (window & (flat.real < 0.0)
                  & (np.abs(flat) >= _REFLECTED_LAURENT_RADIUS))
@@ -307,7 +294,7 @@ def xi_symmetry_residual(s):
     Both sides are evaluated independently and compared after factoring
     out the common magnitude scale.
     """
-    s = _as_s(s)
+    s = complex(s)
     a, b = log_xi(s), log_xi(1.0 - s)
     scale = max(a.real, b.real)
     wa, wb = cmath.exp(a - scale), cmath.exp(b - scale)

@@ -15,10 +15,10 @@ import pytest
 from rzlab.dispersion import rational_model, roundtrip_residual, unit_model
 from rzlab.hadamard import ZeroCatalog, fit_constants, hadamard_partial
 from rzlab.numerics import ContourRectangle
-from rzlab.quantum import (OrderParameter, asymptotic_residual,
-                           fit_moment_coefficient, jost_solution_analytic,
-                           jost_solution_ode, k_moment_integral,
-                           khuri_reality_residual)
+from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
+                           jost_solution_analytic, jost_solution_ode,
+                           k_moment_integral, khuri_reality_residual,
+                           order_from_coupling)
 from rzlab.scattering import (coupling_at_zero, jost_plus, s_matrix,
                               zero_to_jost_zero)
 from rzlab.zeros import count_zeros_rectangle, find_zeros
@@ -97,7 +97,7 @@ def test_criterion_05_jost_zero_correspondence(zeros_to_100):
         fp = zero_to_jost_zero(z.ordinate)  # winding check inside
         assert fp.s == complex(-0.25, 0.5 * z.ordinate)
         assert math.exp(jost_plus(fp.s).log_value.real) < 1e-6
-        lam = coupling_at_zero(z.ordinate).coupling
+        lam = coupling_at_zero(z.ordinate)
         assert lam.imag == 0.0
         assert lam.real < -0.25
 
@@ -113,14 +113,14 @@ def test_criterion_06_moment_coefficient_adjudication():
 
 def test_criterion_07_jost_solution_ode_vs_analytic():
     for lam, k in ((2.0, 1.0), (6.0, 1.0), (2.0, 2.0)):
-        nu = OrderParameter.from_coupling(lam).nu
+        nu = order_from_coupling(lam)
         worst = 0.0
         for y, f in jost_solution_ode(k, lam, 1.0, 25.0 / k):
             if 1.0 <= y <= 10.0:
                 ref = jost_solution_analytic(k, nu, y)
                 worst = max(worst, abs(f - ref) / abs(ref))
         assert worst < 1e-6, (lam, k)
-    nu = OrderParameter.from_coupling(2.0).nu
+    nu = order_from_coupling(2.0)
     res = [asymptotic_residual(1.0, nu, y) for y in (4.0, 8.0, 16.0, 28.0)]
     assert all(b < a for a, b in zip(res, res[1:]))
     assert asymptotic_residual(1.0, 0.5, 3.0) == 0.0

@@ -59,10 +59,6 @@ def test_zeros_deterministic_byte_identical(capsys):
     _, out2, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
                      "--deterministic")
     assert out1 == out2
-    # the deprecated --jobs selects nothing, so the results are unchanged
-    _, out3, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
-                     "--deterministic", "--jobs", "3")
-    assert json.loads(out3)["results"] == json.loads(out1)["results"]
 
 
 @pytest.mark.parametrize("t_max", ["0.0005", "0.001"])
@@ -481,9 +477,13 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-# any finite float, the extremes +-1e300, and values within 1e-3 of 0
+# any finite float, the extremes +-1e300, the largest floats (whose double
+# overflows), and values within 1e-3 of 0
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from([1e300, -1e300]), st.floats(-1e-3, 1e-3))
+                    st.sampled_from([1e300, -1e300, 9e307,
+                                     1.7976931348623157e308,
+                                     -1.7976931348623157e308]),
+                    st.floats(-1e-3, 1e-3))
 
 
 def _near(lo, hi):
@@ -720,17 +720,53 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["results"]["count"] == 1
 
 
-def test_rzlab_jobs_env(monkeypatch, capsys):
-    # deprecated: reported, but no worker count is claimed unless set
-    monkeypatch.delenv("RZLAB_JOBS", raising=False)
-    _, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "15",
-                    "--deterministic")
-    assert json.loads(out)["parameters"]["jobs"] == 1
-    monkeypatch.setenv("RZLAB_JOBS", "2")
-    code, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "15",
-                       "--deterministic")
+# Each leaf mode with the parameters its report holds: its own options,
+# defaults included, and none of the report options.
+MODE_PARAMETERS = [
+    (("zeros", "--t-min", "0", "--t-max", "15"),
+     {"t_min": 0.0, "t_max": 15.0, "step": 0.1, "tol": 1e-10}),
+    (("smatrix", "eval", "--re", "0.3"), {"re": 0.3, "im": 0.0}),
+    (("smatrix", "scan", "--tau-max", "5"), {"tau_max": 5.0, "step": 0.1}),
+    (("smatrix", "correspondence", "--num-zeros", "1"), {"num_zeros": 1}),
+    (("quantum", "jost-verify"), {"lambda": 2.0, "k": 1.0}),
+    (("quantum", "kmoment"), {"nu": 0.5}),
+    (("quantum", "khuri", "--lambda", "-5"),
+     {"lambda": -5.0, "im_lambda": 0.0}),
+    (("hadamard", "--num-zeros", "10"),
+     {"num_zeros": 10, "at_re": 2.0, "at_im": 0.0}),
+    (("dispersion", "roundtrip", "--nodes", "401"),
+     {"model": "unit", "half_width": 50.0, "nodes": 401}),
+]
+
+
+@pytest.mark.parametrize("argv,parameters", MODE_PARAMETERS)
+def test_report_parameters_are_the_mode_options(capsys, argv, parameters):
+    code, out, _ = run(capsys, *argv, "--deterministic")
     assert code == EXIT_OK
-    assert json.loads(out)["parameters"]["jobs"] == 2
-    monkeypatch.setenv("RZLAB_JOBS", "junk")
-    code, _, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "15")
-    assert code == EXIT_USAGE
+    assert json.loads(out)["parameters"] == parameters
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in MODE_PARAMETERS])
+def test_jobs_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--jobs", "3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("smatrix", "eval", "--re", "8.9e307"),
+    ("hadamard", "--num-zeros", "3", "--at", "1.7976931348623157e308"),
+    ("dispersion", "roundtrip", "--half-width", "9e307", "--nodes", "11"),
+])
+def test_largest_floats_exit_2_without_a_warning(argv):
+    # Re s beyond SIGMA_MAX, and a grid span 2 * half-width that
+    # overflows, are refused before numpy meets an infinity
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    assert [str(w.message) for w in caught] == []
+    assert (code, out.getvalue()) == (EXIT_DOMAIN, "")
+    assert err.getvalue().startswith("domain error: ")
+    assert err.getvalue().count("\n") == 1

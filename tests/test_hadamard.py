@@ -4,8 +4,8 @@ import mpmath
 import pytest
 
 from rzlab.errors import PreconditionError
-from rzlab.hadamard import (HadamardParams, ZeroCatalog, convergence_profile,
-                            fit_constants, hadamard_partial)
+from rzlab.hadamard import (ZeroCatalog, convergence_profile, fit_constants,
+                            hadamard_partial)
 from rzlab.zeros import find_zeros
 from rzlab.zeta import xi
 
@@ -34,7 +34,6 @@ def test_fit_constants_values(params):
     assert abs(params.a.imag) < 1e-12
     # the log-derivative at the origin, a known slowly-varying constant
     assert abs(params.b.real - (-0.023095)) < 1e-4
-    assert params.m == 0
 
 
 def test_fit_constants_b_matches_log_xi_derivative(params):
@@ -75,12 +74,3 @@ def test_real_argument_gives_real_value(params, catalog):
 def test_n_beyond_catalog_rejected(params, catalog):
     with pytest.raises(PreconditionError):
         hadamard_partial(params, catalog, 2.0, len(catalog) + 1)
-
-
-def test_custom_params_origin_order():
-    # a synthetic entire function z e^z with a simple zero at the origin
-    p = HadamardParams(m=1, a=0.0, b=1.0)
-    cat = ZeroCatalog((1.0,))
-    got = hadamard_partial(p, cat, complex(0.3, 0.0), 0)
-    want = 0.3 * math.exp(0.3)
-    assert abs(got - want) < 1e-14

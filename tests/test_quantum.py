@@ -9,26 +9,24 @@ from hypothesis import given, settings, strategies as st
 from rzlab.errors import (DivergenceError, DomainError,
                           IntegrationLimitError, PoleError,
                           PreconditionError, RangeError)
-from rzlab.quantum import (OrderParameter, PotentialSpec,
-                           asymptotic_residual, fit_moment_coefficient,
+from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
                            jost_solution_analytic, jost_solution_ode,
                            k_moment_closed_form, k_moment_integral,
-                           khuri_reality_residual, potential,
-                           zero_energy_solutions)
+                           khuri_reality_residual, order_from_coupling,
+                           potential, zero_energy_solutions)
 
 
 def test_order_parameter_principal_root():
-    assert OrderParameter.from_coupling(2.0).nu == 1.5
-    nu = OrderParameter.from_coupling(-5.0).nu
+    assert order_from_coupling(2.0) == 1.5
+    nu = order_from_coupling(-5.0)
     assert nu.real == 0.0 and nu.imag > 0
     assert abs(nu.imag - math.sqrt(4.75)) < 1e-15
 
 
 def test_potential_barrier():
-    spec = PotentialSpec(coupling=2.0)
-    assert potential(spec, 2.0) == 0.5
+    assert potential(2.0, 2.0) == 0.5
     with pytest.raises(DomainError):
-        potential(spec, 0.0)
+        potential(2.0, 0.0)
 
 
 def test_zero_energy_solutions_basic():
@@ -54,7 +52,7 @@ def test_jost_analytic_plane_wave_at_half():
 
 
 def test_asymptotic_residual_decreasing():
-    nu = OrderParameter.from_coupling(2.0).nu
+    nu = order_from_coupling(2.0)
     res = [asymptotic_residual(1.0, nu, y) for y in (5.0, 10.0, 20.0, 28.0)]
     assert all(b < a for a, b in zip(res, res[1:]))
     assert asymptotic_residual(1.0, 0.5, 7.0) == 0.0
@@ -62,7 +60,7 @@ def test_asymptotic_residual_decreasing():
 
 def test_jost_ode_matches_analytic():
     for lam, k in ((2.0, 1.0), (6.0, 1.0), (2.0, 2.0)):
-        nu = OrderParameter.from_coupling(lam).nu
+        nu = order_from_coupling(lam)
         samples = jost_solution_ode(k, lam, 1.0, 25.0 / k)
         worst = 0.0
         for y, f in samples:
@@ -86,7 +84,7 @@ def _mp_jost(k, nu, y):
        st.floats(0.3, 3.0))
 def test_jost_ode_matches_mpmath_property(re_lam, im_lam, k):
     lam = complex(re_lam, im_lam)
-    nu = OrderParameter.from_coupling(lam).nu
+    nu = order_from_coupling(lam)
     samples = jost_solution_ode(k, lam, 1.0, 25.0 / k)
     inside = [s for s in samples if 1.0 <= s[0] <= 10.0]
     # the Magnus propagator's worst found is 1.5e-12; solve_ivp's was
@@ -199,8 +197,3 @@ def test_khuri_residual_linear_in_im_lambda():
     r2 = khuri_reality_residual(complex(lam0, 0.2))
     assert r1 > 0
     assert abs(r2 / r1 - 2.0) < 0.05
-
-
-def test_khuri_requires_positive_tau():
-    with pytest.raises(DomainError):
-        khuri_reality_residual(-5.0, tau=0.0)

@@ -8,7 +8,6 @@ from rzlab.errors import VerificationError
 from rzlab.scattering import (coupling_at_zero, coupling_from_root,
                               flat_wave, jost_plus, log_s_matrix, s_matrix,
                               zero_to_jost_zero)
-from rzlab.zeta import ComplexArgument
 
 T1 = 14.134725141734694
 
@@ -29,12 +28,6 @@ def test_s_matrix_unitary_on_imaginary_axis():
     for tau in (0.5, 3.0, 11.0, 25.0):
         m = s_matrix(complex(0.0, tau))
         assert abs(math.exp(m.log_value.real) - 1.0) < 1e-10
-
-
-def test_s_matrix_accepts_complex_argument_type():
-    a = s_matrix(ComplexArgument(0.1, 0.2))
-    b = s_matrix(complex(0.1, 0.2))
-    assert a.log_value.real == b.log_value.real
 
 
 def test_s_matrix_pole_and_zero_flags():
@@ -121,16 +114,16 @@ def test_log_s_matrix_matches_s_matrix():
 
 def test_coupling_at_zero_real_and_below_quarter():
     c = coupling_at_zero(T1)
-    assert c.coupling.imag == 0.0
-    assert c.coupling.real == -(0.25 + T1 * T1)
-    assert c.coupling.real < -0.25
+    assert c.imag == 0.0
+    assert c.real == -(0.25 + T1 * T1)
+    assert c.real < -0.25
 
 
 def test_coupling_from_root_off_line_control():
     on = coupling_from_root(complex(0.5, 10.0))
-    assert abs(on.coupling.imag) < 1e-14
+    assert abs(on.imag) < 1e-14
     off = coupling_from_root(complex(0.6, 10.0))
-    assert abs(off.coupling.imag - 2.0) < 1e-12
+    assert abs(off.imag - 2.0) < 1e-12
 
 
 def test_flat_wave_symmetry():

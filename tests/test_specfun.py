@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rzlab.errors import DomainError, PoleError, RangeError
-from rzlab.specfun import (ComplexOrder, bessel_k, hankel1, log_gamma)
+from rzlab.specfun import bessel_k, hankel1, log_gamma
 
 # Reference values frozen from an independent high-precision evaluation.
 LOG_GAMMA_REFS = [
@@ -140,12 +140,6 @@ def test_bessel_k_order_symmetry():
     a = bessel_k(complex(0.4, 0.8), 2.5)
     b = bessel_k(complex(-0.4, -0.8), 2.5)
     assert abs(a - b) < 1e-12 * abs(a)
-
-
-def test_bessel_k_accepts_order_wrapper():
-    a = bessel_k(ComplexOrder(complex(0.3, 0.0)), 2.0)
-    b = bessel_k(0.3, 2.0)
-    assert a == b
 
 
 def test_bessel_k_domain_errors():

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import rzlab.zeta
 from rzlab.errors import PoleError, RangeError
-from rzlab.zeta import (SIGMA_MIN, ComplexArgument, T_MAX,
-                        log_xi, log_xi_array, xi, xi_symmetry_residual,
-                        zeta, zeta_em, zeta_times_s_minus_1)
+from rzlab.zeta import (SIGMA_MAX, SIGMA_MIN, T_MAX, log_xi, log_xi_array,
+                        xi, xi_symmetry_residual, zeta, zeta_em,
+                        zeta_times_s_minus_1)
 
 # Frozen references from an independent high-precision evaluation.
 ZETA_REFS = [
@@ -75,12 +75,15 @@ def test_nan_is_outside_the_window(s):
             f(s)
 
 
-def test_complex_argument():
-    s = ComplexArgument(0.5, 14.0)
-    assert s.s == complex(0.5, 14.0)
-    assert abs(zeta(s) - zeta(complex(0.5, 14.0))) == 0.0
-    with pytest.raises(ValueError):
-        ComplexArgument(math.inf, 0.0)
+def test_window_right_edge():
+    # log xi is still finite at the edge; beyond it, up to infinity, the
+    # scalar and the array route raise before any term overflows
+    assert math.isfinite(log_xi(SIGMA_MAX).real)
+    assert log_xi_array(np.array([SIGMA_MAX]))[0] == log_xi(SIGMA_MAX)
+    for s in (math.nextafter(SIGMA_MAX, math.inf), 8.9e307, math.inf):
+        for f in (zeta, log_xi, lambda s: log_xi_array(np.array([s]))):
+            with pytest.raises(RangeError, match="above supported window"):
+                f(complex(s, 0.0))
 
 
 @pytest.mark.parametrize("s,ref", XI_REFS)
