@@ -11,9 +11,9 @@ from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
 __version__ = "0.1.0"
 
 # The one xi kernel: the numpy Euler-Maclaurin sum rzlab.zeta.zeta_em, called
-# on one point or on a batch of points that share its number of terms
-# (zeta.log_xi_array, which zero scans and winding contours use); zero
-# brackets are refined by Brent's method one point at a time.
+# on one point or on a batch of points (zeta.log_xi_array, which zero
+# scans, winding contours and zero refinement use); all of a scan's zero
+# brackets are refined together, one log_xi_array call per round.
 backend_name = "python"
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Shared numeric kernels: adaptive Gauss-Kronrod quadrature on a finite
-interval, bracketed root refinement, the sign of a computed real value,
-and argument-principle winding counts.
+interval, bracketed root refinement of many brackets at once, the sign of
+a computed real value, and argument-principle winding counts.
 
 All routines are pure functions over caller-supplied callables; nothing
 here knows about zeta or scattering.
@@ -22,7 +22,8 @@ MAX_GRID_POINTS = 10 ** 6
 # fewest samples on any side.
 SAMPLES_PER_UNIT = 10
 MIN_SIDE_SAMPLES = 32
-# Double-precision machine epsilon, for Brent's stopping test.
+# Double-precision machine epsilon: where tol is finer than the float
+# spacing, find_root_bracketed closes a bracket at 4 eps max(|lo|, |hi|).
 _EPS = 2.0 ** -52
 
 
@@ -37,16 +38,6 @@ class QuadratureResult:
             raise ValueError("error_estimate must be nonnegative")
         if self.evaluations < 1:
             raise ValueError("evaluations must be at least 1")
-
-
-@dataclass(frozen=True)
-class BracketInterval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("bracket requires lo < hi")
 
 
 @dataclass(frozen=True)
@@ -136,62 +127,107 @@ def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
     return QuadratureResult(total_val, total_err, evals)
 
 
-def find_root_bracketed(f, interval, tol, f_lo=None, f_hi=None):
-    """Brent's method (zeroin; Brent 1973, Algorithms for Minimization
-    without Derivatives, ch. 4) for a sign change of real-valued f.
+# A spread round of find_root_bracketed samples 5 points evenly inside
+# each bracket: with its ends, 7 nodes on [-1, 1].  Row i of _BASIS holds
+# the coefficients, in increasing _POWERS, of the Lagrange polynomial of
+# node i, and _FIT takes values at the nodes to the coefficients of the
+# polynomial p through them and of p'.  Both are built and applied
+# without BLAS, whose first call costs 1 MB.
+_NODES = np.linspace(-1.0, 1.0, 7)
+_POWERS = np.arange(7.0)
+_BASIS = np.array([np.poly(np.delete(_NODES, i))[::-1]
+                   / np.prod(u - np.delete(_NODES, i))
+                   for i, u in enumerate(_NODES)])
+_FIT = np.concatenate(
+    (_BASIS, np.roll(_BASIS * _POWERS, -1, axis=1)), axis=1)
+_TRIPLE = np.array([-1.0, 0.0, 1.0])
 
-    Inverse quadratic or secant steps where they stay safely inside the
-    bracket, bisection where they do not.  Returns a point of the final
-    sign-change bracket once its width is <= tol (or a few units in the
-    last place when tol is finer than that).  f_lo and f_hi are f at the
-    ends when the caller already has them; f is then called only inside.
+
+def find_root_bracketed(f, lo, hi, tol, f_lo, f_hi):
+    """Refine the sign changes of real-valued f on the brackets
+    [lo[i], hi[i]], where f is f_lo[i] and f_hi[i], all together, in
+    rounds that each call f once on an array of points strictly inside;
+    return the refined points and f there, each value from the round
+    that evaluated its point.
+
+    Rounds alternate.  A spread round samples 5 points evenly inside
+    each bracket, which keeps the neighbouring samples across which f
+    changes sign; Newton's method on the polynomial through the 7, from
+    the secant root of that pair, estimates the root x.  A certifying
+    round samples x and x -+ d, d = max(tol/2, 2 eps |x|), or the
+    quarters of a bracket narrower than 4 d.  A bracket closes once f is
+    0 at an end or it is tol (or 4 eps max(|lo|, |hi|)) wide; its end
+    with the smaller |f| is the result.  Brackets a tenth of a smooth
+    f's scale wide, as the zero scan's are, close in one round of each
+    kind.  A bracket without a sign change raises PreconditionError
+    before any call.
     """
-    a, b = interval.lo, interval.hi
-    fa = f(a) if f_lo is None else f_lo
-    fb = f(b) if f_hi is None else f_hi
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise PreconditionError("no sign change on bracket [%g, %g]" % (a, b))
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(200):
-        if (fb > 0) == (fc > 0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        # b is the best point, [b, c] the bracket
-        tol1 = 0.5 * max(tol, 4.0 * _EPS * abs(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol1 or fb == 0.0:
-            break
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            r = fb / fa
-            if a == c:  # secant
-                p = 2.0 * m * r
-                q = 1.0 - r
-            else:  # inverse quadratic interpolation
-                q = fa / fc
-                s = fb / fc
-                p = r * (2.0 * m * q * (q - s) - (b - a) * (s - 1.0))
-                q = (q - 1.0) * (s - 1.0) * (r - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
+    if not tol > 0.0:
+        raise PreconditionError("tol must be positive")
+    n = len(lo)
+    pair, pair_f = np.empty((n, 2)), np.empty((n, 2))
+    pair[:, 0], pair[:, 1] = lo, hi
+    pair_f[:, 0], pair_f[:, 1] = f_lo, f_hi
+    sign = np.sign(pair_f)
+    change = sign[:, 0] * sign[:, 1]
+    if np.count_nonzero(change > 0.0):
+        raise PreconditionError("no sign change on bracket [%g, %g]"
+                                % tuple(pair[(change > 0.0).argmax()]))
+    floor = np.fmax(tol, 4.0 * _EPS * np.abs(pair).max(axis=1))
+    root, value, todo = np.empty(n), np.empty(n), np.arange(n)
+    spread = True
+    while True:
+        width = pair[:, 1] - pair[:, 0]
+        closed = (width <= floor) | (change == 0.0)
+        if np.count_nonzero(closed):
+            end = (np.abs(pair_f[closed, 1])
+                   < np.abs(pair_f[closed, 0])).astype(int)
+            root[todo[closed]] = pair[closed, end]
+            value[todo[closed]] = pair_f[closed, end]
+            keep = ~closed
+            todo, pair, pair_f = todo[keep], pair[keep], pair_f[keep]
+            width, floor = width[keep], floor[keep]
+            if not spread:
+                y, centre, half = y[keep], centre[keep], half[keep]
+            n = len(todo)
+        if not n:
+            return root, value
+        if spread:
+            centre, half = pair[:, 0] + 0.5 * width, 0.5 * width
+            inner = _NODES[1:-1]
         else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
-    return b
+            # Newton's method in the spread's units u = (x - centre) / half
+            u = (pair - centre[:, None]) / half[:, None]
+            r = u[:, 0] + (u[:, 1] - u[:, 0]) * (
+                pair_f[:, 0] / (pair_f[:, 0] - pair_f[:, 1]))
+            coef = np.add.reduce(y[:, :, None] * _FIT, 1).reshape(n, 2, -1)
+            for _ in range(2):
+                p, dp = np.add.reduce(coef * (r[:, None] ** _POWERS)[:, None],
+                                      2).T
+                r = np.fmin(np.fmax(r - np.divide(
+                    p, dp, out=np.zeros(n), where=dp != 0.0), u[:, 0]),
+                    u[:, 1])
+            est = centre + half * r
+            half = np.fmin(np.fmax(0.5 * tol, 2.0 * _EPS * np.abs(est)),
+                           0.25 * width)
+            centre = np.fmin(np.fmax(est, pair[:, 0] + 2.0 * half),
+                             pair[:, 1] - 2.0 * half)
+            inner = _TRIPLE
+        m = len(inner) + 2
+        x, y = np.empty((n, m)), np.empty((n, m))
+        x[:, ::m - 1], y[:, ::m - 1] = pair, pair_f
+        x[:, 1:-1] = centre[:, None] + half[:, None] * inner
+        y[:, 1:-1] = np.asarray(f(x[:, 1:-1].ravel()),
+                                dtype=float).reshape(n, m - 2)
+        # the first neighbouring samples across which f changes sign or is
+        # 0: the left one is never 0, nor f there equal to f at the right
+        s = np.sign(y)
+        k = (s[:, :-1] * s[:, 1:] <= 0.0).argmax(axis=1) + np.arange(
+            0, n * m, m)
+        k = k[:, None] + (0, 1)
+        pair, pair_f, sign = x.take(k), y.take(k), s.take(k)
+        change = sign[:, 0] * sign[:, 1]
+        spread = not spread
 
 
 def _fold_phase(x):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .numerics import (MAX_GRID_POINTS, BracketInterval,
-                       find_root_bracketed, real_sign, winding_number)
-from .zeta import T_MAX, log_xi, log_xi_array
+from .numerics import (MAX_GRID_POINTS, find_root_bracketed, real_sign,
+                       winding_number)
+from .zeta import T_MAX, log_xi_array
 
 DEFAULT_STEP = 0.1
 DEFAULT_TOL = 1e-10
@@ -27,26 +27,25 @@ class ZetaZero:
     index: int
 
 
-def _scaled(sign, lm, t):
-    """sign |xi(1/2 + it)| e^{pi t / 4}, the function whose sign changes
-    are refined: with the e^{-pi t / 4} decay taken out, the values the
-    root finder interpolates stay far from underflow."""
-    return sign * np.exp(np.maximum(lm + 0.25 * math.pi * t, -700.0))
-
-
-def _scan(grid):
-    """Signs and log-magnitudes of xi(1/2 + it) over the grid, from one
-    batched evaluation."""
-    lx = log_xi_array(0.5 + 1j * np.abs(grid))
-    return real_sign(lx.imag), lx.real
+def _signed_scaled(t):
+    """xi(1/2 + it) e^{pi t / 4} at every t of the array, from one batched
+    evaluation, with the sign real_sign reads off the computed phase:
+    with the e^{-pi t / 4} decay taken out, the values the refiner
+    interpolates stay far from underflow."""
+    lx = log_xi_array(0.5 + 1j * np.abs(t))
+    return real_sign(lx.imag) * np.exp(
+        np.maximum(lx.real + 0.25 * math.pi * t, -700.0))
 
 
 def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     """All critical-line zeros with ordinate in (t_min, t_max).
 
     xi(1/2 + it) is evaluated on a grid of spacing at most step in one
-    batched call; each sign change is refined by Brent's method to a
-    bracket of width tol, starting from the grid values at its ends.
+    batched call; its sign changes are refined all together by
+    find_root_bracketed, one batched call per round (two rounds at the
+    default step), to brackets of width tol, starting from the grid
+    values at their ends.  Each residual is |xi| at the ordinate, from
+    the round that evaluated it.
     """
     if not (0.0 <= t_min < t_max <= T_MAX):
         raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
@@ -63,26 +62,13 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     grid[-1] = t_max  # the last sum can round past t_max, and so past T_MAX
     # no grid point lands on a zero: at the floats next to each zero below
     # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
-    signs, lms = _scan(grid)
-    f_grid = _scaled(signs, lms, grid)
-    # log |xi| at every point evaluated, for the residual at the root
-    log_mod = {}
-
-    def f(t):
-        lx = log_xi(complex(0.5, t))
-        log_mod[t] = lx.real
-        return float(_scaled(real_sign(lx.imag), lx.real, t))
-
-    zeros = []
-    for j in np.flatnonzero(signs[:-1] != signs[1:]).tolist():
-        t0, t1 = float(grid[j]), float(grid[j + 1])
-        log_mod[t0], log_mod[t1] = float(lms[j]), float(lms[j + 1])
-        root = find_root_bracketed(f, BracketInterval(t0, t1), tol,
-                                   f_lo=float(f_grid[j]),
-                                   f_hi=float(f_grid[j + 1]))
-        zeros.append(ZetaZero(ordinate=root, residual=math.exp(log_mod[root]),
-                              index=len(zeros) + 1))
-    return zeros
+    f_grid = _signed_scaled(grid)
+    j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
+    t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], tol,
+                                f_lo=f_grid[j], f_hi=f_grid[j + 1])
+    residual = np.abs(ft) * np.exp(-0.25 * math.pi * t)
+    return [ZetaZero(ordinate=float(x), residual=float(r), index=k + 1)
+            for k, (x, r) in enumerate(zip(t, residual))]
 
 
 def count_zeros_rectangle(rect):

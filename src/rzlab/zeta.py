@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .errors import PoleError, RangeError
-from .specfun import log_gamma, _log_sin, _stirling
+from .specfun import log_gamma, _log_sin, _normalize_phase, _stirling
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
 # (t_100 ~ 236.5).  Euler-Maclaurin with n = _em_terms(t) <= 88 terms
@@ -49,8 +49,8 @@ _EM_TAIL = (8.333333333333333e-02, -1.388888888888889e-03,
             1.455172475614865e-27, -3.6859949406653103e-29,
             9.336734257095045e-31, -2.36502241570063e-32,
             5.990671762482134e-34, -1.5174548844682903e-35)
-# 1, 2, ..., 42: the offsets k/n of the factors u + k/n in zeta_em.
-_EM_OFFSETS = np.arange(1.0, 2 * len(_EM_TAIL) - 1)
+# 0, 1, ..., 42: the offsets k/n of the factors u + k/n in zeta_em.
+_EM_OFFSETS = np.arange(0.0, 2 * len(_EM_TAIL) - 1)
 # Unit roundoff, where zeta_em stops the corrections of a single point.
 _ROUNDOFF = 2.0 ** -53
 
@@ -110,9 +110,9 @@ def zeta_em(sigma, t, n):
         # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
         # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
         # to 0 (real s above ~250) the products stay 0, never 0 * inf.
-        u = (s / n)[..., None]
-        f = np.concatenate((u * p[..., None], u + _EM_OFFSETS / n), axis=-1)
-        return total + (np.cumprod(f, axis=-1)[..., ::2] * _EM_TAIL).sum(-1)
+        f = (s / n)[..., None] + _EM_OFFSETS / n
+        f[..., 0] *= p
+        return total + np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
     s = complex(sigma, t)
     total = complex(np.exp(-s * log_k).sum())
     p = n ** (-s)
@@ -236,50 +236,62 @@ def log_xi(s):
 
 def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
-    point, up to rounding.
+    point, up to rounding (see _zeta_em_batch).
 
-    Points of the window (-10 <= Re s <= 1e300, |Im s| <= T_MAX) share
-    zeta_em calls, at s where Re s >= 0 and at 1 - s where Re s < 0,
-    which takes log_xi's reflected assembly: grouped by their number of
-    terms n and cut into chunks of _CHUNK_TERMS // max(n, 44) points.
+    Points of the window (-10 <= Re s <= 1e300, |Im s| <= T_MAX) are
+    batched: log Gamma over them at once and zeta_em at s where Re s >= 0
+    and at 1 - s where Re s < 0, which takes log_xi's reflected assembly.
     The scalar log_xi takes only the points outside the window, those
     within 1e-6 of s = 1 and those within _REFLECTED_LAURENT_RADIUS of 0
     with Re s < 0.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
+    re = flat.real
+    inside = (np.abs(flat.imag) <= T_MAX) & (re <= SIGMA_MAX)
+    direct = inside & (re >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
     out = np.empty(flat.shape, dtype=complex)
-    window = ((flat.real >= SIGMA_MIN) & (flat.real <= SIGMA_MAX)
-              & (np.abs(flat.imag) <= T_MAX))
-    direct = window & (flat.real >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
-    reflected = (window & (flat.real < 0.0)
-                 & (np.abs(flat) >= _REFLECTED_LAURENT_RADIUS))
-    for i in np.flatnonzero(~(direct | reflected)):
-        out[i] = log_xi(flat[i])
-    # the k direct points first, then the reflected ones
-    idx = np.concatenate((np.flatnonzero(direct), np.flatnonzero(reflected)))
-    if not idx.size:
-        return out.reshape(s.shape)
-    k = np.count_nonzero(direct)
-    z = flat[idx]
-    zd, zr = z[:k], z[k:]
-    w = np.concatenate((zd, 1.0 - zr))
-    terms = _em_terms(z.imag).astype(int)
-    zeta_w = np.empty(z.shape, dtype=complex)
+    if np.count_nonzero(direct) == flat.size:
+        direct = slice(None)  # every point: no mask to apply
+    else:
+        reflected = (inside & (re >= SIGMA_MIN) & (re < 0.0)
+                     & (np.abs(flat) >= _REFLECTED_LAURENT_RADIUS))
+        for i in np.flatnonzero(~(direct | reflected)):
+            out[i] = log_xi(flat[i])
+        if np.count_nonzero(reflected):
+            z = flat[reflected]
+            out[reflected] = _log_xi_reflected(
+                z, 0.5 * z * (z - 1.0) * _zeta_em_batch(1.0 - z), np.log)
+    z = flat[direct]
+    if z.size:
+        h = 0.5 * z
+        # log_gamma's array path; these points have Re s/2 + 1 >= 1
+        out[direct] = (_normalize_phase(_stirling(h + 1.0, np.log))
+                       - h * _LOG_PI + np.log((z - 1.0) * _zeta_em_batch(z)))
+    return out.reshape(s.shape)
+
+
+def _zeta_em_batch(w):
+    """zeta_em at every point of the 1-d array w.  A batch of at most
+    _CHUNK_TERMS // max(n, 44) points takes one call at its largest n
+    (more terms never lose accuracy); a larger one sums each point with
+    its own n, as the scalar path does, in chunks of that size, where a
+    shared n would cost more in terms than it saves in calls.  (With
+    another n, zeta moves by its rounding: near a zero, 1e-11 of it.)"""
+    a = np.abs(w.imag)
+    n = int(_em_terms(float(a.max())))
+    if len(w) * max(n, 2 * len(_EM_TAIL)) <= _CHUNK_TERMS:
+        return zeta_em(w.real, w.imag, n)
+    terms = _em_terms(a).astype(int)
+    out = np.empty_like(w)
     order = np.argsort(terms, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(terms[order])) + 1):
         n = int(terms[group[0]])
         chunk = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL))
         for lo in range(0, len(group), chunk):
             j = group[lo:lo + chunk]
-            zeta_w[j] = zeta_em(w.real[j], w.imag[j], n)
-    if zd.size:
-        out[idx[:k]] = (log_gamma(0.5 * zd + 1.0) - 0.5 * zd * _LOG_PI
-                        + np.log((zd - 1.0) * zeta_w[:k]))
-    if zr.size:
-        out[idx[k:]] = _log_xi_reflected(
-            zr, 0.5 * zr * (zr - 1.0) * zeta_w[k:], np.log)
-    return out.reshape(s.shape)
+            out[j] = zeta_em(w.real[j], w.imag[j], n)
+    return out
 
 
 def xi(s):

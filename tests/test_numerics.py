@@ -6,9 +6,9 @@ import pytest
 
 from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
                           PreconditionError)
-from rzlab.numerics import (BracketInterval, ContourRectangle,
-                            QuadratureResult, find_root_bracketed,
-                            integrate_adaptive, real_sign, winding_number)
+from rzlab.numerics import (ContourRectangle, QuadratureResult,
+                            find_root_bracketed, integrate_adaptive,
+                            real_sign, winding_number)
 
 
 def test_quadrature_result_validation():
@@ -19,8 +19,8 @@ def test_quadrature_result_validation():
 
 
 def test_bracket_validation():
-    with pytest.raises(ValueError):
-        BracketInterval(2.0, 1.0)
+    with pytest.raises(PreconditionError, match="tol"):
+        find_root_bracketed(np.cos, [1.0], [2.0], 0.0, [0.5], [-0.4])
     with pytest.raises(ValueError):
         ContourRectangle(0.0, 0.0, 0.0, 1.0)
 
@@ -67,45 +67,100 @@ def test_integrate_empty_interval():
     assert r.value == 0j
 
 
-def test_root_bracketed_cosine():
-    r = find_root_bracketed(math.cos, BracketInterval(1.0, 2.0), 1e-12)
-    assert abs(r - 0.5 * math.pi) < 1e-11
-
-
-def test_root_bracketed_brent_evaluation_count():
-    # bisection needs about 42 halvings of [1, 2] to reach 1e-12
+def _counted(fn):
+    """fn, and the list of the arrays it is called on."""
     calls = []
 
     def f(x):
-        calls.append(x)
-        return math.cos(x)
+        calls.append(np.array(x))
+        return fn(x)
+    return f, calls
 
-    r = find_root_bracketed(f, BracketInterval(1.0, 2.0), 1e-12)
-    assert abs(r - 0.5 * math.pi) <= 1e-12
-    assert len(calls) <= 15
+
+def test_root_bracketed_cosine():
+    f, calls = _counted(np.cos)
+    r, fr = find_root_bracketed(f, [1.0], [2.0], 1e-12, np.cos([1.0]),
+                                np.cos([2.0]))
+    assert abs(r[0] - 0.5 * math.pi) <= 1e-12
+    assert abs(fr[0]) <= 1e-12
+    # a spread round and a certifying one, twice over
+    assert [len(x) for x in calls] == [5, 3, 5, 3]
+
+
+def test_root_bracketed_many_brackets_few_rounds():
+    # 200 roots of sin, each in a bracket a tenth wide: a spread round of
+    # 5 points per bracket and a certifying round of 3, one call each
+    k = np.arange(1, 201)
+    lo = k * math.pi - 0.037
+    f, calls = _counted(np.sin)
+    r, fr = find_root_bracketed(f, lo, lo + 0.1, 1e-12, np.sin(lo),
+                                np.sin(lo + 0.1))
+    assert np.all(np.abs(r - k * math.pi) <= 1e-12)
+    assert [len(x) for x in calls] == [1000, 600]
+    # brackets half a scale wide take a second pair of rounds
+    f, calls = _counted(np.sin)
+    r, fr = find_root_bracketed(f, lo, lo + 0.5, 1e-12, np.sin(lo),
+                                np.sin(lo + 0.5))
+    assert np.all(np.abs(r - k * math.pi) <= 1e-12)
+    assert len(calls) <= 4
 
 
 def test_root_bracketed_takes_known_end_values():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return x * x - 2.0
-
-    r = find_root_bracketed(f, BracketInterval(1.0, 2.0), 1e-12,
-                            f_lo=-1.0, f_hi=2.0)
-    assert abs(r - math.sqrt(2.0)) <= 1e-12
-    assert calls and all(1.0 < x < 2.0 for x in calls)
-    # a given end value decides the sign test without a call
-    with pytest.raises(PreconditionError):
-        find_root_bracketed(f, BracketInterval(1.0, 2.0), 1e-12,
-                            f_lo=1.0, f_hi=2.0)
+    f, calls = _counted(lambda x: x * x - 2.0)
+    r, fr = find_root_bracketed(f, [1.0], [2.0], 1e-12, [-1.0], [2.0])
+    assert abs(r[0] - math.sqrt(2.0)) <= 1e-12
+    x = np.concatenate(calls)
+    assert x.size and np.all((1.0 < x) & (x < 2.0))
+    assert fr[0] == r[0] * r[0] - 2.0
 
 
 def test_root_bracketed_requires_sign_change():
-    with pytest.raises(PreconditionError):
-        find_root_bracketed(lambda x: 1.0 + x * x,
-                            BracketInterval(0.0, 1.0), 1e-10)
+    # the end values decide, before any call, for every bracket at once
+    f, calls = _counted(lambda x: 1.0 + x * x)
+    with pytest.raises(PreconditionError, match=r"no sign change.*\[0, 1\]"):
+        find_root_bracketed(f, [-1.0, 0.0], [0.0, 1.0], 1e-10,
+                            [-1.0, 1.0], [1.0, 2.0])
+    assert calls == []
+
+
+def test_root_bracketed_zero_end_value_returns_that_end():
+    f, calls = _counted(lambda x: x - 1.5)
+    r, fr = find_root_bracketed(f, [1.0, 1.5, 0.0], [1.5, 2.0, 3.0], 1e-12,
+                                [-0.5, 0.0, -1.5], [0.0, 0.5, 1.5])
+    assert list(r[:2]) == [1.5, 1.5] and list(fr[:2]) == [0.0, 0.0]
+    assert r[2] == 1.5
+    # the closed brackets add no points to the rounds
+    assert all(len(x) % 5 == 0 or len(x) == 3 for x in calls)
+
+
+def test_root_bracketed_tol_finer_than_float_spacing():
+    # near 1e5 floats are 1.46e-11 apart: tol = 1e-300 stops at the
+    # spacing, a few units in the last place from the sign change
+    root = 1e5 + 0.3
+    f, calls = _counted(lambda x: np.log(x / root))
+    r, fr = find_root_bracketed(f, [1e5], [1e5 + 1.0], 1e-300,
+                                np.log([1e5 / root]),
+                                np.log([(1e5 + 1.0) / root]))
+    assert abs(r[0] - root) <= 4 * np.spacing(root)
+    assert [len(x) for x in calls] == [5, 3]
+
+
+@pytest.mark.parametrize("fn,lo,hi", [
+    # a step: equal values at every sample on each side
+    (lambda x: np.where(x < 1.2345, -1.0, 1.0), 1.0, 2.0),
+    # exactly 0 over a stretch that the first round lands in
+    (lambda x: np.maximum(0.0, x - 1.8) - np.maximum(0.0, 1.2 - x), 1.0,
+     2.0),
+    # a triple root: the slope vanishes at the root
+    (lambda x: (x - 1.5) ** 3, 1.0, 2.3),
+])
+def test_root_bracketed_degenerate_values_raise_no_warning(fn, lo, hi):
+    # any 0/0 in the interpolation would be a RuntimeWarning, which the
+    # test configuration turns into an error
+    r, fr = find_root_bracketed(fn, [lo], [hi], 1e-12, fn(np.array([lo])),
+                                fn(np.array([hi])))
+    a, b = fn(np.array([r[0] - 1e-12, r[0] + 1e-12]))
+    assert fr[0] == 0.0 or a * b <= 0.0
 
 
 def test_winding_polynomial():

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import mpmath
@@ -6,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rzlab.zeros
+import rzlab.zeta
 from rzlab.errors import PreconditionError
-from rzlab.numerics import ContourRectangle, winding_number
-from rzlab.zeros import count_zeros_rectangle, find_zeros
+from rzlab.numerics import ContourRectangle, real_sign, winding_number
+from rzlab.zeros import DEFAULT_TOL, count_zeros_rectangle, find_zeros
 from rzlab.zeta import T_MAX, log_xi_array
 
 # First ordinates, frozen from an independent high-precision evaluation.
@@ -68,8 +71,8 @@ def zeros_to_250():
 
 
 def test_find_zeros_match_mpmath(zeros_to_250):
-    # Brent's last iterate, not a bracket midpoint: the bisection it
-    # replaced left up to 4.6e-11 against these referees
+    # the estimate the last round certified, not a bracket midpoint: a
+    # bisection left up to 4.6e-11 against these referees
     assert len(zeros_to_250) == 108
     for n in list(range(1, 109, 9)) + [108]:
         with mpmath.workdps(25):
@@ -133,3 +136,61 @@ def test_mirror_count_matches_full_contour_and_scan(ordinates_to_260, lo,
     rect = ContourRectangle(0.0, 1.0, lo, hi)
     full = winding_number(lambda z: np.exp(log_xi_array(z)), rect)
     assert count_zeros_rectangle(rect) == full == len(find_zeros(lo, hi))
+
+
+# Ordinates of the zeros up to t = 262 from mpmath.zetazero at 25 digits,
+# the table the benchmark's referee reads.
+ZERO_TABLE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "zeta_zeros.json")
+
+
+@pytest.fixture(scope="module")
+def table():
+    with open(ZERO_TABLE) as fh:
+        return np.array([float(t) for t in json.load(fh)])
+
+
+def test_catalog_matches_the_zero_table(ordinates_to_260, table):
+    # Brent's stopping point left up to 2.38e-11 (at zero 31); the
+    # certified estimate is within the rounding of xi itself
+    assert len(ordinates_to_260) == 114
+    assert np.max(np.abs(ordinates_to_260 - table[:114])) <= 2.4e-11
+
+
+def test_catalog_takes_three_batched_calls(monkeypatch):
+    # the scan, then two refinement rounds over all 108 brackets, 5 and 3
+    # points each; no point goes through the scalar log_xi
+    sizes, scalar = [], []
+    log_xi = rzlab.zeta.log_xi
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return log_xi_array(z)
+
+    def scalar_log_xi(s):
+        scalar.append(s)
+        return log_xi(s)
+
+    monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
+    monkeypatch.setattr(rzlab.zeta, "log_xi", scalar_log_xi)
+    assert len(find_zeros(0.0, 250.0)) == 108
+    assert sizes == [2501, 5 * 108, 3 * 108]
+    assert scalar == []
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats(0.0, T_MAX - 0.1), st.floats(0.1, 10.0))
+def test_window_zeros_are_sign_changes_of_the_table(table, lo, width):
+    hi = lo + width
+    assume(hi <= T_MAX)
+    zeros = find_zeros(lo, hi)
+    t = np.array([z.ordinate for z in zeros])
+    if t.size:
+        lx = log_xi_array(0.5 + 1j * np.concatenate(
+            (t - DEFAULT_TOL, t + DEFAULT_TOL)))
+        below, above = np.split(real_sign(lx.imag), 2)
+        assert np.all(below != above)
+    # with both edges clear of every zero, the count is the table's
+    assume(np.abs(table - lo).min() >= 1e-6)
+    assume(np.abs(table - hi).min() >= 1e-6)
+    assert len(zeros) == np.count_nonzero((table > lo) & (table < hi))
