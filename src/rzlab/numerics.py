@@ -132,7 +132,7 @@ def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
 # the coefficients, in increasing _POWERS, of the Lagrange polynomial of
 # node i, and _FIT takes values at the nodes to the coefficients of the
 # polynomial p through them and of p'.  Both are built and applied
-# without BLAS, whose first call costs 1 MB.
+# without BLAS, whose first call adds about 0.5 MB of resident memory.
 _NODES = np.linspace(-1.0, 1.0, 7)
 _POWERS = np.arange(7.0)
 _BASIS = np.array([np.poly(np.delete(_NODES, i))[::-1]
@@ -180,8 +180,7 @@ def find_root_bracketed(f, lo, hi, tol, f_lo, f_hi):
         width = pair[:, 1] - pair[:, 0]
         closed = (width <= floor) | (change == 0.0)
         if np.count_nonzero(closed):
-            end = (np.abs(pair_f[closed, 1])
-                   < np.abs(pair_f[closed, 0])).astype(int)
+            end = np.abs(pair_f[closed]).argmin(axis=1)
             root[todo[closed]] = pair[closed, end]
             value[todo[closed]] = pair_f[closed, end]
             keep = ~closed
