@@ -30,10 +30,10 @@ _LOG_2 = math.log(2.0)
 _STIELTJES = (0.5772156649015329, -0.07281584548367672, -0.009690363192872318,
               0.002053834420303346, 0.0023253700654673)
 
-# For Re s < 0 within this radius of 0, zeta(1 - s) comes from the
+# For Re s < 0 within this radius of 0, zeta() takes zeta(1 - s) from the
 # Laurent series in the exact offset d = -s: forming 1 - s would cost
-# 1e-16/|s| of relative accuracy, and the first omitted term,
-# gamma_5 d^6 / 5!, stays below 1e-17 here.
+# 1e-16/|s| of relative accuracy (log xi, near 1/2 there, would not
+# lose it), and the first omitted term, gamma_5 d^6 / 5!, is below 1e-17.
 _REFLECTED_LAURENT_RADIUS = 1e-2
 
 # B_2k / (2k)! for k = 1 .. 22, the coefficient of s (s+1) ... (s+2k-2)
@@ -147,7 +147,7 @@ def _zeta_em_window(s):
 def _log_chi(s):
     """log of the functional-equation factor chi(s) = 2^s pi^{s-1}
     sin(pi s / 2) Gamma(1 - s), so zeta(s) = chi(s) zeta(1-s).  log
-    Gamma(1 - s) is taken unfolded, as in _log_xi_reflected."""
+    Gamma(1 - s) is unfolded: a fold would round its phase of ~1000 rad."""
     return (s * _LOG_2 + (s - 1.0) * _LOG_PI + _log_sin(0.5 * math.pi * s)
             + _stirling(1.0 - s, cmath.log))
 
@@ -195,74 +195,46 @@ def zeta_times_s_minus_1(s):
     return _laurent(d)
 
 
-def _log_xi_reflected(s, g, log):
-    """log xi(s) for -10 <= Re s < 0 from g = (s/2)(s - 1) zeta(1 - s):
-
-        xi(s) = 2^s pi^(s/2) Gamma(1 - s) / Gamma(1 - s/2) g,
-
-    which is the definition with zeta(s) reflected and Gamma(s/2)
-    sin(pi s / 2) = pi / Gamma(1 - s/2) (DLMF 5.5.3), so no Gamma pole
-    meets zeta's trivial zeros at s = -2, -4, ...  s and g are numbers
-    or arrays, with log = cmath.log or np.log to match.  Both Stirling
-    values are added unfolded: each fold would round a phase near 1000
-    rad at |Im s| = 260, and the phase of the sum is not folded either.
-    """
-    return (_stirling(1.0 - s, log) - _stirling(1.0 - 0.5 * s, log)
-            + s * _LOG_2 + 0.5 * s * _LOG_PI + log(g))
-
-
 def log_xi(s):
-    """log xi(s) with xi(s) = (1/2) s (s-1) pi^{-s/2} Gamma(s/2) zeta(s).
-
-    For Re s >= 0, assembled as log Gamma(s/2 + 1) - (s/2) log pi +
-    log((s-1) zeta(s)), using s Gamma(s/2) = 2 Gamma(s/2 + 1); entire at
-    s = 0 and s = 1.  For Re s < 0, the pole-free Gamma ratio of
-    _log_xi_reflected with zeta at 1 - s, so the trivial zeros s = -2,
-    -4, ... are answered; within _REFLECTED_LAURENT_RADIUS of 0,
-    (s/2)(s - 1) zeta(1 - s) = ((1 - s)/2) (-s) zeta(1 - s) comes from
-    the Laurent series.  The phase is not folded into (-pi, pi].
+    """log xi(s) with xi(s) = (1/2) s (s-1) pi^{-s/2} Gamma(s/2) zeta(s),
+    assembled as log Gamma(s/2 + 1) - (s/2) log pi + log((s-1) zeta(s)),
+    using s Gamma(s/2) = 2 Gamma(s/2 + 1); entire at s = 0 and s = 1.
+    For Re s < 0 it is taken at 1 - s, as xi(s) = xi(1 - s), so no Gamma
+    pole meets a trivial zero; within 1e-6 of s = 1, (s-1) zeta(s) comes
+    from the Laurent series.  The phase is not folded into (-pi, pi].
     """
     s = complex(s)
+    _check_window(s)
     if s.real < 0.0:
-        _check_window(s)
-        if abs(s) < _REFLECTED_LAURENT_RADIUS:
-            g = 0.5 * (1.0 - s) * _laurent(-s)
-        else:
-            g = 0.5 * s * (s - 1.0) * _zeta_em_window(1.0 - s)
-        return _log_xi_reflected(s, g, cmath.log)
-    g = zeta_times_s_minus_1(s)
-    return (log_gamma(0.5 * s + 1.0) - 0.5 * s * _LOG_PI + cmath.log(g))
+        s = 1.0 - s
+    d = s - 1.0
+    g = _laurent(d) if abs(d) < 1e-6 else d * _zeta_em_window(s)
+    return log_gamma(0.5 * s + 1.0) - 0.5 * s * _LOG_PI + cmath.log(g)
 
 
 def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
-    point, up to rounding (see _zeta_em_batch).
-
-    Points of the window (-10 <= Re s <= 1e300, |Im s| <= T_MAX) are
-    batched: log Gamma over them at once and zeta_em at s where Re s >= 0
-    and at 1 - s where Re s < 0, which takes log_xi's reflected assembly.
-    The scalar log_xi takes only the points outside the window, those
-    within 1e-6 of s = 1 and those within _REFLECTED_LAURENT_RADIUS of 0
-    with Re s < 0.
+    point, up to rounding (see _zeta_em_batch).  The window's points,
+    Re s < 0 taken at 1 - s as in log_xi, share one log Gamma and one
+    zeta_em batch.  The scalar log_xi takes only the points outside the
+    window and those that it takes within 1e-6 of s = 1.
     """
     s = np.asarray(s, dtype=complex)
-    flat = s.ravel()
+    flat = w = s.ravel()
     re = flat.real
     inside = (np.abs(flat.imag) <= T_MAX) & (re <= SIGMA_MAX)
-    direct = inside & (re >= 0.0) & (np.abs(flat - 1.0) >= 1e-6)
+    left = re < 0.0
+    if left.any():  # an all-right batch does not pay for the mapping
+        inside &= re >= SIGMA_MIN
+        w = np.where(left, 1.0 - flat, flat)
+    direct = inside & (np.abs(w - 1.0) >= 1e-6)
     out = np.empty(flat.shape, dtype=complex)
     if np.count_nonzero(direct) == flat.size:
         direct = slice(None)  # every point: no mask to apply
     else:
-        reflected = (inside & (re >= SIGMA_MIN) & (re < 0.0)
-                     & (np.abs(flat) >= _REFLECTED_LAURENT_RADIUS))
-        for i in np.flatnonzero(~(direct | reflected)):
+        for i in np.flatnonzero(~direct):
             out[i] = log_xi(flat[i])
-        if np.count_nonzero(reflected):
-            z = flat[reflected]
-            out[reflected] = _log_xi_reflected(
-                z, 0.5 * z * (z - 1.0) * _zeta_em_batch(1.0 - z), np.log)
-    z = flat[direct]
+    z = w[direct]
     if z.size:
         h = 0.5 * z
         # log_gamma's array path; these points have Re s/2 + 1 >= 1
@@ -301,10 +273,11 @@ def xi(s):
 
 
 def xi_symmetry_residual(s):
-    """|xi(s) - xi(1-s)| / (|xi(s)| + |xi(1-s)|), in [0, 1].
-
-    Both sides are evaluated independently and compared after factoring
-    out the common magnitude scale.
+    """|xi(s) - xi(1-s)| / (|xi(s)| + |xi(1-s)|), in [0, 1], after
+    factoring out the common magnitude scale.  The sides are independent
+    only for 0 <= Re s <= 1, each with its own Euler-Maclaurin sum.  As
+    log_xi takes Re s < 0 at 1 - s, off that strip the residual is an
+    identity: 0 at Re s < 0, and at Re s > 1 where 1 - (1 - s) is s.
     """
     s = complex(s)
     a, b = log_xi(s), log_xi(1.0 - s)

@@ -22,7 +22,7 @@ from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
 from rzlab.scattering import (coupling_at_zero, jost_plus, s_matrix,
                               zero_to_jost_zero)
 from rzlab.zeros import count_zeros_rectangle, find_zeros
-from rzlab.zeta import xi, xi_symmetry_residual, zeta
+from rzlab.zeta import log_xi, xi, xi_symmetry_residual, zeta
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +32,20 @@ def zeros_to_100():
 
 def test_criterion_01_functional_equation_grid():
     start = time.time()
-    worst = 0.0
-    for i in range(20):
-        sigma = -2.0 + 5.0 * i / 19.0
-        for j in range(10):
-            t = -60.0 + 120.0 * j / 9.0
-            worst = max(worst, xi_symmetry_residual(complex(sigma, t)))
+    grid = [complex(-2.0 + 5.0 * i / 19.0, -60.0 + 120.0 * j / 9.0)
+            for i in range(20) for j in range(10)]
+    worst = max(xi_symmetry_residual(s) for s in grid)
     assert worst < 1e-9
     assert time.time() - start < 30.0
+    # off 0 <= Re s <= 1 the residual is an identity of log_xi, so log_xi
+    # itself is held to mpmath's xi, the definition taken at s, within
+    # the reflected-property bound of tests/test_zeta.py
+    for s in grid:
+        with mpmath.workdps(30):
+            u = mpmath.mpc(s)
+            want = complex(u * (u - 1) / 2 * mpmath.pi ** (-u / 2)
+                           * mpmath.gamma(u / 2) * mpmath.zeta(u))
+        assert abs(cmath.exp(log_xi(s)) / want - 1.0) <= 4.87e-13, s
 
 
 def test_criterion_02_zero_location(zeros_to_100):

@@ -101,7 +101,11 @@ def test_xi_log_form_tracks_decay():
 
 
 def test_xi_symmetry_residual_grid():
-    for s in (complex(0.3, 7.0), complex(-1.0, 12.5), complex(2.0, 40.0)):
+    # off 0 <= Re s <= 1 the residual is an identity (it reads 0 at the
+    # second and third point); in the strip both sides run their own
+    # Euler-Maclaurin sums, also at large |t|
+    for s in (complex(0.3, 7.0), complex(-1.0, 12.5), complex(2.0, 40.0),
+              complex(0.1, 200.0), complex(0.9, -250.0)):
         assert xi_symmetry_residual(s) < 1e-10
 
 
@@ -292,6 +296,17 @@ def test_log_xi_at_trivial_zeros(s):
     got = (log_xi(s), complex(log_xi_array(np.array([s]))[0]))
     for g in got:
         assert abs(cmath.exp(g) / want - 1.0) < 1e-14, (s, g)
+
+
+@pytest.mark.parametrize("e", range(1, 16))
+def test_log_xi_just_left_of_zero(e):
+    # taken at 1 - s, which rounds; xi is near 1/2 there, so its value
+    # keeps full relative accuracy, on the real axis and off it
+    d = 10.0 ** -e
+    for s in (complex(-d, 0.0), complex(-d, d), complex(-d, 3e-3)):
+        want = _mp_xi(s)
+        for g in (log_xi(s), complex(log_xi_array(np.array([s]))[0])):
+            assert abs(cmath.exp(g) / want - 1.0) < 1e-14, (s, g)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
