@@ -10,6 +10,7 @@ propagator written here, not by a general-purpose solver.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -25,18 +26,19 @@ ODE_Y_FLOOR = 1e-3
 _ODE_STEP = 0.05
 # Gauss-Legendre nodes of a step, as fractions of it.
 _GAUSS = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
-# k_moment_integral's quadrature ends in y, its series/quadrature split,
-# the terms per I series, and the largest |Im nu| its scale follows.
-_MOMENT_Y_MIN, _MOMENT_Y_MAX = 1e-20, 60.0
+# k_moment_integral's ends, in y - y0 and y, its series/quadrature split
+# y0, the terms per I series, and the largest |Im nu| its scale follows.
+_MOMENT_Y_MIN, _MOMENT_Y_MAX = 1e-15, 60.0
 _MOMENT_SPLIT = 0.5
 _MOMENT_TERMS = 12
 _MOMENT_MAX_SCALED_IM = 8.0
-# From this |Im nu| on, bessel_k's real-axis trapezoid cancels from O(1)
+# Past this |Im nu|, bessel_k's real-axis trapezoid cancels from O(1)
 # terms down to |K| ~ e^(-pi |Im nu| / 2), and the relative error of
-# k_moment_integral nears or passes the 1e-9 khuri asks of it: against
-# pi nu / (2 sin pi nu), worst over Re nu in {0.05, 0.2, 0.5, 0.8}, it
-# is 3.3e-11 at |Im nu| = 9, 7.7e-10 at 10, 1.8e-8 at 10.5, 1.5e-5 at
-# 12 and 1.5 at 21.  Only its absolute error stays small.
+# k_moment_integral grows toward and past the 1e-9 khuri asks of it:
+# against pi nu / (2 sin pi nu), worst over Re nu in {0.05, 0.2, 0.5,
+# 0.8}, it is 5e-12 at |Im nu| = 9, 6e-12 at 10, 6.8e-11 at 12, 1.4e-9
+# at 13, 5.4e-8 at 16 and 1.7 at 18.  Only its absolute error stays
+# small.
 MOMENT_RELATIVE_IM_MAX = 10.0
 
 
@@ -219,12 +221,13 @@ def k_moment_integral(nu, tol=1e-10):
     """The moment integral int_0^oo y K_nu(y)^2 dy, converging for
     |Re nu| < 1; real positive for real nu and for imaginary nu.
 
-    One adaptive pass over y^2 K_nu(y)^2 in u = log y, up to y = 60
-    (beyond, y K^2 ~ (pi/2) e^-2y is negligible).  For |Re nu| <= 1/2
-    it starts at y = 1e-20, where y^2 K^2 vanishes at least like y.
-    Beyond, y K^2 ~ y^(1 - 2 |Re nu|) is nearly singular at 0, so
-    (0, 1/2] is integrated exactly from the I series and the pass
-    starts at y = 1/2.  No closed form of the moment is used.
+    One trapezoid sum (integrate_adaptive) of y e^v K_nu(y)^2 in v, y =
+    y0 + e^v, from e^v = 1e-15 to y = 60 (beyond, y K^2 ~ (pi/2) e^-2y is
+    negligible), with one bessel_k array per step.  y0 = 0 for |Re nu| <=
+    1/2, where y^2 K^2 vanishes at least like y.  Beyond, y K^2 ~ y^(1 - 2
+    |Re nu|) is nearly singular at 0, so (0, 1/2] is integrated exactly
+    from the I series and y0 = 1/2.  Either integrand is analytic and
+    decays at both ends.  No closed form of the moment is used.
     """
     nu = complex(nu)
     if abs(nu.real) >= 1.0:
@@ -235,16 +238,18 @@ def k_moment_integral(nu, tol=1e-10):
     # cancellation in bessel_k (about 1e-16 e^(pi |Im nu| / 2) relative)
     # would leave the scaled integrand noisier than tol.
     scale = math.exp(-math.pi * min(abs(nu.imag), _MOMENT_MAX_SCALED_IM))
-
-    def f(u):
-        y = math.exp(u)
-        kv = bessel_k(nu, y)
-        return y * y * kv * kv / scale
-
-    lo, head = _MOMENT_Y_MIN, 0.0
+    y0, head = 0.0, 0.0
     if abs(nu.real) > _MOMENT_SPLIT:
-        lo, head = _MOMENT_SPLIT, _series_moment(nu, _MOMENT_SPLIT)
-    res = integrate_adaptive(f, math.log(lo), math.log(_MOMENT_Y_MAX), tol)
+        y0, head = _MOMENT_SPLIT, _series_moment(nu, _MOMENT_SPLIT)
+
+    def f(v):
+        x = np.exp(v)
+        y = y0 + x
+        kv = bessel_k(nu, y)
+        return (x * y / scale) * kv * kv
+
+    res = integrate_adaptive(f, math.log(_MOMENT_Y_MIN),
+                             math.log(_MOMENT_Y_MAX - y0), tol)
     value = head + scale * res.value
     if nu.imag == 0.0:
         value = complex(value.real, 0.0)
@@ -296,9 +301,10 @@ def k_moment_closed_form(nu, coefficient):
     return complex(v.real, 0.0) if abs(v.imag) < 1e-14 * abs(v) else v
 
 
+@functools.cache
 def fit_moment_coefficient():
     """Measure the closed-form prefactor as quadrature / (pi nu / sin pi nu)
-    at nu = 1/2, where the integral is elementarily pi/4.
+    at nu = 1/2, where the integral is elementarily pi/4; once per process.
 
     Standard tables give 1/2; the printed source value 1/8 disagrees
     with quadrature, and reports flag the discrepancy.

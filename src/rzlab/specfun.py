@@ -24,6 +24,14 @@ _STACKED_POINTS = 128
 _LOG_PI = math.log(math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
+# _mod_tau's constants as a short high part plus the rest: 2 pi in 33
+# bits, so that its product with an integer below 2^20 is exact, log 2
+# and log pi in 14.  x + _ROUND - _ROUND rounds x to an integer for
+# |x| < 2^51, and y _SPLIT splits y into two halves of 26 bits.
+_TAU_HI, _TAU_LO = 6.2831853069365025, 2.430840202602477e-10
+_LN2_HI, _LN2_LO = 0.69317626953125, -2.908897130469058e-05
+_LOG_PI_HI, _LOG_PI_LO = 1.14471435546875, 1.5530380650174144e-05
+_ROUND, _SPLIT = 1.5 * 2.0 ** 52, 2.0 ** 27 + 1.0
 
 BESSEL_K_MAX_REAL_ORDER = 5.0
 HANKEL_MAX_ARGUMENT = 30.0
@@ -68,12 +76,27 @@ def log_gamma(z):
     return _normalize_phase(_stirling(z, cmath.log))
 
 
-def _stirling(z, log):
-    """log Gamma(z), Re z >= 1/2, unfolded, for a number or an array z
-    with log = cmath.log or np.log to match.  Stirling at w = z + n, with
-    n = 12 - Re z rounded up at the leftmost point, so Re w >= 12
-    throughout, and one log of q = prod (z + j) / w for the shift: its n
-    factors have modulus in [1/25, 1], so q cannot overflow."""
+def _mod_tau(y, hi, lo):
+    """y (hi + lo) mod 2 pi, in about (-pi, pi], for a number or an array
+    y, hi of at most 26 bits and |lo| < 1: y hi is summed exactly from the
+    halves of y (Dekker, Numer. Math. 18, 1971), so the result rounds at
+    its own size, not at that of y hi (5.7e-14 at 300 rad)."""
+    c = _SPLIT * y
+    y_hi = c - (c - y)
+    p = y_hi * hi
+    n = p / math.tau + _ROUND - _ROUND
+    # p - n _TAU_HI is exact: n _TAU_HI is a float within pi of p
+    return (p - n * _TAU_HI) + ((y - y_hi) * hi + y * lo - n * _TAU_LO)
+
+
+def _stirling(z, log, over_pi=False):
+    """log Gamma(z), Re z >= 1/2, for a number or an array z with log =
+    cmath.log or np.log to match; over_pi takes i Im(z) log pi from it.
+    Stirling at w = z + n, with n = 12 - Re z rounded up at the leftmost
+    point, so Re w >= 12 throughout, and one log of q = prod (z + j) / w
+    for the shift: its n factors have modulus in [1/25, 1], so q cannot
+    overflow.  The large phase Im(w) (log|w| - 1), less Im(z) log pi, is
+    reduced mod 2 pi before it rounds."""
     array = isinstance(z, np.ndarray)
     n = max(0, math.ceil(12.0 - (z.real.min(initial=12.0) if array
                                  else z.real)))
@@ -89,8 +112,19 @@ def _stirling(z, log):
         q = 1.0
         for j in range(n):
             q = q * ((z + j) * zi)
-    lw = log(w)  # Im(w) (log|w| - 1) is the large phase, rounded once
-    res = (w - 0.5) * (lw - 1.0) + _STIRLING_CONST - (n * lw + log(q))
+    lw = log(w)
+    # log|w| = k log 2 + log m, with |w| = m 2^k and m in [sqrt(1/2),
+    # sqrt(2)), is within 2e-16, and the high part of the factor of Im(w)
+    # is exact
+    frexp, hypot, log1p = ((np.frexp, np.hypot, np.log1p) if array
+                           else (math.frexp, math.hypot, math.log1p))
+    m, k = frexp(hypot(w.real, w.imag))
+    low = m * m < 0.5
+    m, k = m + m * low, k - low
+    phase = _mod_tau(w.imag, k * _LN2_HI - (1.0 + over_pi * _LOG_PI_HI),
+                     k * _LN2_LO - over_pi * _LOG_PI_LO + log1p(m - 1.0))
+    res = ((w.real - 0.5) * (lw - 1.0) - w.imag * lw.imag + 1j * phase
+           + _STIRLING_CONST - (n * lw + log(q)))
     z2 = zi * zi
     if stacked:
         # res and the terms zi^(2k+1) c_k, summed in the loop's order
@@ -107,47 +141,68 @@ def _stirling(z, log):
 
 
 def _trapezoid_step(nu, x):
-    """Step of the trapezoid sums for K_nu(x) and H1_nu(x).  Their error
-    falls like e^(-2 pi b / h) (Trefethen and Weideman, SIAM Review 56,
-    2014) against the growth e^(|Im nu| b) and e^(x b^2 / 2) of the
-    integrand at distance b off the real axis."""
-    return min(0.1, math.tau / (abs(nu.imag) + 40.0 + 13.0 * math.sqrt(x)))
+    """Step of the trapezoid sums for K_nu(x) and H1_nu(x), for a number
+    or an array x.  Their error falls like e^(-2 pi b / h) (Trefethen and
+    Weideman, SIAM Review 56, 2014) against the growth e^(|Im nu| b) and
+    e^(x b^2 / 2) of the integrand at distance b off the real axis."""
+    return np.minimum(0.1, math.tau / (abs(nu.imag) + 40.0
+                                       + 13.0 * np.sqrt(x)))
 
 
 def bessel_k(nu, y):
     """Modified Bessel K of complex order for y > 0 and |Re nu| <= 5;
-    real for real nu and for purely imaginary nu.
+    real for real nu and for purely imaginary nu.  y may be a number,
+    which gives a complex, or an array, which gives an array of its shape.
 
     One trapezoid sum of int_0^oo exp(-y cosh t) cosh(nu t) dt (DLMF
-    10.32.9) with the step of _trapezoid_step, stopped where y (cosh T
-    - 1) >= 40 + 5 T.  Against mpmath for 1e-20 <= y <= 700 it is within
-    1e-14 relative, except that at imaginary order the terms cancel down
-    to |K| ~ e^(-pi |nu| / 2): 3e-12 relative at nu = 5i, 1e-10 at
-    nu = 7i, y = 1e-20.  RangeError for a sum above MAX_GRID_POINTS
-    nodes (|Im nu| beyond about 10^5 at y = 1e-20).
+    10.32.9) per y, to the cut T where y (cosh T - 1) = 40 + 5 T with a
+    step no longer than _trapezoid_step's.  The y whose cut / step lie in
+    one [2^(g-1), 2^g) share a grid: their smallest step, to their largest
+    cut, in chunks of at most MAX_GRID_POINTS nodes.  Against mpmath for
+    1e-20 <= y <= 700 it is within 1e-14 relative at real order.  At
+    complex order the terms, of the size of K_Re(nu)(y), cancel down to
+    |K|: within 1e-14 K_Re(nu)(y), which is 1e-11 relative at nu = 5i and
+    1e-10 at 7i, y = 1e-20.  DomainError for a y that is not finite and
+    positive, RangeError for a sum above MAX_GRID_POINTS nodes (|Im nu|
+    beyond about 10^5 at y = 1e-20).
     """
     nu = complex(nu)
-    if not 0.0 < y < math.inf:
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
+    if not np.all((flat > 0.0) & (flat < math.inf)):
         raise DomainError("bessel_k requires finite y > 0")
     if abs(nu.real) > BESSEL_K_MAX_REAL_ORDER:
         raise RangeError("|Re nu| > %g unsupported" % BESSEL_K_MAX_REAL_ORDER)
-    r = math.sqrt(y)
-    h = _trapezoid_step(nu, y)
-    cut = 0.0
+    r = np.sqrt(flat)
+    cut = np.zeros_like(flat)
     for _ in range(4):  # fixed point of 2 y sinh^2(T/2) = 40 + 5 T
-        cut = 2.0 * math.asinh(math.sqrt(20.0 + 2.5 * cut) / r)
-    if cut / h > MAX_GRID_POINTS:
-        raise RangeError("bessel_k would sum more than %d nodes"
-                         % MAX_GRID_POINTS)
-    t = h * np.arange(int(cut / h) + 1)
-    # -y cosh t = -y - 2 (sqrt(y) sinh(t/2))^2 keeps the exponent accurate
-    # near t = 0 and finite for tiny y; e^-y comes out of the sum.
-    e = -2.0 * (r * np.sinh(0.5 * t)) ** 2
-    f = np.exp(e + nu * t) + np.exp(e - nu * t)
-    v = 0.5 * h * math.exp(-y) * (f.sum() - 0.5 * f[0])
+        cut = 2.0 * np.arcsinh(np.sqrt(20.0 + 2.5 * cut) / r)
+    step = _trapezoid_step(nu, flat)
+    v = np.empty(flat.size, dtype=complex)
+    group = np.frexp(np.ceil(cut / step))[1]  # step counts in [2^(g-1), 2^g)
+    for g in np.unique(group):
+        rows = np.flatnonzero(group == g)
+        h = step[rows].min()
+        m = cut[rows].max() / h
+        if not m < MAX_GRID_POINTS:
+            raise RangeError("bessel_k would sum more than %d nodes"
+                             % MAX_GRID_POINTS)
+        t = h * np.arange(math.ceil(m) + 1)
+        # -y cosh t = -y - 2 (sqrt(y) sinh(t/2))^2 keeps the exponent
+        # accurate near t = 0 and finite for tiny y; e^-y comes out of the
+        # sum, and the rows share cosh(nu t), Re and Im apart
+        w = np.cosh(nu * t)
+        w[0] *= 0.5
+        w = np.array([w.real, w.imag])
+        u = np.sinh(0.5 * t)
+        for rows in np.array_split(rows, -(-rows.size * t.size
+                                          // MAX_GRID_POINTS)):
+            re, im = np.einsum("ij,kj->ki", np.exp(
+                -2.0 * np.multiply.outer(r[rows], u) ** 2), w)
+            v[rows] = h * np.exp(-flat[rows]) * (re + 1j * im)
     if nu.imag == 0.0 or nu.real == 0.0:
-        return complex(v.real, 0.0)
-    return complex(v)
+        v.imag = 0.0
+    return complex(v[0]) if ys.ndim == 0 else v.reshape(ys.shape)
 
 
 def hankel1(nu, x):

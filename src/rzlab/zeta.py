@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from .errors import PoleError, RangeError
-from .specfun import log_gamma, _log_sin, _normalize_phase, _stirling
+from .specfun import (log_gamma, _LOG_PI_HI, _LOG_PI_LO, _log_sin,
+                      _mod_tau, _stirling)
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
 # (t_100 ~ 236.5).  Euler-Maclaurin with n = _em_terms(t) <= 88 terms
@@ -147,7 +148,8 @@ def _zeta_em_window(s):
 def _log_chi(s):
     """log of the functional-equation factor chi(s) = 2^s pi^{s-1}
     sin(pi s / 2) Gamma(1 - s), so zeta(s) = chi(s) zeta(1-s).  log
-    Gamma(1 - s) is unfolded: a fold would round its phase of ~1000 rad."""
+    Gamma(1 - s) is _stirling's, whose large phase is reduced mod 2 pi
+    before it rounds; the phases of 2^s and pi^(s-1) round as they are."""
     return (s * _LOG_2 + (s - 1.0) * _LOG_PI + _log_sin(0.5 * math.pi * s)
             + _stirling(1.0 - s, cmath.log))
 
@@ -201,7 +203,9 @@ def log_xi(s):
     using s Gamma(s/2) = 2 Gamma(s/2 + 1); entire at s = 0 and s = 1.
     For Re s < 0 it is taken at 1 - s, as xi(s) = xi(1 - s), so no Gamma
     pole meets a trivial zero; within 1e-6 of s = 1, (s-1) zeta(s) comes
-    from the Laurent series.  The phase is not folded into (-pi, pi].
+    from the Laurent series.  The large phases of the first two terms,
+    near (Im s / 2) log(|s| / (2 e)) and (Im s / 2) log pi, are reduced
+    mod 2 pi before they round; the sum is not folded into (-pi, pi].
     """
     s = complex(s)
     _check_window(s)
@@ -209,14 +213,18 @@ def log_xi(s):
         s = 1.0 - s
     d = s - 1.0
     g = _laurent(d) if abs(d) < 1e-6 else d * _zeta_em_window(s)
-    return log_gamma(0.5 * s + 1.0) - 0.5 * s * _LOG_PI + cmath.log(g)
+    return (log_gamma(0.5 * s + 1.0)
+            - complex(0.5 * s.real * _LOG_PI,
+                      _mod_tau(0.5 * s.imag, _LOG_PI_HI, _LOG_PI_LO))
+            + cmath.log(g))
 
 
 def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
-    point, up to rounding (see _zeta_em_batch).  The window's points,
-    Re s < 0 taken at 1 - s as in log_xi, share one log Gamma and one
-    zeta_em batch.  The scalar log_xi takes only the points outside the
+    point, up to rounding (see _zeta_em_batch) and to a multiple of 2 pi
+    in the phase, which is reduced once, not per term.  The window's
+    points, Re s < 0 taken at 1 - s as in log_xi, share one log Gamma and
+    one zeta_em batch.  The scalar log_xi takes only the points outside the
     window and those that it takes within 1e-6 of s = 1.
     """
     s = np.asarray(s, dtype=complex)
@@ -237,9 +245,10 @@ def log_xi_array(s):
     z = w[direct]
     if z.size:
         h = 0.5 * z
-        # log_gamma's array path; these points have Re s/2 + 1 >= 1
-        out[direct] = (_normalize_phase(_stirling(h + 1.0, np.log))
-                       - h * _LOG_PI + np.log((z - 1.0) * _zeta_em_batch(z)))
+        # log_gamma's array path, with pi^(-i Im h) in its reduced phase;
+        # these points have Re s/2 + 1 >= 1
+        out[direct] = (_stirling(h + 1.0, np.log, True) - h.real * _LOG_PI
+                       + np.log((z - 1.0) * _zeta_em_batch(z)))
     return out.reshape(s.shape)
 
 

@@ -385,6 +385,24 @@ def test_quantum_kmoment_flags_discrepancy(capsys):
     assert results["coefficient_flag"] == "discrepancy"
 
 
+def test_kmoment_fits_the_coefficient_once_per_process(monkeypatch, capsys):
+    moment = rzlab.quantum.k_moment_integral
+    calls = []
+
+    def counted(nu, *args, **kwargs):
+        calls.append(nu)
+        return moment(nu, *args, **kwargs)
+    monkeypatch.setattr(rzlab.quantum, "k_moment_integral", counted)
+    rzlab.quantum.fit_moment_coefficient.cache_clear()
+    for nu in ("0.3", "0.7"):
+        code, _, _ = run(capsys, "quantum", "kmoment", "--nu", nu,
+                         "--deterministic")
+        assert code == EXIT_OK
+    # the two requests' moments and one fit, at nu = 1/2
+    assert sorted(calls) == [0.3, 0.5, 0.7]
+    assert rzlab.quantum.fit_moment_coefficient.cache_info().misses == 1
+
+
 def test_quantum_khuri_real_coupling(capsys):
     code, out, _ = run(capsys, "quantum", "khuri", "--lambda", "-5",
                        "--deterministic")

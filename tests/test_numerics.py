@@ -26,44 +26,56 @@ def test_bracket_validation():
 
 
 def test_integrate_exp():
-    r = integrate_adaptive(lambda x: math.exp(x), 0.0, 1.0, 1e-12)
-    assert abs(r.value - (math.e - 1.0)) < 1e-12
+    # int e^(-x^2) over [-8, 8] = sqrt(pi) to 1e-29; each sum after the
+    # first calls f once, on new points only
+    f, calls = _counted(lambda x: np.exp(-x * x))
+    r = integrate_adaptive(f, -8.0, 8.0, 1e-12)
+    assert abs(r.value - math.sqrt(math.pi)) < 1e-12
     assert r.error_estimate < 1e-12
-    assert r.evaluations >= 15
+    points = np.concatenate(calls)
+    assert r.evaluations == points.size == np.unique(points).size >= 49
+    assert [c.size for c in calls] == [49] + [48 * 2 ** k
+                                            for k in range(len(calls) - 1)]
 
 
 def test_integrate_oscillatory():
-    # int_0^10 cos(50 x) dx = sin(500)/50
-    r = integrate_adaptive(lambda x: math.cos(50.0 * x), 0.0, 10.0, 1e-11)
-    assert abs(r.value - math.sin(500.0) / 50.0) < 1e-10
+    # int sech(x) cos(10 x) over the line = pi sech(5 pi); [-40, 40]
+    # leaves out less than 4 e^-40
+    r = integrate_adaptive(lambda x: np.cos(10.0 * x) / np.cosh(x),
+                           -40.0, 40.0, 1e-11)
+    assert abs(r.value - math.pi / math.cosh(5.0 * math.pi)) < 1e-11
 
 
 def test_integrate_complex_valued():
-    r = integrate_adaptive(lambda x: cmath.exp(1j * x), 0.0, math.pi, 1e-12)
-    assert abs(r.value - 2j) < 1e-11
+    # int sech(x) e^(ix) over the line = pi sech(pi / 2)
+    r = integrate_adaptive(lambda x: np.exp(1j * x) / np.cosh(x),
+                           -40.0, 40.0, 1e-12)
+    assert abs(r.value - math.pi / math.cosh(0.5 * math.pi)) < 1e-11
 
 
 def test_integrate_budget_exhaustion():
-    # |x|^{-1/2} is integrable but needle-sharp; a tiny budget must fail
-    # loudly and carry its best estimate.
+    # sech(x) e^(40 i x) needs a step near 0.1 on [-40, 40]: a budget of
+    # 200 nodes must fail loudly and carry its best estimate
     with pytest.raises(BudgetExhaustedError) as exc:
-        integrate_adaptive(lambda x: abs(x - 0.3) ** -0.5, 0.0, 1.0,
-                           1e-14, budget=200)
+        integrate_adaptive(lambda x: np.exp(40j * x) / np.cosh(x),
+                           -40.0, 40.0, 1e-14, budget=200)
     assert exc.value.best_estimate is not None
     assert exc.value.best_estimate.evaluations <= 200
+    with pytest.raises(PreconditionError, match="budget"):
+        integrate_adaptive(np.exp, 0.0, 1.0, 1e-10, budget=48)
 
 
 def test_integrate_stops_at_the_rounding_floor():
-    # no split can reach tol = 1e-300: the stagnation stop returns the
-    # value with its honest error estimate instead of spending the budget
-    r = integrate_adaptive(math.exp, 0.0, 1.0, 1e-300)
-    assert abs(r.value - (math.e - 1.0)) < 1e-14
+    # no sum can reach tol = 1e-300: the rounding floor stops it with an
+    # honest error estimate instead of spending the budget
+    r = integrate_adaptive(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-300)
+    assert abs(r.value - math.sqrt(math.pi)) < 1e-14
     assert 1e-300 < r.error_estimate < 1e-13
     assert r.evaluations < 2000
 
 
 def test_integrate_empty_interval():
-    r = integrate_adaptive(lambda x: 1.0, 2.0, 2.0, 1e-10)
+    r = integrate_adaptive(np.ones_like, 2.0, 2.0, 1e-10)
     assert r.value == 0j
 
 

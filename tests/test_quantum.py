@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rzlab.quantum
 from rzlab.errors import (DivergenceError, DomainError,
                           IntegrationLimitError, PoleError,
                           PreconditionError, RangeError)
@@ -124,16 +125,36 @@ def test_jost_ode_preconditions():
         jost_solution_ode(1e-300, 2.0, 1.0, 2.5e301)  # y^2 overflows
 
 
-def test_k_moment_elementary_value():
+@pytest.fixture
+def one_pass(monkeypatch):
+    """Check, after each k_moment_integral, that it made one trapezoid
+    sum, integrate_adaptive, with at most 8 bessel_k calls."""
+    calls = []
+    for name in ("bessel_k", "integrate_adaptive"):
+        def counted(*args, _fn=getattr(rzlab.quantum, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(rzlab.quantum, name, counted)
+
+    def check():
+        assert calls.count("integrate_adaptive") == 1
+        assert calls.count("bessel_k") <= 8
+        calls.clear()
+    return check
+
+
+def test_k_moment_elementary_value(one_pass):
     # at nu = 1/2 the integral is pi/4 (K_{1/2} is elementary)
     r = k_moment_integral(0.5)
+    one_pass()
     assert abs(r.value.real - 0.25 * math.pi) < 1e-10
     assert r.value.imag == 0.0
 
 
-def test_k_moment_matches_closed_form_with_half():
+def test_k_moment_matches_closed_form_with_half(one_pass):
     for nu in (0.3, complex(0.0, 1.0), complex(0.0, 2.5)):
         got = k_moment_integral(nu).value
+        one_pass()
         want = k_moment_closed_form(nu, 0.5)
         assert abs(got - want) < 1e-8 * abs(want)
 
@@ -150,24 +171,26 @@ def _mp_moment(nu):
 @pytest.mark.parametrize("nu", [0.0, 0.3, 0.999, 2.5, 4.9, 0.25 + 1j,
                                 0.5 + 3j, 5j, 7j, -0.7, 0.97 + 0.4j,
                                 0.6 + 2j])
-def test_k_moment_matches_mpmath_closed_form(nu):
+def test_k_moment_matches_mpmath_closed_form(nu, one_pass):
     if abs(complex(nu).real) >= 1.0:
         with pytest.raises(DivergenceError):
             k_moment_integral(nu)
         return
     want = _mp_moment(nu)
     r = k_moment_integral(nu)
+    one_pass()
     assert abs(r.value - want) < 1e-12 * abs(want)
-    # one adaptive pass: a bounded number of bessel_k evaluations
+    # one trapezoid sum: a bounded number of nodes
     assert r.evaluations < 3000
 
 
-def test_k_moment_conditioning_next_to_one():
+def test_k_moment_conditioning_next_to_one(one_pass):
     # the integral grows like 1/(2 (1 - nu)); its relative error may grow
     # as eps / (1 - nu), the conditioning of the integral in nu
     for nu in (1.0 - 1e-4, 1.0 - 1e-7):
         want = _mp_moment(nu)
         got = k_moment_integral(nu).value
+        one_pass()
         assert abs(got - want) < 10 * 2.0 ** -52 / (1.0 - nu) * abs(want)
 
 

@@ -76,6 +76,20 @@ def test_log_gamma_array_matches_scalar():
         log_gamma(np.array([1.0, 0.4 + 2.0j]))
 
 
+def test_log_gamma_large_phase_rounds_at_its_own_size():
+    # Im log Gamma near 1.5 + 130i is some 500 rad, where floats are
+    # 5.7e-14 apart: reduced mod 2 pi before it rounds, the phase stays
+    # within 3e-14 of mpmath's, the size of hypot's rounding times Im z
+    rng = np.random.default_rng(7)
+    zs = rng.uniform(0.5, 3.0, 60) + 1j * rng.uniform(-131.0, 131.0, 60)
+    for got in ([log_gamma(z) for z in zs.tolist()], log_gamma(zs)):
+        for z, g in zip(zs.tolist(), got):
+            with mpmath.workdps(30):
+                d = g.imag - mpmath.loggamma(mpmath.mpc(z)).imag
+                d -= 2 * mpmath.pi * mpmath.nint(d / (2 * mpmath.pi))
+            assert abs(d) < 3e-14, z
+
+
 def test_log_gamma_shift_does_not_overflow_at_huge_imaginary_part():
     # the shift factors' product would overflow without its scaling; the
     # phase carries no digits at |z| = 1e200, so only real parts compare
@@ -129,6 +143,45 @@ def test_bessel_k_refuses_a_sum_above_the_grid_cap():
     with pytest.raises(RangeError, match="more than 1000000 nodes"):
         bessel_k(complex(1e-9, 5.8e7), 1e-20)
     bessel_k(complex(0.1, 1e5), 1e-20)  # about 8e5 nodes: summed
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.999, 2.5, 4.9, 0.25 + 1j,
+                                0.5 + 3j, 5j, 7j, 60j])
+def test_bessel_k_array_matches_scalar_calls(nu):
+    ys = np.array(K_GRID_Y + (1e-20, 1e-15)).reshape(3, 4)
+    got = bessel_k(nu, ys)
+    assert got.shape == ys.shape
+    # the array sums each y on the grid of its group, the smallest step
+    # and the largest cut of the group, so it rounds apart from the
+    # scalar call by less than eps times the size of the terms
+    for y, v in zip(ys.ravel(), got.ravel()):
+        want = bessel_k(nu, y)
+        assert type(want) is complex
+        scale = _mp_bessel_k(complex(nu).real, y).real
+        assert abs(v - want) < 1e-14 * scale, y
+    assert bessel_k(nu, np.array([])).shape == (0,)
+
+
+def test_bessel_k_array_errors():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            bessel_k(0.5, np.array([1.0, bad]))
+    # a y whose sum would pass MAX_GRID_POINTS nodes is refused
+    with pytest.raises(RangeError, match="more than 1000000 nodes"):
+        bessel_k(complex(1e-9, 5.8e7), np.array([1.0, 1e-20]))
+
+
+def test_bessel_k_matches_mpmath_on_a_seeded_complex_grid():
+    # at complex order the terms, of the size of K_Re(nu)(y), cancel down
+    # to |K|: the docstring bounds the error by 1e-14 K_Re(nu)(y)
+    rng = np.random.default_rng(20261019)
+    nus = rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(-7.0, 7.0, 200)
+    ys = np.exp(rng.uniform(math.log(1e-15), math.log(60.0), 200))
+    for nu, y in zip(nus.tolist(), ys.tolist()):
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselk(mpmath.mpc(nu), y))
+            scale = float(mpmath.besselk(abs(nu.real), y))
+        assert abs(bessel_k(nu, y) - want) < 1e-14 * scale, (nu, y)
 
 
 def test_bessel_k_real_for_imaginary_order():
