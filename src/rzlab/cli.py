@@ -181,7 +181,7 @@ def cmd_smatrix_scan(args):
                                 % (args.step, MAX_GRID_POINTS))
     n = int(round(args.tau_max / args.step))
     if n * args.step > 0.5 * T_MAX:
-        raise RangeError("scan reaches tau = %g, beyond T_MAX/2 = %g"
+        raise RangeError("scan reaches tau = %r, beyond T_MAX/2 = %g"
                          % (n * args.step, 0.5 * T_MAX))
     tau = np.arange(n + 1) * args.step
     dev = np.abs(np.exp(log_s_matrix(1j * tau).real) - 1.0)

@@ -17,7 +17,8 @@ from .errors import (BoundaryZeroError, BudgetExhaustedError,
 DEFAULT_BUDGET = 10 ** 6
 # Steps of integrate_adaptive's first trapezoid sum.
 _FIRST_STEPS = 48
-# Largest scan grid built; a finer step is rejected before allocation.
+# Largest scan grid built; a finer step is rejected before allocation,
+# and winding_number refines no contour past it.
 MAX_GRID_POINTS = 10 ** 6
 # Contour sampling of winding_number: per unit of side length, and the
 # fewest samples on any side.
@@ -213,10 +214,14 @@ def winding_number(g, rect, mirror=False):
 
     g maps an array of points to the array of its values.  Each side is
     sampled SAMPLES_PER_UNIT times per unit of its length (at least
-    MIN_SIDE_SAMPLES), and all samples are evaluated in one call;
-    phase steps between consecutive samples are then refined by
-    bisection, one point per call, until every step is below pi/2,
-    which rules out 2 pi aliasing near zeros close to the contour.
+    MIN_SIDE_SAMPLES), each side with both of its corners, and all
+    samples are evaluated in one call.  Phase steps between consecutive
+    samples are then refined in rounds: each round bisects every step
+    not below pi/2 with one call of g on all their midpoints, until
+    every step is below pi/2, which rules out 2 pi aliasing near zeros
+    close to the contour.  A step still unresolved after 40 rounds, or
+    a round that would pass MAX_GRID_POINTS points, raises
+    BoundaryZeroError.
 
     mirror=True is for g with g(re_min + re_max - conj z) = conj g(z),
     as xi(1 - conj s) = conj xi(s) about Re s = 1/2.  The left half of
@@ -225,7 +230,8 @@ def winding_number(g, rect, mirror=False):
     midpoint through the two right corners to the top midpoint, both
     ends on the symmetry line, where g is real: real_sign snaps their
     phases to 0 or pi, so the computed sign there decides a zero at an
-    end.  The argument change is a multiple of pi, / pi the count.
+    end, and a step at an end still unresolved after 40 rounds is taken
+    as it is.  The argument change is a multiple of pi, / pi the count.
     """
     lo = complex(rect.re_min, rect.im_min)
     hi = complex(rect.re_max, rect.im_max)
@@ -250,31 +256,23 @@ def winding_number(g, rect, mirror=False):
         pts = za + (zb - za) * np.arange(m + 1) / m
         pts[-1] = zb  # za + (zb - za) m / m can round past zb
         sides.append(pts)
-    ends = np.cumsum([len(pts) for pts in sides])[:-1]
-    ph = phases(np.concatenate(sides))
+    z = np.concatenate(sides)
+    ph = phases(z)
     if mirror:
         ph[[0, -1]] = 0.5 * math.pi * (1 - real_sign(ph[[0, -1]]))
-    total = 0.0
-    for pts, ph in zip(sides, np.split(ph, ends)):
+    for depth in range(41):
         steps = _fold_phase(np.diff(ph))
-        fine = np.abs(steps) < 0.5 * math.pi
-        total += steps[fine].sum()
-        stack = [(pts[j], pts[j + 1], ph[j], ph[j + 1], 0)
-                 for j in np.flatnonzero(~fine)]
-        while stack:
-            z0, z1, p0, p1, depth = stack.pop()
-            d = _fold_phase(p1 - p0)
+        wide = np.flatnonzero(~(np.abs(steps) < 0.5 * math.pi))
+        if depth == 40 and mirror:
             # at a zero on a mirror end the snapped phase sets the sign
-            if abs(d) < 0.5 * math.pi or depth >= 40 and mirror and (
-                    z0 == path[0] or z1 == path[-1]):
-                total += d
-                continue
-            if depth >= 40:
-                raise BoundaryZeroError(
-                    "phase step not resolving near %s; zero on contour?" % z0)
-            zm = 0.5 * (z0 + z1)
-            pm = phases(np.array([zm]))[0]
-            stack.append((z0, zm, p0, pm, depth + 1))
-            stack.append((zm, z1, pm, p1, depth + 1))
-    # exact multiple: the steps telescope between equal or snapped ends
-    return round(total / (math.pi if mirror else 2.0 * math.pi))
+            wide = wide[(wide > 0) & (wide < len(steps) - 1)]
+        if not len(wide):
+            # exact multiple: the steps telescope between equal or snapped ends
+            return round(steps.sum() / (math.pi if mirror else 2 * math.pi))
+        # a NaN or noise phase doubles its wide steps every round
+        if depth == 40 or len(z) + len(wide) > MAX_GRID_POINTS:
+            raise BoundaryZeroError("phase step not resolving near %s; zero "
+                                    "on contour?" % z[wide[len(wide) // 2]])
+        at = wide + 1
+        zm = 0.5 * (z[wide] + z[at])
+        z, ph = np.insert(z, at, zm), np.insert(ph, at, phases(zm))

@@ -58,13 +58,8 @@ def log_gamma(z):
 
     Stirling series after an upward recurrence shift (Re z >= 12);
     reflection formula for Re z < 1/2.  Relative accuracy ~1e-14 for
-    |z| <= 200.  z may also be a complex array with Re z >= 1/2
-    throughout; every point then takes the shift of the leftmost one.
+    |z| <= 200.
     """
-    if isinstance(z, np.ndarray):
-        if z.real.min(initial=12.0) < 0.5:
-            raise DomainError("array log_gamma needs Re z >= 1/2")
-        return _normalize_phase(_stirling(z, np.log))
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleError("log_gamma pole at nonpositive integer %g" % z.real)

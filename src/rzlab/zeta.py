@@ -78,15 +78,16 @@ _CHUNK_TERMS = 2 ** 13
 
 
 def _check_window(s):
+    # %r: %g would print 260.0000001 as the bound it exceeds
     if not abs(s.imag) <= T_MAX:
-        raise RangeError("|Im s| = %g outside supported window (<= %g)"
-                         % (abs(s.imag), T_MAX))
+        raise RangeError("|Im s| = %r outside supported window (<= %g)"
+                         % (float(abs(s.imag)), T_MAX))
     if not s.real >= SIGMA_MIN:
-        raise RangeError("Re s = %g below supported window (>= %g)"
-                         % (s.real, SIGMA_MIN))
+        raise RangeError("Re s = %r below supported window (>= %g)"
+                         % (float(s.real), SIGMA_MIN))
     if not s.real <= SIGMA_MAX:
-        raise RangeError("Re s = %g above supported window (<= %g)"
-                         % (s.real, SIGMA_MAX))
+        raise RangeError("Re s = %r above supported window (<= %g)"
+                         % (float(s.real), SIGMA_MAX))
 
 
 def zeta_em(sigma, t, n):
@@ -245,7 +246,7 @@ def log_xi_array(s):
     z = w[direct]
     if z.size:
         h = 0.5 * z
-        # log_gamma's array path, with pi^(-i Im h) in its reduced phase;
+        # _stirling on the array, with pi^(-i Im h) in its reduced phase;
         # these points have Re s/2 + 1 >= 1
         out[direct] = (_stirling(h + 1.0, np.log, True) - h.real * _LOG_PI
                        + np.log((z - 1.0) * _zeta_em_batch(z)))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -189,6 +190,23 @@ def test_scan_beyond_window_evaluates_nothing(monkeypatch, capsys):
                          "--step", "0.5")
     assert code == EXIT_DOMAIN and out == ""
     assert "T_MAX/2 = 130" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("smatrix", "eval", "--re=-5.0000001"),
+    ("smatrix", "eval", "--re", "0.25", "--im", "130.0000001"),
+    ("hadamard", "--at", "0", "--at-im", "260.000001"),
+    ("smatrix", "scan", "--tau-max", "130.00000001", "--step",
+     "130.00000001"),
+])
+def test_window_message_value_differs_from_its_bound(capsys, argv):
+    # a value just past a window's edge prints at round-trip precision,
+    # not rounded onto the bound it exceeds
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    value, bound = re.fullmatch(
+        r"domain error: .*? = (\S+?),? .* (\S+?)\)?\n", err).groups()
+    assert float(value) != float(bound), err
 
 
 @pytest.mark.parametrize("mode", [("smatrix", "correspondence"),

@@ -6,9 +6,9 @@ import pytest
 
 from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
                           PreconditionError)
-from rzlab.numerics import (ContourRectangle, QuadratureResult,
-                            find_root_bracketed, integrate_adaptive,
-                            real_sign, winding_number)
+from rzlab.numerics import (MAX_GRID_POINTS, ContourRectangle,
+                            QuadratureResult, find_root_bracketed,
+                            integrate_adaptive, real_sign, winding_number)
 
 
 def test_quadrature_result_validation():
@@ -191,6 +191,36 @@ def test_winding_zero_near_contour_refines():
     assert winding_number(lambda z: z - complex(0.5, 1e-4), rect) == 1
 
 
+def test_winding_refines_every_wide_step_in_one_call_per_round():
+    # zeros 1e-4 inside the bottom and top sides, below and above the
+    # samples at Re z = 1/2: the steps either side of each are near pi/2,
+    # and two rounds each bisect all four wide steps in one call
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return (z - complex(0.5, 1e-4)) * (z - complex(0.5, 1.0 - 1e-4))
+
+    rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
+    assert winding_number(g, rect) == 2
+    assert sizes == [4 * 33, 4, 4]
+
+
+def test_winding_unresolving_region_raises_with_bounded_work():
+    # g is NaN within 1e-3 of a point on the right side: every step there
+    # stays wide, and bisecting them doubles their number each round, so
+    # the refinement gives up before the contour passes MAX_GRID_POINTS
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return np.where(abs(z - (1.0 + 3.0j)) < 1e-3, np.nan, z - 0.5 - 3.0j)
+
+    with pytest.raises(BoundaryZeroError, match="not resolving"):
+        winding_number(g, ContourRectangle(0.0, 1.0, 1.0, 5.0))
+    assert sum(sizes) <= MAX_GRID_POINTS
+
+
 def test_winding_zero_on_contour_raises():
     rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(BoundaryZeroError):
@@ -199,7 +229,7 @@ def test_winding_zero_on_contour_raises():
 
 def test_winding_samples_all_sides_in_one_call():
     # sides of length 1 and 25: 32 samples (the floor) and 10 per unit,
-    # 33 + 251 + 33 + 251 points in the first call, then one per call
+    # 33 + 251 + 33 + 251 points in the first call, and no refinement
     sizes = []
 
     def g(z):

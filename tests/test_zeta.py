@@ -236,12 +236,16 @@ GRID_BOUNDS = {
 
 def _mp_zeta_and_prefactor(s):
     """zeta(s) and the log of xi's prefactor s (s-1) pi^(-s/2) Gamma(s/2)
-    / 2 = (s-1) pi^(-s/2) Gamma(s/2 + 1), from mpmath at 20 digits."""
+    / 2 = (s-1) pi^(-s/2) Gamma(s/2 + 1), from mpmath at 20 digits, its
+    phase reduced mod 2 pi there: rounded to a double at some 340 rad
+    (|Im s| near 245), it would add up to 2.8e-14 rad to every error."""
     with mpmath.workdps(20):
         s = mpmath.mpc(s)
-        return (complex(mpmath.zeta(s)),
-                complex(mpmath.log(s - 1) - s / 2 * mpmath.log(mpmath.pi)
-                        + mpmath.loggamma(s / 2 + 1)))
+        pre = (mpmath.log(s - 1) - s / 2 * mpmath.log(mpmath.pi)
+               + mpmath.loggamma(s / 2 + 1))
+        phase = pre.imag - 2 * mpmath.pi * mpmath.nint(
+            pre.imag / (2 * mpmath.pi))
+        return complex(mpmath.zeta(s)), complex(pre.real, phase)
 
 
 def _errors(pts, zetas, prefactors, relative):
