@@ -9,8 +9,7 @@ import math
 import numpy as np
 
 from .errors import PoleError, RangeError
-from .specfun import (log_gamma, _LOG_PI_HI, _LOG_PI_LO, _log_sin,
-                      _mod_tau, _stirling)
+from .specfun import log_gamma, _LOG_PI_HI, _LOG_PI_LO, _mod_tau, _stirling
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
 # (t_100 ~ 236.5).  Euler-Maclaurin with n = _em_terms(t) <= 88 terms
@@ -24,18 +23,15 @@ SIGMA_MIN = -10.0
 SIGMA_MAX = 1e300
 
 _LOG_PI = math.log(math.pi)
-_LOG_2 = math.log(2.0)
 
 # Stieltjes constants gamma_0 .. gamma_4 for the Laurent expansion of
 # (s-1) zeta(s) about s = 1.
 _STIELTJES = (0.5772156649015329, -0.07281584548367672, -0.009690363192872318,
               0.002053834420303346, 0.0023253700654673)
 
-# For Re s < 0 within this radius of 0, zeta() takes zeta(1 - s) from the
-# Laurent series in the exact offset d = -s: forming 1 - s would cost
-# 1e-16/|s| of relative accuracy (log xi, near 1/2 there, would not
-# lose it), and the first omitted term, gamma_5 d^6 / 5!, is below 1e-17.
-_REFLECTED_LAURENT_RADIUS = 1e-2
+# Within this distance d of s = 1, (s - 1) zeta(s) comes from the Laurent
+# series, whose first omitted term, gamma_5 d^6 / 5!, is below 1e-41.
+_LAURENT_RADIUS = 1e-6
 
 # B_2k / (2k)! for k = 1 .. 22, the coefficient of s (s+1) ... (s+2k-2)
 # n^(-s-2k+1) in the Euler-Maclaurin corrections.
@@ -146,31 +142,33 @@ def _zeta_em_window(s):
     return zeta_em(s.real, s.imag, int(_em_terms(s.imag)))
 
 
-def _log_chi(s):
-    """log of the functional-equation factor chi(s) = 2^s pi^{s-1}
-    sin(pi s / 2) Gamma(1 - s), so zeta(s) = chi(s) zeta(1-s).  log
-    Gamma(1 - s) is _stirling's, whose large phase is reduced mod 2 pi
-    before it rounds; the phases of 2^s and pi^(s-1) round as they are."""
-    return (s * _LOG_2 + (s - 1.0) * _LOG_PI + _log_sin(0.5 * math.pi * s)
-            + _stirling(1.0 - s, cmath.log))
+def _log_pi_power(s):
+    """log pi^(s/2), its phase (Im s / 2) log pi reduced mod 2 pi."""
+    return complex(0.5 * s.real * _LOG_PI,
+                   _mod_tau(0.5 * s.imag, _LOG_PI_HI, _LOG_PI_LO))
 
 
 def zeta(s):
     """zeta(s) on the window -10 <= Re s <= 1e300, |Im s| <= 260 (s != 1).
 
-    Euler-Maclaurin for Re s >= 0; the functional equation reflects
-    Re s < 0 to Re s > 1.
+    Euler-Maclaurin for Re s >= 0, and the Laurent series within 1e-6 of
+    s = 1.  Re s < 0 is divided out of log_xi, which takes xi(s) =
+    xi(1 - s) at 1 - s: zeta(s) = xi(s) / ((s - 1) pi^(-s/2) Gamma(s/2 + 1)).
+    At s = -2, -4, ..., -10, the pole of Gamma(s/2 + 1), zeta is exactly 0.
     """
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has its pole at s = 1")
     _check_window(s)
     if s.real < 0.0:
-        if abs(s) < _REFLECTED_LAURENT_RADIUS:
-            return cmath.exp(_log_chi(s)) * (_laurent(-s) / -s)
-        return cmath.exp(_log_chi(s)) * _zeta_em_window(1.0 - s)
-    if abs(s - 1.0) < 1e-6:
-        return zeta_times_s_minus_1(s) / (s - 1.0)
+        try:
+            log_g = log_gamma(0.5 * s + 1.0)
+        except PoleError:
+            return 0j
+        return cmath.exp(log_xi(s) - log_g + _log_pi_power(s)) / (s - 1.0)
+    d = s - 1.0
+    if abs(d) < _LAURENT_RADIUS:
+        return _laurent(d) / d
     return _zeta_em_window(s)
 
 
@@ -193,7 +191,7 @@ def zeta_times_s_minus_1(s):
     s = complex(s)
     _check_window(s)
     d = s - 1.0
-    if abs(d) >= 1e-6:
+    if abs(d) >= _LAURENT_RADIUS:
         return d * zeta(s)
     return _laurent(d)
 
@@ -213,44 +211,44 @@ def log_xi(s):
     if s.real < 0.0:
         s = 1.0 - s
     d = s - 1.0
-    g = _laurent(d) if abs(d) < 1e-6 else d * _zeta_em_window(s)
-    return (log_gamma(0.5 * s + 1.0)
-            - complex(0.5 * s.real * _LOG_PI,
-                      _mod_tau(0.5 * s.imag, _LOG_PI_HI, _LOG_PI_LO))
-            + cmath.log(g))
+    g = _laurent(d) if abs(d) < _LAURENT_RADIUS else d * _zeta_em_window(s)
+    return log_gamma(0.5 * s + 1.0) - _log_pi_power(s) + cmath.log(g)
 
 
 def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
     point, up to rounding (see _zeta_em_batch) and to a multiple of 2 pi
-    in the phase, which is reduced once, not per term.  The window's
-    points, Re s < 0 taken at 1 - s as in log_xi, share one log Gamma and
-    one zeta_em batch.  The scalar log_xi takes only the points outside the
-    window and those that it takes within 1e-6 of s = 1.
+    in the phase, which is reduced once, not per term.  The first point
+    outside the window raises log_xi's RangeError.  The points, Re s < 0
+    taken at 1 - s as in log_xi, share one zeta_em batch and one log
+    Gamma; those within 1e-6 of s = 1 take the Laurent series and a log
+    Gamma of their own, which leaves the others' Stirling shift as it is.
     """
     s = np.asarray(s, dtype=complex)
-    flat = w = s.ravel()
-    re = flat.real
-    inside = (np.abs(flat.imag) <= T_MAX) & (re <= SIGMA_MAX)
+    w = s.ravel()
+    re = w.real
+    inside = (np.abs(w.imag) <= T_MAX) & (re >= SIGMA_MIN) & (re <= SIGMA_MAX)
+    if not inside.all():
+        _check_window(complex(w[np.argmin(inside)]))
     left = re < 0.0
     if left.any():  # an all-right batch does not pay for the mapping
-        inside &= re >= SIGMA_MIN
-        w = np.where(left, 1.0 - flat, flat)
-    direct = inside & (np.abs(w - 1.0) >= 1e-6)
-    out = np.empty(flat.shape, dtype=complex)
-    if np.count_nonzero(direct) == flat.size:
-        direct = slice(None)  # every point: no mask to apply
-    else:
-        for i in np.flatnonzero(~direct):
-            out[i] = log_xi(flat[i])
-    z = w[direct]
-    if z.size:
-        h = 0.5 * z
-        # _stirling on the array, with pi^(-i Im h) in its reduced phase;
-        # these points have Re s/2 + 1 >= 1
-        out[direct] = (_stirling(h + 1.0, np.log, True) - h.real * _LOG_PI
-                       + np.log((z - 1.0) * _zeta_em_batch(z)))
+        w = np.where(left, 1.0 - w, w)
+    near = np.abs(w - 1.0) < _LAURENT_RADIUS
+    if not near.any():
+        return _log_xi_at(w, (w - 1.0) * _zeta_em_batch(w)).reshape(s.shape)
+    out = np.empty_like(w)
+    z = w[near]
+    out[near] = _log_xi_at(z, _laurent(z - 1.0))
+    z = w[~near]
+    out[~near] = _log_xi_at(z, (z - 1.0) * _zeta_em_batch(z))
     return out.reshape(s.shape)
+
+
+def _log_xi_at(w, g):
+    """log xi at the array w, Re w >= 0, given g = (w - 1) zeta(w): one
+    _stirling, shifted for w's leftmost point, with pi^(-i Im w/2) in it."""
+    h = 0.5 * w
+    return _stirling(h + 1.0, np.log, True) - h.real * _LOG_PI + np.log(g)
 
 
 def _zeta_em_batch(w):
@@ -261,7 +259,7 @@ def _zeta_em_batch(w):
     shared n would cost more in terms than it saves in calls.  (With
     another n, zeta moves by its rounding: near a zero, 1e-11 of it.)"""
     a = np.abs(w.imag)
-    n = int(_em_terms(float(a.max())))
+    n = int(_em_terms(float(a.max(initial=0.0))))
     if len(w) * max(n, 2 * len(_EM_TAIL)) <= _CHUNK_TERMS:
         return zeta_em(w.real, w.imag, n)
     terms = _em_terms(a).astype(int)
