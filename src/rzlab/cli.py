@@ -1,10 +1,11 @@
-"""Command-line front end: every module exposed as a subcommand that
-emits a JSON report (canonical) or a CSV projection for plotting.
+"""Command-line front end: every module exposed as a mode that emits a
+JSON report (canonical) or a CSV projection for plotting.
 
-Each mode is one subparser carrying only the options it reads, and one
-handler returning (results, rows, diagnostics, exit_code); `main` wraps
-that in the report envelope, whose parameters are the mode's own
-options, and writes it.
+The mode table maps each mode's command words ("zeros", "smatrix
+eval", ...) to a parser of only the options it reads, whose handler
+returns (results, rows, diagnostics, exit_code); `main` wraps that in
+the report envelope, whose parameters are the mode's own options, and
+writes it.
 
 Exit codes: 0 success, 2 domain/range error, 3 verification failure,
 64 usage error.
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -43,7 +45,12 @@ class _UsageExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 64."""
+    """argparse that reports usage problems with exit code 64 and reads
+    -<digit>... and -.<digit>... (-1e-5) as values, not as options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise _UsageExit(message)
@@ -329,10 +336,10 @@ def cmd_dispersion(args):
     return results, [dict(row, residual=residual)], [], EXIT_OK
 
 
-def _mode(sub, command, func, columns, **kwargs):
-    """One leaf parser: the report options plus the handler, the report's
+def _mode(modes, command, func, columns):
+    """modes[command]: the report options plus the handler, the report's
     command name and its CSV columns as defaults."""
-    p = sub.add_parser(command.rsplit(" ", 1)[-1], **kwargs)
+    p = modes[command] = _Parser(prog="rzlab " + command)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write report to this file")
     p.add_argument("--deterministic", action="store_true",
@@ -342,22 +349,15 @@ def _mode(sub, command, func, columns, **kwargs):
 
 
 @functools.cache
-def build_parser():
-    """The argparse tree, built once per process: it costs more than S(s)."""
-    parser = _Parser(prog="rzlab",
-                     description="numerical laboratory for the completed "
-                                 "zeta scattering correspondence")
-    sub = parser.add_subparsers()
-
-    p = _mode(sub, "zeros", cmd_zeros, ("index", "ordinate", "residual"),
-              help="scan the critical line for zeros")
+def mode_parsers():
+    """The mode table, keyed by command words, built once per process:
+    the parsers cost more than S(s)."""
+    modes = {}
+    p = _mode(modes, "zeros", cmd_zeros, ("index", "ordinate", "residual"))
     p.add_argument("--t-min", type=_finite, required=True)
     p.add_argument("--t-max", type=_finite, required=True)
     p.add_argument("--step", type=_finite, default=0.1)
     p.add_argument("--tol", type=_finite, default=1e-10)
-
-    modes = sub.add_parser("smatrix", help="evaluate or scan S(s)"
-                           ).add_subparsers()
     p = _mode(modes, "smatrix eval", cmd_smatrix_eval,
               ("re", "im", "value_re", "value_im", "pole", "zero"))
     p.add_argument("--re", type=_finite, default=0.0)
@@ -370,9 +370,6 @@ def build_parser():
               ("index", "ordinate", "jost_zero_re", "jost_zero_im",
                "jost_magnitude", "winding_ok"))
     p.add_argument("--num-zeros", type=int, default=10)
-
-    modes = sub.add_parser("quantum", help="inverse-square potential checks"
-                           ).add_subparsers()
     p = _mode(modes, "quantum jost-verify", cmd_jost_verify,
               ("y", "f_ode_re", "f_ode_im", "rel_error"))
     p.add_argument("--lambda", type=_finite, default=2.0)
@@ -385,30 +382,32 @@ def build_parser():
               ("lambda_re", "lambda_im", "residual"))
     p.add_argument("--lambda", type=_finite, default=2.0)
     p.add_argument("--im-lambda", type=_finite, default=0.0)
-
-    p = _mode(sub, "hadamard", cmd_hadamard, ("n", "residual"),
-              help="truncated zero-product convergence")
+    p = _mode(modes, "hadamard", cmd_hadamard, ("n", "residual"))
     p.add_argument("--num-zeros", type=int, default=100)
     p.add_argument("--at", dest="at_re", type=_finite, default=2.0)
     p.add_argument("--at-im", type=_finite, default=0.0)
-
-    modes = sub.add_parser("dispersion",
-                           help="dispersion reconstruction checks"
-                           ).add_subparsers()
     p = _mode(modes, "dispersion roundtrip", cmd_dispersion,
               ("model", "half_width", "nodes", "residual"))
     p.add_argument("--model", choices=("unit", "rational", "bound-state"),
                    default="unit")
     p.add_argument("--half-width", type=_finite, default=50.0)
     p.add_argument("--nodes", type=int, default=4001)
-    return parser
+    return modes
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    modes = mode_parsers()
+    if argv[:1] in (["-h"], ["--help"]):
+        print("usage: rzlab MODE [-h] [options]\nmodes:", *modes, sep="\n  ")
+        return EXIT_OK
     try:
-        args = build_parser().parse_args(argv)
-        if not hasattr(args, "func"):
-            raise _UsageExit("a subcommand is required")
+        n = 2 if " ".join(argv[:2]) in modes else 1  # else the first word
+        if " ".join(argv[:n]) not in modes:
+            raise _UsageExit("%s; the modes are: %s" % (
+                "unknown mode %r" % argv[0] if argv else "no mode given",
+                ", ".join(modes)))
+        args = modes[" ".join(argv[:n])].parse_args(argv[n:])
         *report, code = args.func(args)
         _write_report(args, *report)
         return code

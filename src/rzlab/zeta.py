@@ -186,16 +186,6 @@ def _laurent(d):
     return total
 
 
-def zeta_times_s_minus_1(s):
-    """(s - 1) zeta(s), entire on the window; stable through s = 1."""
-    s = complex(s)
-    _check_window(s)
-    d = s - 1.0
-    if abs(d) >= _LAURENT_RADIUS:
-        return d * zeta(s)
-    return _laurent(d)
-
-
 def log_xi(s):
     """log xi(s) with xi(s) = (1/2) s (s-1) pi^{-s/2} Gamma(s/2) zeta(s),
     assembled as log Gamma(s/2 + 1) - (s/2) log pi + log((s-1) zeta(s)),

@@ -20,7 +20,7 @@ import rzlab.quantum
 import rzlab.scattering
 import rzlab.zeros
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
-                       EXIT_VERIFICATION, build_parser, main)
+                       EXIT_VERIFICATION, main, mode_parsers)
 from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
                           VerificationError)
 
@@ -149,6 +149,9 @@ BAD_INPUTS = [
     (("hadamard", "--num-zeros", "115"), EXIT_DOMAIN),
     (("smatrix", "correspondence", "--num-zeros", "200"), EXIT_DOMAIN),
     (("hadamard", "--num-zeros", "150"), EXIT_DOMAIN),
+    # a negative number in exponent form is a value, so -1e999 is read
+    # as the number -inf
+    (("smatrix", "eval", "--re", "-1e999"), EXIT_USAGE),
 ]
 
 
@@ -286,8 +289,70 @@ def test_raised_exit_3_writes_only_its_stderr_line(
 def test_parser_built_once(capsys):
     run(capsys, "smatrix", "eval", "--deterministic")
     run(capsys, "quantum", "khuri", "--lambda", "-5", "--deterministic")
-    assert build_parser() is build_parser()
-    assert build_parser.cache_info().misses == 1
+    assert mode_parsers() is mode_parsers()
+    assert mode_parsers.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [(), ("smatrix",), ("quantum",),
+                                  ("dispersion",), ("frobnicate",),
+                                  ("smatrix", "frobnicate")])
+def test_missing_or_unknown_mode_lists_the_modes(capsys, argv):
+    # a group word alone names no mode; the one stderr line lists them all
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    listed = err.rstrip("\n").split("; the modes are: ")[1].split(", ")
+    assert listed == list(mode_parsers()) and len(listed) == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeros", "eval", "--t-min", "0", "--t-max", "1"),
+    ("hadamard", "eval"),
+])
+def test_word_after_a_one_word_mode_is_an_unrecognized_argument(capsys,
+                                                                argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: unrecognized arguments: eval\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_top_level_help_lists_the_modes(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1:] == ["modes:"] + [
+        "  " + mode for mode in mode_parsers()]
+
+
+def test_readme_mode_table_matches_the_parsers():
+    # each row of the README's "Command line" table names a mode and the
+    # options it reads, beyond -h and the report options
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## Command line\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z -]+)` \| (.*) \|$", section, re.M)
+    assert [mode for mode, _ in rows] == list(mode_parsers())
+    for mode, options in rows:
+        usage = mode_parsers()[mode].format_usage()
+        assert set(re.findall(r"`(--[a-z-]+)", options)) == set(
+            re.findall(r"--[a-z][a-z-]*", usage)) - {
+                "--format", "--out", "--deterministic"}, mode
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (("smatrix", "eval", "--re", "-1e-5"), "re", -1e-5),
+    (("smatrix", "eval", "--im", "-2e1"), "im", -20.0),
+    (("hadamard", "--num-zeros", "3", "--at", "-1E-3"), "at_re", -1e-3),
+    (("quantum", "khuri", "--lambda", "-2.5e3", "--im-lambda", "1"),
+     "lambda", -2500.0),
+])
+def test_negative_value_in_exponent_form_is_a_number(capsys, argv, name,
+                                                     value):
+    # a separate token, not --re=-1e-5: argparse took it for an option
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["parameters"][name] == value
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -554,8 +619,9 @@ def _fuzz(*argv):
        st.one_of(st.floats(1e-300, 1e300),
                  st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)))
 def test_jost_verify_fuzz(lam, k):
-    code, out = _fuzz("quantum", "jost-verify", "--lambda=%r" % lam,
-                      "--k=%r" % k)
+    # separate tokens: a negative value such as -1e+300 is a number
+    code, out = _fuzz("quantum", "jost-verify", "--lambda", repr(lam),
+                      "--k", repr(k))
     assert code in (EXIT_OK, EXIT_DOMAIN), (lam, k)
     if code == EXIT_OK:
         assert _strict_json(out)["results"]["samples"]

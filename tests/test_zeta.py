@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import rzlab.zeta
 from rzlab.errors import PoleError, RangeError
 from rzlab.zeta import (SIGMA_MAX, SIGMA_MIN, T_MAX, log_xi, log_xi_array,
-                        xi, xi_symmetry_residual, zeta, zeta_em,
-                        zeta_times_s_minus_1)
+                        xi, xi_symmetry_residual, zeta, zeta_em)
 
 # Frozen references from an independent high-precision evaluation.
 ZETA_REFS = [
@@ -49,14 +48,17 @@ def test_zeta_near_pole_laurent():
     assert abs(v - want) < 1e-4
 
 
-def test_zeta_times_s_minus_1_entire_at_pole():
-    v = zeta_times_s_minus_1(1.0)
-    assert abs(v - 1.0) < 1e-14
-    # both sides of the series/direct switch against frozen references
-    assert abs(zeta_times_s_minus_1(1.0 + 9.9e-7)
-               - 1.0000005714435796) < 1e-12
-    assert abs(zeta_times_s_minus_1(1.0 + 1.1e-6)
-               - 1.0000006349373194) < 1e-12
+def test_log_xi_entire_at_pole():
+    # log xi(1) = log(1/2); within 1e-6 of s = 1, (s - 1) zeta(s) comes
+    # from the Laurent series, beyond it from zeta_em: both sides of the
+    # switch against mpmath
+    for s in (1.0, 1.0 + 9.9e-7, 1.0 + 1.1e-6):
+        with mpmath.workdps(30):
+            m = mpmath.mpf(s)
+            g = 1 if s == 1.0 else (m - 1) * mpmath.zeta(m)
+            want = mpmath.log(g * mpmath.gamma(m / 2 + 1) * mpmath.pi
+                              ** (-m / 2))
+        assert abs(log_xi(s) - complex(want)) < 1e-14, s
 
 
 def test_zeta_window_errors():
