@@ -349,7 +349,7 @@ def test_readme_mode_table_matches_the_parsers():
 ])
 def test_negative_value_in_exponent_form_is_a_number(capsys, argv, name,
                                                      value):
-    # a separate token, not --re=-1e-5: argparse took it for an option
+    # as a separate token too, not only as --re=-1e-5
     code, out, err = run(capsys, *argv, "--deterministic")
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["parameters"][name] == value
