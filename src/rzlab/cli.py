@@ -46,11 +46,14 @@ class _UsageExit(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 64 and reads
-    -<digit>... and -.<digit>... (-1e-5) as values, not as options."""
+    -<digit>... and -.<digit>... (-1e-5), and -inf, -infinity and -nan
+    in any case, as values, not as options: _finite then rejects the
+    last three by name."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise _UsageExit(message)
@@ -112,8 +115,12 @@ def _write_report(args, results, rows, diagnostics):
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageExit("cannot write --out %s: %s"
+                             % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -203,16 +210,16 @@ def cmd_smatrix_correspondence(args):
 
     diagnostics = []
     rows = []
-    for z in _first_zeros(args.num_zeros):
+    zeros = _first_zeros(args.num_zeros)
+    for z, fp in zip(zeros, zero_to_jost_zero([z.ordinate for z in zeros])):
         p = complex(-0.25, 0.5 * z.ordinate)
-        try:
+        if isinstance(fp, VerificationError):
+            mag = None
+            diagnostics.append(str(fp))
+        else:
             # |F+| at the float nearest a zero is rounding noise (about
             # 1e-14), so only its first two digits are reported
-            fp = zero_to_jost_zero(z.ordinate)
             mag = float("%.2g" % math.exp(fp.log_value.real))
-        except VerificationError as exc:
-            mag = None
-            diagnostics.append(str(exc))
         rows.append({"index": z.index, "ordinate": z.ordinate,
                      "jost_zero_re": p.real, "jost_zero_im": p.imag,
                      "jost_magnitude": mag, "winding_ok": mag is not None})
@@ -407,7 +414,10 @@ def main(argv=None):
             raise _UsageExit("%s; the modes are: %s" % (
                 "unknown mode %r" % argv[0] if argv else "no mode given",
                 ", ".join(modes)))
-        args = modes[" ".join(argv[:n])].parse_args(argv[n:])
+        try:
+            args = modes[" ".join(argv[:n])].parse_args(argv[n:])
+        except SystemExit:  # -h, its help printed: error() raises instead
+            return EXIT_OK
         *report, code = args.func(args)
         _write_report(args, *report)
         return code

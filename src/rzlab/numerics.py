@@ -23,7 +23,7 @@ MAX_GRID_POINTS = 10 ** 6
 # Contour sampling of winding_number: per unit of side length, and the
 # fewest samples on any side.
 SAMPLES_PER_UNIT = 10
-MIN_SIDE_SAMPLES = 32
+MIN_SIDE_SAMPLES = 8
 # Double-precision machine epsilon: where tol is finer than the float
 # spacing, find_root_bracketed closes a bracket at 4 eps max(|lo|, |hi|),
 # and integrate_adaptive stops at 4 eps times the sum of |terms|.
@@ -209,19 +209,22 @@ def real_sign(phase):
     return 1 - 2 * (abs(_fold_phase(phase)) >= 0.5 * math.pi)
 
 
-def winding_number(g, rect, mirror=False):
-    """Total argument change of g around the rectangle boundary, / 2 pi.
+def winding_number(g, rects, mirror=False):
+    """Total argument change of g around each rectangle's boundary, / 2
+    pi: one count per rectangle of the sequence rects.
 
     g maps an array of points to the array of its values.  Each side is
     sampled SAMPLES_PER_UNIT times per unit of its length (at least
-    MIN_SIDE_SAMPLES), each side with both of its corners, and all
-    samples are evaluated in one call.  Phase steps between consecutive
-    samples are then refined in rounds: each round bisects every step
-    not below pi/2 with one call of g on all their midpoints, until
+    MIN_SIDE_SAMPLES), each side with both of its corners, and the
+    samples of every contour are evaluated in one call.  Phase steps
+    between consecutive samples of a contour are then refined in
+    rounds: each round bisects every step not below pi/2, of all the
+    contours together, with one call of g on all their midpoints, until
     every step is below pi/2, which rules out 2 pi aliasing near zeros
-    close to the contour.  A step still unresolved after 40 rounds, or
-    a round that would pass MAX_GRID_POINTS points, raises
-    BoundaryZeroError.
+    close to a contour.  No step joins one contour to the next.  A step
+    still unresolved after 40 rounds, or a round that would pass
+    MAX_GRID_POINTS points, raises BoundaryZeroError for the batch, as
+    does a zero of g on any contour.
 
     mirror=True is for g with g(re_min + re_max - conj z) = conj g(z),
     as xi(1 - conj s) = conj xi(s) about Re s = 1/2.  The left half of
@@ -233,14 +236,29 @@ def winding_number(g, rect, mirror=False):
     end, and a step at an end still unresolved after 40 rounds is taken
     as it is.  The argument change is a multiple of pi, / pi the count.
     """
-    lo = complex(rect.re_min, rect.im_min)
-    hi = complex(rect.re_max, rect.im_max)
-    right = [complex(hi.real, lo.imag), hi]
+    if not len(rects):
+        return []
+    re_min, re_max, im_min, im_max = np.array(
+        [(r.re_min, r.re_max, r.im_min, r.im_max) for r in rects]).T
+    right = [re_max + 1j * im_min, re_max + 1j * im_max]
     if mirror:
-        mid = 0.5 * (rect.re_min + rect.re_max)
-        path = [complex(mid, lo.imag)] + right + [complex(mid, hi.imag)]
+        mid = 0.5 * (re_min + re_max)
+        path = [mid + 1j * im_min] + right + [mid + 1j * im_max]
     else:
-        path = [lo] + right + [complex(lo.real, hi.imag), lo]
+        lo = re_min + 1j * im_min
+        path = [lo] + right + [re_min + 1j * im_max, lo]
+    # side i runs from za[i] to zb[i] in m[i] steps: its samples are
+    # za + (zb - za) j / m for j = 0 .. m, the contours one after another
+    path = np.stack(path, axis=1)
+    za, zb = path[:, :-1].ravel(), path[:, 1:].ravel()
+    m = np.maximum(MIN_SIDE_SAMPLES,
+                   (SAMPLES_PER_UNIT * np.abs(zb - za)).astype(int))
+    side = np.repeat(np.arange(len(m)), m + 1)
+    end = np.cumsum(m + 1) - 1
+    j = np.arange(len(side)) - np.repeat(end - m, m + 1)
+    z = za[side] + (zb - za)[side] * j / m[side]
+    z[end] = zb  # za + (zb - za) m / m can round past zb
+    owner = side // (path.shape[1] - 1)
 
     def phases(z):
         w = np.asarray(g(z), dtype=complex)
@@ -250,25 +268,26 @@ def winding_number(g, rect, mirror=False):
                                     % z[np.argmax(low)])
         return np.angle(w)
 
-    sides = []
-    for za, zb in zip(path, path[1:]):
-        m = max(MIN_SIDE_SAMPLES, int(SAMPLES_PER_UNIT * abs(zb - za)))
-        pts = za + (zb - za) * np.arange(m + 1) / m
-        pts[-1] = zb  # za + (zb - za) m / m can round past zb
-        sides.append(pts)
-    z = np.concatenate(sides)
     ph = phases(z)
-    if mirror:
-        ph[[0, -1]] = 0.5 * math.pi * (1 - real_sign(ph[[0, -1]]))
     for depth in range(41):
+        # the first and last sample of each contour
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        last = np.append(first[1:] - 1, len(z) - 1)
+        if mirror and depth == 0:
+            ends = np.append(first, last)
+            ph[ends] = 0.5 * math.pi * (1 - real_sign(ph[ends]))
         steps = _fold_phase(np.diff(ph))
+        steps[last[:-1]] = 0.0  # the joins between contours
         wide = np.flatnonzero(~(np.abs(steps) < 0.5 * math.pi))
         if depth == 40 and mirror:
             # at a zero on a mirror end the snapped phase sets the sign
-            wide = wide[(wide > 0) & (wide < len(steps) - 1)]
+            wide = np.setdiff1d(wide, np.append(first, last - 1))
         if not len(wide):
-            # exact multiple: the steps telescope between equal or snapped ends
-            return round(steps.sum() / (math.pi if mirror else 2 * math.pi))
+            # exact multiples: the steps telescope between equal or
+            # snapped ends
+            total = np.bincount(owner[1:], weights=steps)
+            return [round(w) for w in
+                    total / (math.pi if mirror else 2 * math.pi)]
         # a NaN or noise phase doubles its wide steps every round
         if depth == 40 or len(z) + len(wide) > MAX_GRID_POINTS:
             raise BoundaryZeroError("phase step not resolving near %s; zero "
@@ -276,3 +295,4 @@ def winding_number(g, rect, mirror=False):
         at = wide + 1
         zm = 0.5 * (z[wide] + z[at])
         z, ph = np.insert(z, at, zm), np.insert(ph, at, phases(zm))
+        owner = np.insert(owner, at, owner[wide])

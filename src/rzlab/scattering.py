@@ -83,27 +83,37 @@ def jost_plus(s):
                         pole_flag=m.zero_flag, zero_flag=m.pole_flag)
 
 
-def zero_to_jost_zero(t_n):
-    """Map a zeta-zero ordinate to the predicted F+ zero p = -1/4 + i
-    t_n/2, checking the contract: |F+| < 1e-6 there, and F+ = exp(-log
-    S) winds once around a 0.05-radius box about the point.  Returns
-    the F+ value at p (its .s is p), so callers need not evaluate S
-    there again.  A failure falsifies the implementation, not the
-    correspondence.
+def zero_to_jost_zero(ordinates):
+    """Map each zeta-zero ordinate t_n to the predicted F+ zero p = -1/4
+    + i t_n/2, checking the contract: |F+| < 1e-6 there, by the scalar
+    jost_plus(p), and F+ = exp(-log S) winds once around a 0.05-radius
+    box about the point, every box that passed the point check in one
+    winding_number call.  Returns, for each ordinate, the F+ value at p
+    (its .s is p), so callers need not evaluate S there again, or the
+    VerificationError its check failed with.  A failure falsifies the
+    implementation, not the correspondence; a BoundaryZeroError on any
+    box is raised for the batch.
     """
-    p = complex(-0.25, 0.5 * t_n)
-    fp = jost_plus(p)
-    mag = math.exp(fp.log_value.real)
-    if not (mag < 1e-6 and fp.zero_flag):
-        raise VerificationError(
-            "|F+| = %.3g at %s; expected a zero there" % (mag, p))
-    rect = ContourRectangle(p.real - 0.05, p.real + 0.05,
-                            p.imag - 0.05, p.imag + 0.05)
-    w = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rect)
-    if w != 1:
-        raise VerificationError(
-            "winding of F+ around %s is %d, expected 1" % (p, w))
-    return fp
+    out, boxes = [], []
+    for t_n in ordinates:
+        p = complex(-0.25, 0.5 * t_n)
+        fp = jost_plus(p)
+        mag = math.exp(fp.log_value.real)
+        if mag < 1e-6 and fp.zero_flag:
+            boxes.append(len(out))
+        else:
+            fp = VerificationError(
+                "|F+| = %.3g at %s; expected a zero there" % (mag, p))
+        out.append(fp)
+    rects = [ContourRectangle(p.real - 0.05, p.real + 0.05,
+                              p.imag - 0.05, p.imag + 0.05)
+             for p in (out[i].s for i in boxes)]
+    counts = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rects)
+    for i, w in zip(boxes, counts):
+        if w != 1:
+            out[i] = VerificationError(
+                "winding of F+ around %s is %d, expected 1" % (out[i].s, w))
+    return out
 
 
 def coupling_at_zero(t_n):

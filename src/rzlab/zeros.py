@@ -82,5 +82,6 @@ def count_zeros_rectangle(rect):
     evaluated, its ends on the critical line signed by real_sign as
     find_zeros' grid is.  Any other rectangle takes the full boundary.
     """
-    return winding_number(lambda z: np.exp(log_xi_array(z)), rect,
-                          mirror=rect.re_min + rect.re_max == 1.0)
+    count, = winding_number(lambda z: np.exp(log_xi_array(z)), [rect],
+                            mirror=rect.re_min + rect.re_max == 1.0)
+    return count

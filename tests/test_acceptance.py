@@ -99,8 +99,9 @@ def test_criterion_04_unitarity():
 
 
 def test_criterion_05_jost_zero_correspondence(zeros_to_100):
-    for z in zeros_to_100[:10]:
-        fp = zero_to_jost_zero(z.ordinate)  # winding check inside
+    checked = zero_to_jost_zero([z.ordinate for z in zeros_to_100[:10]])
+    assert len(checked) == 10  # the winding checks inside, in one call
+    for z, fp in zip(zeros_to_100, checked):
         assert fp.s == complex(-0.25, 0.5 * z.ordinate)
         assert math.exp(jost_plus(fp.s).log_value.real) < 1e-6
         lam = coupling_at_zero(z.ordinate)

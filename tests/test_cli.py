@@ -229,8 +229,9 @@ def test_num_zeros_checked_before_scan(monkeypatch, capsys, mode):
 def test_failed_correspondence_row_is_null(monkeypatch, capsys):
     import rzlab.scattering
 
-    def fail(t_n, verify=True):
-        raise VerificationError("forced failure at t = %g" % t_n)
+    def fail(ordinates):
+        return [VerificationError("forced failure at t = %g" % t_n)
+                for t_n in ordinates]
     monkeypatch.setattr(rzlab.scattering, "zero_to_jost_zero", fail)
     code, out, _ = run(capsys, "smatrix", "correspondence", "--num-zeros",
                        "2", "--deterministic")
@@ -253,10 +254,18 @@ def _raise(exc):
     return fail
 
 
+def _fail_each(exc):
+    """A batched check that fails every item with exc."""
+    def fail(items):
+        return [exc] * len(items)
+    return fail
+
+
 @pytest.mark.parametrize("module,name,replacement,argv", [
     ("zeros", "count_zeros_rectangle", lambda rect: 99,
      ["zeros", "--t-min", "0", "--t-max", "15"]),
-    ("scattering", "zero_to_jost_zero", _raise(VerificationError("forced")),
+    ("scattering", "zero_to_jost_zero",
+     _fail_each(VerificationError("forced")),
      ["smatrix", "correspondence", "--num-zeros", "1"]),
     ("hadamard", "convergence_profile",
      lambda at, checkpoints, catalog, params: [1.0] * len(checkpoints),
@@ -324,6 +333,15 @@ def test_top_level_help_lists_the_modes(capsys, flag):
         "  " + mode for mode in mode_parsers()]
 
 
+@pytest.mark.parametrize("mode", list(mode_parsers()))
+def test_mode_help_returns_0(capsys, mode):
+    # in process: main returns, as for the top-level -h, and the help is
+    # the mode parser's own text
+    code, out, err = run(capsys, *mode.split(), "-h")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == mode_parsers()[mode].format_help()
+
+
 def test_readme_mode_table_matches_the_parsers():
     # each row of the README's "Command line" table names a mode and the
     # options it reads, beyond -h and the report options
@@ -353,6 +371,19 @@ def test_negative_value_in_exponent_form_is_a_number(capsys, argv, name,
     code, out, err = run(capsys, *argv, "--deterministic")
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["parameters"][name] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ("--im", "-inf"), ("--im=-inf",), ("--im", "-INF"),
+    ("--im", "-Infinity"), ("--im", "-nan"), ("--im", "-NaN"),
+])
+def test_negative_non_finite_word_is_read_as_a_value(capsys, argv):
+    # as a separate token it reaches the finite-number check, which names
+    # it, rather than being taken for an unknown option
+    code, out, err = run(capsys, "smatrix", "eval", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: argument --im: not a finite number: %r\n" % (
+        argv[-1].split("=")[-1])
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
@@ -444,6 +475,29 @@ def test_smatrix_correspondence_evaluates_s_once_per_zero(monkeypatch,
     assert calls == [complex(r["jost_zero_re"], r["jost_zero_im"])
                      for r in rows]
     assert all(r["jost_magnitude"] < 1e-6 for r in rows)
+
+
+def test_correspondence_checks_every_box_in_one_batch(monkeypatch, capsys):
+    # one log_s_matrix call for all the boxes, plus one per refinement
+    # round: as many for 12 zeros as for 1
+    import rzlab.scattering
+    calls = []
+
+    def counted(s):
+        calls.append(len(s))
+        return real_log_s_matrix(s)
+
+    real_log_s_matrix = rzlab.scattering.log_s_matrix
+    monkeypatch.setattr(rzlab.scattering, "log_s_matrix", counted)
+    made = []
+    for n in ("1", "12"):
+        del calls[:]
+        code, out, _ = run(capsys, "smatrix", "correspondence",
+                           "--num-zeros", n, "--deterministic")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["passes"] == int(n)
+        made.append(len(calls))
+    assert made[0] == made[1]
 
 
 def test_correspondence_magnitude_has_two_digits(capsys):
@@ -820,6 +874,17 @@ def test_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(path.read_text())["results"]["count"] == 1
+
+
+@pytest.mark.parametrize("where", ["missing/dir/report.json", "."])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
+                                                     where):
+    # a directory that does not exist, and a directory itself
+    path = str(tmp_path / where)
+    code, out, err = run(capsys, "smatrix", "eval", "--out", path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage error: cannot write --out %s: " % path)
+    assert err.count("\n") == 1
 
 
 # Each leaf mode with the parameters its report holds: its own options,

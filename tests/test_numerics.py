@@ -178,23 +178,24 @@ def test_root_bracketed_degenerate_values_raise_no_warning(fn, lo, hi):
 def test_winding_polynomial():
     rect = ContourRectangle(-1.0, 3.0, -1.0, 3.0)
     # (z - 1)(z - 2j): both roots inside
-    assert winding_number(lambda z: (z - 1.0) * (z - 2j), rect) == 2
+    assert winding_number(lambda z: (z - 1.0) * (z - 2j), [rect]) == [2]
     # one root inside, one outside
-    assert winding_number(lambda z: (z - 1.0) * (z - 10.0), rect) == 1
+    assert winding_number(lambda z: (z - 1.0) * (z - 10.0), [rect]) == [1]
     # no roots
-    assert winding_number(lambda z: np.exp(z), rect) == 0
+    assert winding_number(lambda z: np.exp(z), [rect]) == [0]
 
 
 def test_winding_zero_near_contour_refines():
     # root at distance 1e-4 from the boundary still resolves
     rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
-    assert winding_number(lambda z: z - complex(0.5, 1e-4), rect) == 1
+    assert winding_number(lambda z: z - complex(0.5, 1e-4), [rect]) == [1]
 
 
 def test_winding_refines_every_wide_step_in_one_call_per_round():
     # zeros 1e-4 inside the bottom and top sides, below and above the
-    # samples at Re z = 1/2: the steps either side of each are near pi/2,
-    # and two rounds each bisect all four wide steps in one call
+    # samples at Re z = 1/2: the steps either side of each stay at or
+    # above pi/2 until they are about 0.01 long, and four rounds each
+    # bisect all four wide steps in one call
     sizes = []
 
     def g(z):
@@ -202,8 +203,8 @@ def test_winding_refines_every_wide_step_in_one_call_per_round():
         return (z - complex(0.5, 1e-4)) * (z - complex(0.5, 1.0 - 1e-4))
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
-    assert winding_number(g, rect) == 2
-    assert sizes == [4 * 33, 4, 4]
+    assert winding_number(g, [rect]) == [2]
+    assert sizes == [4 * 11, 4, 4, 4, 4]
 
 
 def test_winding_unresolving_region_raises_with_bounded_work():
@@ -217,19 +218,19 @@ def test_winding_unresolving_region_raises_with_bounded_work():
         return np.where(abs(z - (1.0 + 3.0j)) < 1e-3, np.nan, z - 0.5 - 3.0j)
 
     with pytest.raises(BoundaryZeroError, match="not resolving"):
-        winding_number(g, ContourRectangle(0.0, 1.0, 1.0, 5.0))
+        winding_number(g, [ContourRectangle(0.0, 1.0, 1.0, 5.0)])
     assert sum(sizes) <= MAX_GRID_POINTS
 
 
 def test_winding_zero_on_contour_raises():
     rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(BoundaryZeroError):
-        winding_number(lambda z: z - 0.5, rect)
+        winding_number(lambda z: z - 0.5, [rect])
 
 
 def test_winding_samples_all_sides_in_one_call():
-    # sides of length 1 and 25: 32 samples (the floor) and 10 per unit,
-    # 33 + 251 + 33 + 251 points in the first call, and no refinement
+    # sides of length 1 and 25, 10 samples per unit: 11 + 251 + 11 + 251
+    # points in the first call, and no refinement
     sizes = []
 
     def g(z):
@@ -237,8 +238,8 @@ def test_winding_samples_all_sides_in_one_call():
         return z - complex(0.5, 3.0)
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
-    assert winding_number(g, rect) == 1
-    assert sizes[0] == 568
+    assert winding_number(g, [rect]) == [1]
+    assert sizes[0] == 524
     assert all(n == 1 for n in sizes[1:])
 
 
@@ -274,13 +275,14 @@ def _mirror_symmetric(roots):
 def test_winding_mirror_matches_full_contour(roots, count):
     g = _mirror_symmetric(roots)
     rect = ContourRectangle(0.0, 1.0, 1.0, 5.0)
-    assert winding_number(g, rect) == count
-    assert winding_number(g, rect, mirror=True) == count
+    assert winding_number(g, [rect]) == [count]
+    assert winding_number(g, [rect], mirror=True) == [count]
 
 
 def test_winding_mirror_samples_the_right_half_in_one_call():
-    # the half sides have length 1/2 and take the 32-sample floor, the
-    # right side 10 per unit: 33 + 251 + 33 points, half of the full path
+    # the half sides have length 1/2 and take the 8-sample floor, the
+    # right side 10 per unit: 9 + 251 + 9 points, about half of the full
+    # path
     sizes = []
 
     def g(z):
@@ -288,15 +290,16 @@ def test_winding_mirror_samples_the_right_half_in_one_call():
         return 1j * (z - complex(0.5, 3.0))
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
-    assert winding_number(g, rect, mirror=True) == 1
-    assert sizes[0] == 317
+    assert winding_number(g, [rect], mirror=True) == [1]
+    assert sizes[0] == 269
     assert all(n == 1 for n in sizes[1:])
 
 
 def test_winding_mirror_zero_on_top_edge_raises():
     g = _mirror_symmetric([0.5 + 5j])
     with pytest.raises(BoundaryZeroError):
-        winding_number(g, ContourRectangle(0.0, 1.0, 1.0, 5.0), mirror=True)
+        winding_number(g, [ContourRectangle(0.0, 1.0, 1.0, 5.0)],
+                       mirror=True)
 
 
 def _with_top_value(monkeypatch, value):
@@ -346,7 +349,107 @@ def test_winding_samples_stay_on_the_rectangle(mirror):
         seen.append(z)
         return 1j * (z - complex(0.5, 100.0))
 
-    assert winding_number(g, rect, mirror=mirror) == 1
+    assert winding_number(g, [rect], mirror=mirror) == [1]
     z = np.concatenate(seen)
     assert z.imag.min() == 78.33 and z.imag.max() == 260.0
     assert z.real.min() == (0.5 if mirror else 0.0) and z.real.max() == 1.0
+
+
+def _on_boundary(z, rects):
+    """True where z lies on the boundary of one of the rectangles."""
+    hit = np.zeros(len(z), dtype=bool)
+    for r in rects:
+        inside = ((r.re_min <= z.real) & (z.real <= r.re_max)
+                  & (r.im_min <= z.imag) & (z.imag <= r.im_max))
+        edge = ((z.real == r.re_min) | (z.real == r.re_max)
+                | (z.imag == r.im_min) | (z.imag == r.im_max))
+        hit |= inside & edge
+    return hit
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_winding_counts_a_batch_of_contours_in_one_call(mirror):
+    # counts 0, 1 and 2 from one call of g on all three contours, each
+    # the count of its rectangle alone, and g sees no point off them
+    g = _mirror_symmetric([0.5 + 2j, 0.5 + 4.2j, 0.5 + 4.6j])
+    rects = [ContourRectangle(0.0, 1.0, 1.0, 1.5),
+             ContourRectangle(0.0, 1.0, 1.5, 3.0),
+             ContourRectangle(0.0, 1.0, 4.0, 5.0)]
+    seen = []
+
+    def counted(z):
+        seen.append(z)
+        return g(z)
+
+    assert winding_number(counted, rects, mirror=mirror) == [0, 1, 2]
+    assert len(seen) == 1 and _on_boundary(seen[0], rects).all()
+    assert [winding_number(g, [r], mirror=mirror) for r in rects] == [
+        [0], [1], [2]]
+    assert winding_number(g, [], mirror=mirror) == []
+
+
+def test_winding_batch_takes_no_step_between_contours():
+    # g changes sign between the last sample of the first contour (its
+    # corner 0) and the first of the second (its corner 4), and vanishes
+    # half way: a step joining them would be wide, and its midpoint a
+    # zero of g, a BoundaryZeroError
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return z - 2.0
+
+    rects = [ContourRectangle(0.0, 1.0, 0.0, 1.0),
+             ContourRectangle(4.0, 5.0, 0.0, 1.0)]
+    assert winding_number(g, rects) == [0, 0]
+    assert sizes == [2 * 4 * 11]
+
+
+def test_winding_batch_refines_one_contour_one_call_per_round():
+    # only the middle contour has zeros near its sides: each round calls
+    # g once, on its wide steps alone, as when it is counted by itself
+    sizes = []
+
+    def g(z):
+        sizes.append(len(z))
+        return (z - complex(0.5, 1e-4)) * (z - complex(0.5, 1.0 - 1e-4))
+
+    rects = [ContourRectangle(-3.0, -2.0, 0.0, 1.0),
+             ContourRectangle(0.0, 1.0, 0.0, 1.0),
+             ContourRectangle(3.0, 4.0, 0.0, 1.0)]
+    assert winding_number(g, rects[1:2]) == [2]
+    alone = sizes[:]
+    del sizes[:]
+    assert winding_number(g, rects) == [0, 2, 0]
+    assert sizes == [3 * alone[0]] + alone[1:] and len(alone) > 2
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_winding_boundary_zero_on_one_contour_raises_for_the_batch(mirror):
+    g = _mirror_symmetric([0.5 + 2j, 0.5 + 5j])
+    rects = [ContourRectangle(0.0, 1.0, 1.0, 3.0),
+             ContourRectangle(0.0, 1.0, 4.0, 5.0),
+             ContourRectangle(0.0, 1.0, 6.0, 7.0)]
+    assert winding_number(g, rects[::2], mirror=mirror) == [1, 0]
+    with pytest.raises(BoundaryZeroError):
+        winding_number(g, rects, mirror=mirror)
+
+
+@pytest.mark.parametrize("phase", [0.3, -1.2, 1.5, 1.6, 2.0, -2.9, math.pi])
+def test_winding_mirror_reads_a_root_on_the_end_of_any_contour(phase):
+    # a midline root on the first contour's top end, a sample inside the
+    # batch, computes as a tiny value with a noise phase: its snapped
+    # phase and the end step taken as it is after 40 rounds count it as
+    # when that contour is counted alone (+ puts the root inside)
+    base = _mirror_symmetric([0.5 + 2j, 0.5 + 5j, 0.4 + 5.5j])
+
+    def g(z):
+        w = base(z)
+        w[z == 0.5 + 5j] = 1e-12 * cmath.exp(1j * phase)
+        return w
+
+    rects = [ContourRectangle(0.0, 1.0, 1.0, 5.0),
+             ContourRectangle(0.0, 1.0, 6.0, 7.0)]
+    count = 2 if real_sign(phase) > 0 else 1
+    assert winding_number(g, rects, mirror=True) == [count, 0]
+    assert winding_number(g, rects[:1], mirror=True) == [count]

@@ -1,13 +1,17 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from rzlab.errors import VerificationError
+from rzlab.numerics import ContourRectangle, winding_number
 from rzlab.scattering import (coupling_at_zero, coupling_from_root,
                               flat_wave, jost_plus, log_s_matrix, s_matrix,
                               zero_to_jost_zero)
+from rzlab.zeros import find_zeros
+from rzlab.zeta import T_MAX
 
 T1 = 14.134725141734694
 
@@ -71,15 +75,17 @@ def test_jost_plus_is_reciprocal():
 
 
 def test_zero_to_jost_zero_verified():
-    fp = zero_to_jost_zero(T1)
+    fp, = zero_to_jost_zero([T1])
     assert fp.s == complex(-0.25, 0.5 * T1)
     assert math.exp(fp.log_value.real) < 1e-6 and fp.zero_flag
     assert fp == jost_plus(fp.s)
 
 
 def test_zero_to_jost_zero_rejects_non_zero():
-    with pytest.raises(VerificationError):
-        zero_to_jost_zero(15.0)  # not a zero ordinate
+    # 15.0 is not a zero ordinate; T1 in the same batch still passes
+    fp, bad = zero_to_jost_zero([T1, 15.0])
+    assert isinstance(bad, VerificationError)
+    assert fp == jost_plus(complex(-0.25, 0.5 * T1))
 
 
 def test_zero_to_jost_zero_evaluates_s_matrix_once(monkeypatch):
@@ -93,8 +99,28 @@ def test_zero_to_jost_zero_evaluates_s_matrix_once(monkeypatch):
 
     real_s_matrix = scattering.s_matrix
     monkeypatch.setattr(scattering, "s_matrix", counted)
-    zero_to_jost_zero(T1)
+    zero_to_jost_zero([T1])
     assert calls == [complex(-0.25, 0.5 * T1)]
+
+
+def test_every_jost_box_winds_once_with_the_zero_near_a_side():
+    # every F+ zero below T_MAX, in its centred 0.1-wide box and in the
+    # box moved so the zero lies 0.01 inside one side, or inside both
+    # sides at a corner, where the box stays in the window: at
+    # MIN_SIDE_SAMPLES per side each winds once, all in one batch
+    ordinates = [z.ordinate for z in find_zeros(0.0, T_MAX)]
+    rects = []
+    for t in ordinates:
+        for dx, dy in itertools.product((-0.04, 0.0, 0.04), repeat=2):
+            c = complex(-0.25 + dx, 0.5 * t + dy)
+            if 2.0 * (c.imag + 0.05) <= T_MAX:
+                rects.append(ContourRectangle(c.real - 0.05, c.real + 0.05,
+                                              c.imag - 0.05, c.imag + 0.05))
+    assert len(ordinates) == 114 and len(rects) == 114 * 9 - 3
+    counts = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rects)
+    assert counts == [1] * len(rects)
+    assert all(not isinstance(fp, VerificationError)
+               for fp in zero_to_jost_zero(ordinates))
 
 
 def test_log_s_matrix_matches_s_matrix():

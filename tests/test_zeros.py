@@ -134,7 +134,7 @@ def test_mirror_count_matches_full_contour_and_scan(ordinates_to_260, lo,
     assume(np.abs(ordinates_to_260 - lo).min() >= 1e-6)
     assume(np.abs(ordinates_to_260 - hi).min() >= 1e-6)
     rect = ContourRectangle(0.0, 1.0, lo, hi)
-    full = winding_number(lambda z: np.exp(log_xi_array(z)), rect)
+    full, = winding_number(lambda z: np.exp(log_xi_array(z)), [rect])
     assert count_zeros_rectangle(rect) == full == len(find_zeros(lo, hi))
 
 
