@@ -126,22 +126,28 @@ def _write_report(args, results, rows, diagnostics):
 
 
 def _first_zeros(n):
-    """Scan the critical line upward until n zeros are in hand."""
+    """The first n zeros, from one scan of 0..T, where T solves
+    theta(T)/pi + 1 = n + 1.5: the main term of the Riemann-von Mangoldt
+    count, with a margin above the largest |S(t)| below T_MAX (0.998)."""
     from .zeros import find_zeros
     from .zeta import T_MAX
 
     if n < 1:
         raise PreconditionError("--num-zeros must be at least 1")
-    t_max = min(float(T_MAX), 20.0 + 3.0 * n)
-    while True:
-        zeros = find_zeros(0.0, t_max)
-        if len(zeros) >= n:
-            return zeros[:n]
-        if t_max >= T_MAX:
-            raise RangeError(
-                "only %d zeros available below the evaluation ceiling t = %g"
-                % (len(zeros), T_MAX))
-        t_max = min(float(T_MAX), 1.5 * t_max)
+    # theta is convex and increasing: from T_MAX, Newton's steps fall onto
+    # a T below it within rounding after six, or stay at T_MAX
+    t = float(T_MAX)
+    for _ in range(6):
+        u = math.log(t / math.tau)
+        theta = 0.5 * t * (u - 1.0) - math.pi / 8 + 1.0 / (48.0 * t)
+        t = min(float(T_MAX), t - (theta - math.pi * (n + 0.5))
+                / (0.5 * u - 1.0 / (48.0 * t * t)))
+    zeros = find_zeros(0.0, t)
+    if len(zeros) < n:
+        raise RangeError(
+            "only %d zeros available below the evaluation ceiling t = %g"
+            % (len(zeros), T_MAX))
+    return zeros[:n]
 
 
 def cmd_zeros(args):
@@ -149,7 +155,7 @@ def cmd_zeros(args):
     from .zeros import count_zeros_rectangle, find_zeros
 
     zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
-    rect = ContourRectangle(0.0, 1.0, args.t_min, args.t_max)
+    rect = ContourRectangle(-2.0, 3.0, args.t_min, args.t_max)
     rect_count = count_zeros_rectangle(rect)
     consistent = rect_count == len(zeros)
     diagnostics = [] if consistent else [

@@ -1,9 +1,10 @@
 """Nontrivial-zero location and counting.
 
 Sign-change scanning of the real-valued xi(1/2 + it), plus
-argument-principle counts over critical-strip rectangles, taken on the
-right half of the boundary by xi's mirror symmetry about Re s = 1/2;
-the two routes cross-check each other.
+argument-principle counts over rectangles such as -2 <= Re s <= 3,
+which holds the zeros of the strip 0 < Re s < 1 and no others, taken on
+the right half of the boundary by xi's mirror symmetry about Re s =
+1/2; the two routes cross-check each other.
 """
 
 import math
@@ -77,7 +78,8 @@ def count_zeros_rectangle(rect):
     call.
 
     A rectangle symmetric about the critical line (re_min + re_max = 1,
-    as every strip count is) takes winding_number's mirror path: xi(1 -
+    as is -2 <= Re s <= 3, counted by `rzlab zeros`, whose side Re s = 3
+    needs no refinement round) takes winding_number's mirror path: xi(1 -
     conj s) = conj xi(s), so only the right half of the boundary is
     evaluated, its ends on the critical line signed by real_sign as
     find_zeros' grid is.  Any other rectangle takes the full boundary.

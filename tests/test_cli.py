@@ -770,6 +770,59 @@ def test_dispersion_roundtrip_at_a_huge_half_width_warns_nothing():
     assert code == EXIT_OK
 
 
+def test_zeros_count_evaluates_at_most_600_points(monkeypatch, capsys):
+    # the strip count of 0..250 samples Re s = 3 at SAMPLES_PER_UNIT and
+    # needs no refinement round; the scan's own points are not counted
+    count_zeros_rectangle = rzlab.zeros.count_zeros_rectangle
+    log_xi_array = rzlab.zeros.log_xi_array
+    counting, points = [], []
+
+    def counted_count(rect):
+        counting.append(rect)
+        try:
+            return count_zeros_rectangle(rect)
+        finally:
+            counting.pop()
+
+    def counted_log_xi(z):
+        if counting:
+            points.append(len(z))
+        return log_xi_array(z)
+
+    monkeypatch.setattr(rzlab.zeros, "count_zeros_rectangle", counted_count)
+    monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted_log_xi)
+    code, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "250",
+                       "--deterministic")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["rectangle_count"] == 108
+    assert len(points) == 1 and points[0] <= 600
+
+
+def test_first_zeros_scans_once_for_every_catalog(monkeypatch):
+    # the window solves theta(T)/pi + 1 = n + 1.5, capped at T_MAX: one
+    # scan for every catalog, and the ordinates of the benchmark's table
+    from rzlab.cli import _first_zeros
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "perfbench", "zeta_zeros.json")) as fh:
+        table = [float(t) for t in json.load(fh)]
+    find_zeros = rzlab.zeros.find_zeros
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return find_zeros(*args, **kwargs)
+
+    monkeypatch.setattr(rzlab.zeros, "find_zeros", counted)
+    for n in range(1, 115):
+        del scans[:]
+        zeros = _first_zeros(n)
+        assert len(scans) == 1, n
+        assert [z.index for z in zeros] == list(range(1, n + 1))
+        assert max(abs(z.ordinate - t)
+                   for z, t in zip(zeros, table)) <= 2.4e-11, n
+
+
 def test_zeros_consistent_where_a_window_edge_is_a_computed_zero():
     # the scan's grid and the contour's mirror end read one computed xi at
     # the edge, through one sign rule: both count the edge zero or neither

@@ -6,7 +6,8 @@ import pytest
 
 from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
                           PreconditionError)
-from rzlab.numerics import (MAX_GRID_POINTS, ContourRectangle,
+from rzlab.numerics import (MAX_GRID_POINTS, MIN_SIDE_SAMPLES,
+                            SAMPLES_PER_UNIT, ContourRectangle,
                             QuadratureResult, find_root_bracketed,
                             integrate_adaptive, real_sign, winding_number)
 
@@ -175,6 +176,12 @@ def test_root_bracketed_degenerate_values_raise_no_warning(fn, lo, hi):
     assert fr[0] == 0.0 or a * b <= 0.0
 
 
+def _side(length):
+    """Samples winding_number first takes on a side of this length, both
+    corners included."""
+    return max(MIN_SIDE_SAMPLES, int(SAMPLES_PER_UNIT * length)) + 1
+
+
 def test_winding_polynomial():
     rect = ContourRectangle(-1.0, 3.0, -1.0, 3.0)
     # (z - 1)(z - 2j): both roots inside
@@ -204,7 +211,7 @@ def test_winding_refines_every_wide_step_in_one_call_per_round():
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 1.0)
     assert winding_number(g, [rect]) == [2]
-    assert sizes == [4 * 11, 4, 4, 4, 4]
+    assert sizes == [4 * _side(1.0), 4, 4, 4, 4]
 
 
 def test_winding_unresolving_region_raises_with_bounded_work():
@@ -229,8 +236,8 @@ def test_winding_zero_on_contour_raises():
 
 
 def test_winding_samples_all_sides_in_one_call():
-    # sides of length 1 and 25, 10 samples per unit: 11 + 251 + 11 + 251
-    # points in the first call, and no refinement
+    # sides of length 1 and 25, all four in the first call, and no
+    # refinement
     sizes = []
 
     def g(z):
@@ -239,7 +246,7 @@ def test_winding_samples_all_sides_in_one_call():
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
     assert winding_number(g, [rect]) == [1]
-    assert sizes[0] == 524
+    assert sizes[0] == 2 * _side(1.0) + 2 * _side(25.0)
     assert all(n == 1 for n in sizes[1:])
 
 
@@ -280,9 +287,8 @@ def test_winding_mirror_matches_full_contour(roots, count):
 
 
 def test_winding_mirror_samples_the_right_half_in_one_call():
-    # the half sides have length 1/2 and take the 8-sample floor, the
-    # right side 10 per unit: 9 + 251 + 9 points, about half of the full
-    # path
+    # the two half sides of length 1/2 and the right side of length 25:
+    # about half of the full path, in one call
     sizes = []
 
     def g(z):
@@ -291,7 +297,7 @@ def test_winding_mirror_samples_the_right_half_in_one_call():
 
     rect = ContourRectangle(0.0, 1.0, 0.0, 25.0)
     assert winding_number(g, [rect], mirror=True) == [1]
-    assert sizes[0] == 269
+    assert sizes[0] == 2 * _side(0.5) + _side(25.0)
     assert all(n == 1 for n in sizes[1:])
 
 
@@ -402,7 +408,7 @@ def test_winding_batch_takes_no_step_between_contours():
     rects = [ContourRectangle(0.0, 1.0, 0.0, 1.0),
              ContourRectangle(4.0, 5.0, 0.0, 1.0)]
     assert winding_number(g, rects) == [0, 0]
-    assert sizes == [2 * 4 * 11]
+    assert sizes == [2 * 4 * _side(1.0)]
 
 
 def test_winding_batch_refines_one_contour_one_call_per_round():

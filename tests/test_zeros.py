@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import rzlab.zeros
 import rzlab.zeta
 from rzlab.errors import PreconditionError
-from rzlab.numerics import ContourRectangle, real_sign, winding_number
+from rzlab.numerics import (MIN_SIDE_SAMPLES, SAMPLES_PER_UNIT,
+                            ContourRectangle, real_sign, winding_number)
 from rzlab.zeros import DEFAULT_TOL, count_zeros_rectangle, find_zeros
 from rzlab.zeta import T_MAX, log_xi_array
 
@@ -90,11 +92,21 @@ def test_no_float_lands_on_a_zero():
         assert np.all(log_xi_array(0.5 + 1j * u).real > -300.0)
 
 
-def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
+# The rectangle of every strip count that `rzlab zeros` makes: xi has no
+# zeros off 0 < Re s < 1, so it counts what the strip holds.
+CLI_RE = (-2.0, 3.0)
+
+
+def _random_windows():
     rng = random.Random(20091)
     for _ in range(40):
         width = rng.uniform(1.0, 10.0)
         lo = rng.uniform(0.0, 250.0 - width)
+        yield lo, width
+
+
+def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
+    for lo, width in _random_windows():
         rect = ContourRectangle(0.0, 1.0, lo, lo + width)
         expected = len(find_zeros(lo, lo + width))
         assert expected == sum(1 for z in zeros_to_250
@@ -102,9 +114,48 @@ def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
         assert count_zeros_rectangle(rect) == expected, (lo, width)
 
 
+def test_cli_contour_matches_scan_on_random_windows():
+    for lo, width in _random_windows():
+        rect = ContourRectangle(*CLI_RE, lo, lo + width)
+        assert count_zeros_rectangle(rect) == len(
+            find_zeros(lo, lo + width)), (lo, width)
+
+
+def test_cli_contour_matches_scan_on_edge_windows(ordinates_to_260):
+    # a window edge on a zero, or 1e-13 or 1e-11 beside it: the contour's
+    # mirror end and the scan's end grid point read one computed xi there
+    failed = []
+    for t in ordinates_to_260:
+        for delta in (0.0, 1e-13, -1e-13, 1e-11, -1e-11):
+            edge = t + delta
+            for lo, hi in ((edge - 1.0, edge), (edge, edge + 1.0)):
+                if hi > T_MAX:
+                    continue
+                rect = ContourRectangle(*CLI_RE, lo, hi)
+                if count_zeros_rectangle(rect) != len(find_zeros(lo, hi)):
+                    failed.append((lo, hi))
+    assert failed == []
+
+
+def test_cli_contour_steps_stay_below_a_quarter_turn():
+    # on Re s = 3 the phase of xi turns by less than pi/2 between any two
+    # first samples of the long side, so it takes no refinement round:
+    # measured on a grid 100 times finer, over every stretch as long as
+    # the longest first step, L / max(MIN_SIDE_SAMPLES, floor(L
+    # SAMPLES_PER_UNIT)) < (1 + 1 / MIN_SIDE_SAMPLES) / SAMPLES_PER_UNIT
+    fine = 100 * SAMPLES_PER_UNIT
+    t = np.arange(int(T_MAX) * fine + 1) / fine
+    step = np.angle(np.exp(1j * np.diff(
+        log_xi_array(CLI_RE[1] + 1j * t).imag)))
+    assert np.abs(step).max() < 0.05
+    turn = np.concatenate(([0.0], np.cumsum(step)))
+    w = math.ceil(100 * (1 + 1 / MIN_SIDE_SAMPLES))
+    assert np.abs(turn[w:] - turn[:-w]).max() < 0.5 * np.pi
+
+
 def test_strip_count_evaluates_half_the_contour(monkeypatch):
     # xi(1 - conj s) = conj xi(s): the right half of the boundary carries
-    # the count, 2,567 points against 5,066 on the full rectangle
+    # the count, 518 points against 1,018 on the full rectangle
     points = []
 
     def counted(z):
@@ -114,7 +165,7 @@ def test_strip_count_evaluates_half_the_contour(monkeypatch):
     monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
     assert count_zeros_rectangle(ContourRectangle(0.0, 1.0, 1e-3, 250.0)) \
         == 108
-    assert sum(points) <= 2600
+    assert sum(points) <= 520
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +187,7 @@ def test_mirror_count_matches_full_contour_and_scan(ordinates_to_260, lo,
     rect = ContourRectangle(0.0, 1.0, lo, hi)
     full, = winding_number(lambda z: np.exp(log_xi_array(z)), [rect])
     assert count_zeros_rectangle(rect) == full == len(find_zeros(lo, hi))
+    assert count_zeros_rectangle(ContourRectangle(*CLI_RE, lo, hi)) == full
 
 
 # Ordinates of the zeros up to t = 262 from mpmath.zetazero at 25 digits,
