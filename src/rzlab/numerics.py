@@ -21,9 +21,10 @@ _FIRST_STEPS = 48
 # and winding_number refines no contour past it.
 MAX_GRID_POINTS = 10 ** 6
 # Contour sampling of winding_number: per unit of side length, and the
-# fewest samples on any side.  On Re s = 3, the long side of every strip
-# count, the phase of xi moves at most 1.96 rad per unit below T_MAX
-# (measured on a grid of 400 per unit), so a step of 1/2 stays below pi/2.
+# fewest samples on any side.  On Re s = 3, the long side of the strip
+# count of `rzlab zeros`, the phase of xi moves at most 1.96 rad per unit
+# below T_MAX (measured on a grid of 400 per unit): every first step, at
+# most 9/16 long, stays below pi/2.
 SAMPLES_PER_UNIT = 2
 MIN_SIDE_SAMPLES = 8
 # Double-precision machine epsilon: where tol is finer than the float

@@ -1,10 +1,9 @@
 """Nontrivial-zero location and counting.
 
-Sign-change scanning of the real-valued xi(1/2 + it), plus
-argument-principle counts over rectangles such as -2 <= Re s <= 3,
-which holds the zeros of the strip 0 < Re s < 1 and no others, taken on
-the right half of the boundary by xi's mirror symmetry about Re s =
-1/2; the two routes cross-check each other.
+Sign-change scanning of the real-valued xi(1/2 + it), plus argument-
+principle counts over rectangles such as -2 <= Re s <= 3 (the strip's
+zeros and no others), taken on the right half of the boundary by xi's
+mirror symmetry about Re s = 1/2; the two routes cross-check each other.
 """
 
 import math

@@ -771,22 +771,20 @@ def test_dispersion_roundtrip_at_a_huge_half_width_warns_nothing():
 
 
 def test_zeros_count_evaluates_at_most_600_points(monkeypatch, capsys):
-    # the strip count of 0..250 samples Re s = 3 at SAMPLES_PER_UNIT and
-    # needs no refinement round; the scan's own points are not counted
+    # the strip count of 0..250 samples Re s = 3 at SAMPLES_PER_UNIT, in
+    # one call and no refinement round, after the scan's own calls
+    from rzlab.numerics import ContourRectangle
+
     count_zeros_rectangle = rzlab.zeros.count_zeros_rectangle
     log_xi_array = rzlab.zeros.log_xi_array
-    counting, points = [], []
+    sizes, counts = [], []
 
     def counted_count(rect):
-        counting.append(rect)
-        try:
-            return count_zeros_rectangle(rect)
-        finally:
-            counting.pop()
+        counts.append((rect, len(sizes)))
+        return count_zeros_rectangle(rect)
 
     def counted_log_xi(z):
-        if counting:
-            points.append(len(z))
+        sizes.append(len(z))
         return log_xi_array(z)
 
     monkeypatch.setattr(rzlab.zeros, "count_zeros_rectangle", counted_count)
@@ -795,7 +793,9 @@ def test_zeros_count_evaluates_at_most_600_points(monkeypatch, capsys):
                        "--deterministic")
     assert code == EXIT_OK
     assert json.loads(out)["results"]["rectangle_count"] == 108
-    assert len(points) == 1 and points[0] <= 600
+    (rect, first), = counts
+    assert rect == ContourRectangle(-2.0, 3.0, 0.0, 250.0)
+    assert len(sizes) == first + 1 and sizes[first] <= 600
 
 
 def test_first_zeros_scans_once_for_every_catalog(monkeypatch):
