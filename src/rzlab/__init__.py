@@ -3,8 +3,8 @@ critical-line zero finding, the xi-ratio S-matrix, inverse-square-potential
 quantum checks, dispersion reconstruction, and Hadamard factorization.
 """
 
-from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
-                     DomainError, GridError, IntegrationLimitError, PoleError,
+from .errors import (BoundaryZeroError, DivergenceError, DomainError,
+                     GridError, IntegrationLimitError, PoleError,
                      PreconditionError, RangeError, RZLabError,
                      VerificationError)
 
@@ -24,7 +24,6 @@ __all__ = [
     "RangeError",
     "PoleError",
     "PreconditionError",
-    "BudgetExhaustedError",
     "DivergenceError",
     "BoundaryZeroError",
     "GridError",

@@ -24,8 +24,8 @@ import re
 import sys
 
 from . import __version__
-from .errors import (BoundaryZeroError, BudgetExhaustedError, DivergenceError,
-                     DomainError, GridError, IntegrationLimitError, PoleError,
+from .errors import (BoundaryZeroError, DivergenceError, DomainError,
+                     GridError, IntegrationLimitError, PoleError,
                      PreconditionError, RangeError, VerificationError)
 
 EXIT_OK = 0
@@ -36,8 +36,7 @@ EXIT_USAGE = 64
 _DOMAIN_ERRORS = (DomainError, RangeError, PreconditionError, GridError,
                   PoleError, IntegrationLimitError, DivergenceError,
                   ValueError, ArithmeticError)
-_VERIFICATION_ERRORS = (VerificationError, BudgetExhaustedError,
-                        BoundaryZeroError)
+_VERIFICATION_ERRORS = (VerificationError, BoundaryZeroError)
 
 
 class _UsageExit(Exception):
@@ -135,12 +134,14 @@ def _first_zeros(n):
     if n < 1:
         raise PreconditionError("--num-zeros must be at least 1")
     # theta is convex and increasing: from T_MAX, Newton's steps fall onto
-    # a T below it within rounding after six, or stay at T_MAX
+    # a T below it within rounding after six, or stay at T_MAX, as for any
+    # n of T_MAX or more (no window below T_MAX holds that many zeros)
+    target = math.pi * (min(n, T_MAX) + 0.5)
     t = float(T_MAX)
     for _ in range(6):
         u = math.log(t / math.tau)
         theta = 0.5 * t * (u - 1.0) - math.pi / 8 + 1.0 / (48.0 * t)
-        t = min(float(T_MAX), t - (theta - math.pi * (n + 0.5))
+        t = min(float(T_MAX), t - (theta - target)
                 / (0.5 * u - 1.0 / (48.0 * t * t)))
     zeros = find_zeros(0.0, t)
     if len(zeros) < n:

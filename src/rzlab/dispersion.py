@@ -86,8 +86,9 @@ def _log_dispersion_input(samples, spec):
     vals = pm * pm / samples.s_values
     raw_phase = np.angle(vals)
     phase = np.unwrap(raw_phase)
-    if np.any(np.abs(np.diff(phase)) > math.pi):
-        raise GridError("phase jump exceeding pi between adjacent nodes; "
+    # np.unwrap leaves steps in [-pi, pi]; winding_number's quarter-turn rule
+    if np.any(np.abs(np.diff(phase)) >= 0.5 * math.pi):
+        raise GridError("phase step of pi/2 or more between adjacent nodes; "
                         "grid too coarse")
     # pin the branch: ln S -> 0 at +-infinity, so both ends go to 0
     shift = 2.0 * math.pi * round(0.5 * (phase[0] + phase[-1]) / (2.0 * math.pi))

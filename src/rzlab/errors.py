@@ -21,17 +21,6 @@ class PreconditionError(RZLabError):
     """A caller-contract precondition was violated."""
 
 
-class BudgetExhaustedError(RZLabError):
-    """Adaptive routine hit its evaluation budget before converging.
-
-    Carries the best estimate obtained so far in ``best_estimate``.
-    """
-
-    def __init__(self, message, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class DivergenceError(RZLabError):
     """An integral was detected (or known a priori) to diverge."""
 

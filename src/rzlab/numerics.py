@@ -11,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryZeroError, BudgetExhaustedError,
-                     PreconditionError)
+from .errors import BoundaryZeroError, PreconditionError, RangeError
 
-DEFAULT_BUDGET = 10 ** 6
 # Steps of integrate_adaptive's first trapezoid sum.
 _FIRST_STEPS = 48
-# Largest scan grid built; a finer step is rejected before allocation,
-# and winding_number refines no contour past it.
+# One node cap: of every scan grid, of winding_number's refinement and of
+# every trapezoid sum (integrate_adaptive, bessel_k and hankel1).
 MAX_GRID_POINTS = 10 ** 6
 # Contour sampling of winding_number: per unit of side length, and the
 # fewest samples on any side.  On Re s = 3, the long side of the strip
@@ -58,7 +56,7 @@ class ContourRectangle:
             raise ValueError("degenerate rectangle")
 
 
-def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
+def integrate_adaptive(f, a, b, tol):
     """Trapezoid sum of complex-valued f on [a, b], for an f analytic near
     [a, b] and negligible at both ends, where the sum converges
     geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
@@ -67,23 +65,18 @@ def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
     _FIRST_STEPS steps on, each sum halves the step and calls f once, on
     the midpoints, until two sums differ by at most tol or by at most the
     rounding floor 4 eps sum |terms|; error_estimate is the larger of that
-    difference and the floor.  A sum that would pass budget nodes raises
-    BudgetExhaustedError carrying the last sum.
+    difference and the floor.  A sum that would pass MAX_GRID_POINTS
+    nodes raises RangeError, as bessel_k and hankel1 do.
     """
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    if budget <= _FIRST_STEPS:
-        raise PreconditionError("budget must cover the first sum's %d nodes"
-                                % (_FIRST_STEPS + 1))
-    if a == b:
-        return QuadratureResult(0j, 0.0, 1)
     n = _FIRST_STEPS
     h = (b - a) / n
     y = np.asarray(f(a + h * np.arange(n + 1)), dtype=complex)
     total = h * (y.sum() - 0.5 * (y[0] + y[-1]))
     mass = h * (np.abs(y).sum() - 0.5 * (abs(y[0]) + abs(y[-1])))
     nodes, err = n + 1, math.inf
-    while nodes + n <= budget:
+    while nodes + n <= MAX_GRID_POINTS:
         h *= 0.5
         y = np.asarray(f(a + h * np.arange(1, 2 * n, 2)), dtype=complex)
         old, total = total, 0.5 * total + h * y.sum()
@@ -93,9 +86,8 @@ def integrate_adaptive(f, a, b, tol, budget=DEFAULT_BUDGET):
         err = float(max(diff, floor))
         if not diff > max(tol, floor):  # a NaN sum stops too
             return QuadratureResult(complex(total), err, nodes)
-    raise BudgetExhaustedError(
-        "quadrature budget exhausted (error %.3g > tol %.3g)" % (err, tol),
-        best_estimate=QuadratureResult(complex(total), err, nodes))
+    raise RangeError("integrate_adaptive would sum more than %d nodes "
+                     "(error %.3g > tol %.3g)" % (MAX_GRID_POINTS, err, tol))
 
 
 # A spread round of find_root_bracketed samples 5 points evenly inside

@@ -21,8 +21,7 @@ import rzlab.scattering
 import rzlab.zeros
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
                        EXIT_VERIFICATION, main, mode_parsers)
-from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
-                          VerificationError)
+from rzlab.errors import BoundaryZeroError, RangeError, VerificationError
 
 
 def run(capsys, *argv):
@@ -226,6 +225,15 @@ def test_num_zeros_checked_before_scan(monkeypatch, capsys, mode):
         assert "--num-zeros must be at least 1" in err
 
 
+@pytest.mark.parametrize("mode", [("smatrix", "correspondence"),
+                                  ("hadamard",)])
+def test_num_zeros_too_large_for_a_float_is_beyond_the_window(capsys, mode):
+    code, out, err = run(capsys, *mode, "--num-zeros", "1" + "0" * 400)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err == ("domain error: only 114 zeros available below the "
+                   "evaluation ceiling t = 260\n")
+
+
 def test_failed_correspondence_row_is_null(monkeypatch, capsys):
     import rzlab.scattering
 
@@ -282,8 +290,6 @@ def test_cross_check_verdict_exit_3_writes_a_report(
 @pytest.mark.parametrize("module,name,exc,argv", [
     ("zeros", "count_zeros_rectangle", BoundaryZeroError("forced"),
      ["zeros", "--t-min", "0", "--t-max", "15"]),
-    ("quantum", "k_moment_integral", BudgetExhaustedError("forced"),
-     ["quantum", "kmoment"]),
     ("scattering", "s_matrix", VerificationError("forced"),
      ["smatrix", "eval"]),
 ])
@@ -293,6 +299,16 @@ def test_raised_exit_3_writes_only_its_stderr_line(
     code, out, err = run(capsys, *argv, "--deterministic")
     assert code == EXIT_VERIFICATION and out == ""
     assert err == "verification failure: forced\n"
+
+
+def test_raised_range_error_exits_2_with_only_its_stderr_line(
+        monkeypatch, capsys):
+    # a trapezoid sum past the node cap raises RangeError: a domain error
+    monkeypatch.setattr(rzlab.quantum, "k_moment_integral",
+                        _raise(RangeError("forced")))
+    code, out, err = run(capsys, "quantum", "kmoment", "--deterministic")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err == "domain error: forced\n"
 
 
 def test_parser_built_once(capsys):

@@ -117,6 +117,16 @@ def test_narrow_grid_rejected():
         reconstruct_jost_plus(samples, spec, 0.3)
 
 
+def test_phase_step_of_a_quarter_turn_rejected():
+    # a phase bump 0.04 wide on a grid of step 0.1 jumps 2.5 rad in one
+    # step; np.unwrap leaves it below pi, the quarter-turn rule sees it
+    grid = np.linspace(-50.0, 50.0, 1001)
+    samples = RealLineSamples(grid, np.exp(2.5j * np.exp(-(grid / 0.02)
+                                                         ** 2)))
+    with pytest.raises(GridError, match="pi/2 or more"):
+        roundtrip_residual(samples, BlaschkeSpec())
+
+
 def test_roundtrip_unit_is_exact():
     samples, spec = unit_model()
     assert roundtrip_residual(samples, spec) < 1e-12

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rzlab.errors import (BoundaryZeroError, BudgetExhaustedError,
-                          PreconditionError)
+from rzlab.errors import BoundaryZeroError, PreconditionError, RangeError
 from rzlab.numerics import (MAX_GRID_POINTS, MIN_SIDE_SAMPLES,
                             SAMPLES_PER_UNIT, ContourRectangle,
                             QuadratureResult, find_root_bracketed,
@@ -54,21 +53,18 @@ def test_integrate_complex_valued():
     assert abs(r.value - math.pi / math.cosh(0.5 * math.pi)) < 1e-11
 
 
-def test_integrate_budget_exhaustion():
-    # sech(x) e^(40 i x) needs a step near 0.1 on [-40, 40]: a budget of
-    # 200 nodes must fail loudly and carry its best estimate
-    with pytest.raises(BudgetExhaustedError) as exc:
-        integrate_adaptive(lambda x: np.exp(40j * x) / np.cosh(x),
-                           -40.0, 40.0, 1e-14, budget=200)
-    assert exc.value.best_estimate is not None
-    assert exc.value.best_estimate.evaluations <= 200
-    with pytest.raises(PreconditionError, match="budget"):
-        integrate_adaptive(np.exp, 0.0, 1.0, 1e-10, budget=48)
+def test_integrate_stops_at_the_node_cap():
+    # sign(sin(1e6 x)) flips a million times on [0, 1]: no sum settles to
+    # 1e-14, and the one node cap stops it loudly
+    f, calls = _counted(lambda x: np.sign(np.sin(1e6 * x)))
+    with pytest.raises(RangeError, match="more than 1000000 nodes"):
+        integrate_adaptive(f, 0.0, 1.0, 1e-14)
+    assert sum(c.size for c in calls) <= MAX_GRID_POINTS
 
 
 def test_integrate_stops_at_the_rounding_floor():
     # no sum can reach tol = 1e-300: the rounding floor stops it with an
-    # honest error estimate instead of spending the budget
+    # honest error estimate instead of running on to the node cap
     r = integrate_adaptive(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-300)
     assert abs(r.value - math.sqrt(math.pi)) < 1e-14
     assert 1e-300 < r.error_estimate < 1e-13
@@ -78,6 +74,7 @@ def test_integrate_stops_at_the_rounding_floor():
 def test_integrate_empty_interval():
     r = integrate_adaptive(np.ones_like, 2.0, 2.0, 1e-10)
     assert r.value == 0j
+    assert r.error_estimate == 0.0
 
 
 def _counted(fn):
