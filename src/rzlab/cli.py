@@ -92,8 +92,10 @@ _REPORT_ENTRIES = ("format", "out", "deterministic", "func", "command",
 
 
 def _write_report(args, results, rows, diagnostics):
-    """Write the JSON envelope or its CSV projection.  The envelope is
-    serialized either way, so a non-finite number is a range error."""
+    """Write the JSON envelope, as one compact line with sorted keys
+    (`python -m json.tool` pretty-prints it), or its CSV projection.
+    The envelope is serialized either way, so a non-finite number is a
+    range error."""
     parameters = {k: v for k, v in vars(args).items()
                   if k not in _REPORT_ENTRIES}
     envelope = {"command": args.command, "parameters": parameters,
@@ -103,8 +105,7 @@ def _write_report(args, results, rows, diagnostics):
         envelope["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
     try:
-        text = json.dumps(envelope, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        text = json.dumps(envelope, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise RangeError("the result holds a non-finite number")
     if args.format == "csv":
@@ -268,6 +269,9 @@ def cmd_jost_verify(args):
 
     if not args.k > 0.0:
         raise PreconditionError("k must be positive")
+    # the ODE starts at y = 25/k, which must lie above the samples' floor 1
+    if args.k >= 25.0:
+        raise PreconditionError("--k must be below 25, got %r" % args.k)
     lam = vars(args)["lambda"]
     nu = order_from_coupling(lam)
     samples = [(y, f) for y, f in jost_solution_ode(args.k, lam, 1.0,

@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -24,10 +25,20 @@ from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
 from rzlab.errors import BoundaryZeroError, RangeError, VerificationError
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _readme_commands():
+    """The argv of each `rzlab ...` line of the README."""
+    with open(README) as fh:
+        return [line.split()[1:] for line in fh if line.startswith("rzlab ")]
 
 
 def test_zeros_json_report(capsys):
@@ -361,9 +372,7 @@ def test_mode_help_returns_0(capsys, mode):
 def test_readme_mode_table_matches_the_parsers():
     # each row of the README's "Command line" table names a mode and the
     # options it reads, beyond -h and the report options
-    readme = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         section = fh.read().split("\n## Command line\n")[1].split("\n## ")[0]
     rows = re.findall(r"^\| `([a-z -]+)` \| (.*) \|$", section, re.M)
     assert [mode for mode, _ in rows] == list(mode_parsers())
@@ -630,6 +639,21 @@ def test_quantum_jost_verify_at_large_argument(capsys):
     assert json.loads(out)["results"]["max_rel_error"] < 1e-6
 
 
+def test_quantum_jost_verify_just_below_k_25(capsys):
+    # the ODE starts at y = 25/k = 1.004, just above the lowest sample y = 1
+    code, out, _ = run(capsys, "quantum", "jost-verify", "--k", "24.9",
+                       "--deterministic")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["samples"]
+
+
+@pytest.mark.parametrize("k", ["25", "1e6"])
+def test_quantum_jost_verify_k_of_25_or_more_is_a_domain_error(capsys, k):
+    code, out, err = run(capsys, "quantum", "jost-verify", "--k", k)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "domain error: --k must be below 25, got %r\n" % float(k)
+
+
 @pytest.mark.parametrize("k", ["1e-4", "1e-10", "1e-100"])
 def test_quantum_jost_verify_at_tiny_k(capsys, k):
     # y_start = 25/k: the last output interval spans from about y_start/199
@@ -865,11 +889,7 @@ def test_zeros_consistent_where_a_window_edge_is_a_computed_zero():
 def test_readme_commands_import_no_scipy():
     # numpy is the only runtime dependency: the README's nine example
     # commands, run in one interpreter, never load any scipy module
-    readme = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "README.md")
-    with open(readme) as fh:
-        commands = [line.split()[1:] for line in fh
-                    if line.startswith("rzlab ")]
+    commands = _readme_commands()
     assert len(commands) == 9
     code = ("import json, os, sys\n"
             "from rzlab.cli import main\n"
@@ -884,6 +904,27 @@ def test_readme_commands_import_no_scipy():
     codes, scipy_modules = json.loads(out.stdout)
     assert codes == [EXIT_OK] * 9
     assert scipy_modules == []
+
+
+def _mode_words(argv):
+    return " ".join(itertools.takewhile(lambda w: not w.startswith("--"),
+                                        argv))
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=_mode_words)
+def test_readme_command_report_is_one_compact_line(tmp_path, capsys, argv):
+    # the C encoder's layout: no indent, sorted keys, one trailing newline;
+    # the same text on stdout and in an --out file
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True,
+                             allow_nan=False) + "\n"
+    assert out.count("\n") == 1
+    path = tmp_path / "report.json"
+    code, written, _ = run(capsys, *argv, "--deterministic", "--out",
+                           str(path))
+    assert (code, written) == (EXIT_OK, "")
+    assert path.read_text() == out
 
 
 def test_hadamard_profile(capsys):
