@@ -269,7 +269,7 @@ def cmd_jost_verify(args):
 
     if not args.k > 0.0:
         raise PreconditionError("k must be positive")
-    # the ODE starts at y = 25/k, which must lie above the samples' floor 1
+    # the ODE starts at y = 25/k, above the lowest sample, y = 1
     if args.k >= 25.0:
         raise PreconditionError("--k must be below 25, got %r" % args.k)
     lam = vars(args)["lambda"]
