@@ -312,10 +312,16 @@ def cmd_khuri(args):
 def cmd_hadamard(args):
     from .hadamard import (RESIDUAL_FLOOR, ZeroCatalog, convergence_profile,
                            fit_constants)
+    from .scattering import _xi_vanishes
+    from .zeta import log_xi
 
+    at = complex(args.at_re, args.at_im)
+    if _xi_vanishes(at, log_xi(at)):
+        raise DomainError("--at %r --at-im %r is a zero of xi, where the "
+                          "relative residual is undefined"
+                          % (args.at_re, args.at_im))
     catalog = ZeroCatalog.from_zeros(_first_zeros(args.num_zeros))
     params = fit_constants()
-    at = complex(args.at_re, args.at_im)
     checkpoints = sorted({n for n in (10, 25, 50, 100, args.num_zeros)
                           if n <= args.num_zeros})
     profile = convergence_profile(at, checkpoints, catalog, params)
@@ -332,10 +338,16 @@ def cmd_hadamard(args):
 
 
 def cmd_dispersion(args):
-    from .dispersion import (bound_state_model, rational_model,
-                             roundtrip_residual, unit_model)
+    from .dispersion import (ROUNDTRIP_MIN_NODES, bound_state_model,
+                             rational_model, roundtrip_residual, unit_model)
     from .numerics import MAX_GRID_POINTS
 
+    if args.nodes < ROUNDTRIP_MIN_NODES:
+        raise GridError("--nodes %d: the round trip needs at least %d "
+                        "grid nodes" % (args.nodes, ROUNDTRIP_MIN_NODES))
+    if not args.half_width > 0.0:
+        raise GridError("--half-width must be positive, got %r"
+                        % args.half_width)
     if args.nodes > MAX_GRID_POINTS:
         raise GridError("--nodes %d is above the cap of %d grid points"
                         % (args.nodes, MAX_GRID_POINTS))

@@ -24,15 +24,6 @@ SIGMA_MAX = 1e300
 
 _LOG_PI = math.log(math.pi)
 
-# Stieltjes constants gamma_0 .. gamma_4 for the Laurent expansion of
-# (s-1) zeta(s) about s = 1.
-_STIELTJES = (0.5772156649015329, -0.07281584548367672, -0.009690363192872318,
-              0.002053834420303346, 0.0023253700654673)
-
-# Within this distance d of s = 1, (s - 1) zeta(s) comes from the Laurent
-# series, whose first omitted term, gamma_5 d^6 / 5!, is below 1e-41.
-_LAURENT_RADIUS = 1e-6
-
 # B_2k / (2k)! for k = 1 .. 22, the coefficient of s (s+1) ... (s+2k-2)
 # n^(-s-2k+1) in the Euler-Maclaurin corrections.
 _EM_TAIL = (8.333333333333333e-02, -1.388888888888889e-03,
@@ -87,7 +78,10 @@ def _check_window(s):
 
 
 def zeta_em(sigma, t, n):
-    """Euler-Maclaurin value of zeta(sigma + i t) with n initial terms.
+    """Euler-Maclaurin value of the entire function (s - 1) zeta(s) at
+    s = sigma + i t with n initial terms.  zeta's pole sits in the one
+    term n^(1-s) / (s - 1), which the factor s - 1 turns into n n^(-s),
+    so s = 1 needs no case of its own.
 
     Valid for sigma > -1 once n >= _em_terms(t), with corrections
     through B_44.  sigma and t may be arrays, which broadcast to the
@@ -95,7 +89,7 @@ def zeta_em(sigma, t, n):
     stops the corrections at the first term below rounding of the larger
     of |total| and |n^(-s)|; an array adds all 22 as one running product
     per point, which costs less than the test.  Callers handle
-    reflection and the s = 1 pole.
+    reflection.
     """
     log_k = (_LOG_K[:n - 1] if n <= len(_LOG_K) + 1
              else np.log(np.arange(1, n, dtype=float)))
@@ -103,18 +97,19 @@ def zeta_em(sigma, t, n):
         s = np.add(sigma, np.multiply(1j, t))
         total = np.exp(np.multiply.outer(-s, log_k)).sum(axis=-1)
         p = n ** (-s)
-        total += p * (0.5 + n / (s - 1.0))
+        total += 0.5 * p
         # Running products of u p, u + 1/n, u + 2/n, ..., u + 42/n: every
         # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
         # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
         # to 0 (real s above ~250) the products stay 0, never 0 * inf.
         f = (s / n)[..., None] + _EM_OFFSETS / n
         f[..., 0] *= p
-        return total + np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
+        corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
+        return (s - 1.0) * (total + corrections) + n * p
     s = complex(sigma, t)
     total = complex(np.exp(-s * log_k).sum())
     p = n ** (-s)
-    total += p * (0.5 + n / (s - 1.0))
+    total += 0.5 * p
     floor = _ROUNDOFF * max(abs(total), abs(p))
     h = 1.0 / n
     u = s * h
@@ -134,11 +129,11 @@ def zeta_em(sigma, t, n):
         fac *= g
         g += dg
         dg += 8.0 * h2
-    return total
+    return (s - 1.0) * total + n * p
 
 
 def _zeta_em_window(s):
-    """Euler-Maclaurin zeta for sigma >= 0 (away from s = 1)."""
+    """Euler-Maclaurin (s - 1) zeta(s) for sigma >= 0."""
     return zeta_em(s.real, s.imag, int(_em_terms(s.imag)))
 
 
@@ -151,9 +146,9 @@ def _log_pi_power(s):
 def zeta(s):
     """zeta(s) on the window -10 <= Re s <= 1e300, |Im s| <= 260 (s != 1).
 
-    Euler-Maclaurin for Re s >= 0, and the Laurent series within 1e-6 of
-    s = 1.  Re s < 0 is divided out of log_xi, which takes xi(s) =
-    xi(1 - s) at 1 - s: zeta(s) = xi(s) / ((s - 1) pi^(-s/2) Gamma(s/2 + 1)).
+    Euler-Maclaurin (s - 1) zeta(s), divided by s - 1, for Re s >= 0.
+    Re s < 0 is divided out of log_xi, which takes xi(s) = xi(1 - s) at
+    1 - s: zeta(s) = xi(s) / ((s - 1) pi^(-s/2) Gamma(s/2 + 1)).
     At s = -2, -4, ..., -10, the pole of Gamma(s/2 + 1), zeta is exactly 0.
     """
     s = complex(s)
@@ -166,24 +161,7 @@ def zeta(s):
         except PoleError:
             return 0j
         return cmath.exp(log_xi(s) - log_g + _log_pi_power(s)) / (s - 1.0)
-    d = s - 1.0
-    if abs(d) < _LAURENT_RADIUS:
-        return _laurent(d) / d
-    return _zeta_em_window(s)
-
-
-def _laurent(d):
-    """(s - 1) zeta(s) at s = 1 + d from the Stieltjes series, with the
-    offset d passed exactly rather than recovered as s - 1."""
-    total = 1.0 + 0j
-    fact = 1.0
-    p = d
-    for n, g in enumerate(_STIELTJES):
-        if n > 0:
-            fact *= n
-        total += (-1) ** n * g * p / fact
-        p *= d
-    return total
+    return _zeta_em_window(s) / (s - 1.0)
 
 
 def log_xi(s):
@@ -191,8 +169,7 @@ def log_xi(s):
     assembled as log Gamma(s/2 + 1) - (s/2) log pi + log((s-1) zeta(s)),
     using s Gamma(s/2) = 2 Gamma(s/2 + 1); entire at s = 0 and s = 1.
     For Re s < 0 it is taken at 1 - s, as xi(s) = xi(1 - s), so no Gamma
-    pole meets a trivial zero; within 1e-6 of s = 1, (s-1) zeta(s) comes
-    from the Laurent series.  The large phases of the first two terms,
+    pole meets a trivial zero.  The large phases of the first two terms,
     near (Im s / 2) log(|s| / (2 e)) and (Im s / 2) log pi, are reduced
     mod 2 pi before they round; the sum is not folded into (-pi, pi].
     """
@@ -200,8 +177,7 @@ def log_xi(s):
     _check_window(s)
     if s.real < 0.0:
         s = 1.0 - s
-    d = s - 1.0
-    g = _laurent(d) if abs(d) < _LAURENT_RADIUS else d * _zeta_em_window(s)
+    g = _zeta_em_window(s)
     return log_gamma(0.5 * s + 1.0) - _log_pi_power(s) + cmath.log(g)
 
 
@@ -210,9 +186,8 @@ def log_xi_array(s):
     point, up to rounding (see _zeta_em_batch) and to a multiple of 2 pi
     in the phase, which is reduced once, not per term.  The first point
     outside the window raises log_xi's RangeError.  The points, Re s < 0
-    taken at 1 - s as in log_xi, share one zeta_em batch and one log
-    Gamma; those within 1e-6 of s = 1 take the Laurent series and a log
-    Gamma of their own, which leaves the others' Stirling shift as it is.
+    taken at 1 - s as in log_xi, share one zeta_em batch and one
+    _stirling, shifted for the leftmost point, with pi^(-i Im w/2) in it.
     """
     s = np.asarray(s, dtype=complex)
     w = s.ravel()
@@ -223,31 +198,20 @@ def log_xi_array(s):
     left = re < 0.0
     if left.any():  # an all-right batch does not pay for the mapping
         w = np.where(left, 1.0 - w, w)
-    near = np.abs(w - 1.0) < _LAURENT_RADIUS
-    if not near.any():
-        return _log_xi_at(w, (w - 1.0) * _zeta_em_batch(w)).reshape(s.shape)
-    out = np.empty_like(w)
-    z = w[near]
-    out[near] = _log_xi_at(z, _laurent(z - 1.0))
-    z = w[~near]
-    out[~near] = _log_xi_at(z, (z - 1.0) * _zeta_em_batch(z))
+    h = 0.5 * w
+    out = (_stirling(h + 1.0, np.log, True) - h.real * _LOG_PI
+           + np.log(_zeta_em_batch(w)))
     return out.reshape(s.shape)
 
 
-def _log_xi_at(w, g):
-    """log xi at the array w, Re w >= 0, given g = (w - 1) zeta(w): one
-    _stirling, shifted for w's leftmost point, with pi^(-i Im w/2) in it."""
-    h = 0.5 * w
-    return _stirling(h + 1.0, np.log, True) - h.real * _LOG_PI + np.log(g)
-
-
 def _zeta_em_batch(w):
-    """zeta_em at every point of the 1-d array w.  A batch of at most
-    _CHUNK_TERMS // max(n, 44) points takes one call at its largest n
-    (more terms never lose accuracy); a larger one sums each point with
-    its own n, as the scalar path does, in chunks of that size, where a
-    shared n would cost more in terms than it saves in calls.  (With
-    another n, zeta moves by its rounding: near a zero, 1e-11 of it.)"""
+    """zeta_em, (w - 1) zeta(w), at every point of the 1-d array w.  A
+    batch of at most _CHUNK_TERMS // max(n, 44) points takes one call at
+    its largest n (more terms never lose accuracy); a larger one sums
+    each point with its own n, as the scalar path does, in chunks of that
+    size, where a shared n would cost more in terms than it saves in
+    calls.  (With another n, zeta moves by its rounding: near a zero,
+    1e-11 of it.)"""
     a = np.abs(w.imag)
     n = int(_em_terms(float(a.max(initial=0.0))))
     if len(w) * max(n, 2 * len(_EM_TAIL)) <= _CHUNK_TERMS:

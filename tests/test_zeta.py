@@ -40,7 +40,7 @@ def test_zeta_pole():
         zeta(1.0)
 
 
-def test_zeta_near_pole_laurent():
+def test_zeta_near_pole():
     # zeta(s) ~ 1/(s-1) + gamma near s = 1 (using the rounded s - 1)
     s = 1.0 + 1e-8
     v = zeta(s)
@@ -48,17 +48,30 @@ def test_zeta_near_pole_laurent():
     assert abs(v - want) < 1e-4
 
 
+# s = 1 + 10^-e u on six rays, s = 1 itself and 1 +- 1e-300 i.
+NEAR_POLE = ([1.0 + 10.0 ** -e * u for e in range(1, 17)
+              for u in (1.0, -1.0, 1j, -1j, 1.0 + 1j, -1.0 + 0.5j)]
+             + [1.0, complex(1.0, 1e-300), complex(1.0, -1e-300)])
+
+
 def test_log_xi_entire_at_pole():
-    # log xi(1) = log(1/2); within 1e-6 of s = 1, (s - 1) zeta(s) comes
-    # from the Laurent series, beyond it from zeta_em: both sides of the
-    # switch against mpmath
-    for s in (1.0, 1.0 + 9.9e-7, 1.0 + 1.1e-6):
-        with mpmath.workdps(30):
-            m = mpmath.mpf(s)
+    # log xi(1) = log(1/2); zeta_em sums the entire (s - 1) zeta(s), so
+    # log_xi and log_xi_array need no case of their own at the pole, and
+    # zeta, which divides by s - 1, keeps full relative accuracy next to it
+    pts = np.array(NEAR_POLE, dtype=complex)
+    array = log_xi_array(pts)
+    for s, a in zip(pts, array):
+        s = complex(s)
+        with mpmath.workdps(40):
+            m = mpmath.mpc(s)
             g = 1 if s == 1.0 else (m - 1) * mpmath.zeta(m)
-            want = mpmath.log(g * mpmath.gamma(m / 2 + 1) * mpmath.pi
-                              ** (-m / 2))
-        assert abs(log_xi(s) - complex(want)) < 1e-14, s
+            want = complex(mpmath.log(g * mpmath.gamma(m / 2 + 1)
+                                      * mpmath.pi ** (-m / 2)))
+            ref = None if s == 1.0 else complex(mpmath.zeta(m))
+        assert abs(log_xi(s) - want) < 1e-14, s
+        assert abs(a - want) < 1e-14, s
+        if ref is not None:
+            assert abs(zeta(s) / ref - 1.0) < 1e-15, s
 
 
 def test_zeta_window_errors():
@@ -168,10 +181,10 @@ def test_log_xi_array_matches_scalar(points):
     assert np.max(np.abs(np.exp(got - want) - 1.0)) < 1e-12
 
 
-def test_log_xi_array_laurent_window_and_shape(monkeypatch):
-    # the point near s = 1 takes the Laurent series on the array, and a
-    # point outside the window raises the scalar's error, with no scalar
-    # log_xi call; an empty batch stays empty
+def test_log_xi_array_near_pole_window_and_shape(monkeypatch):
+    # the point near s = 1 matches the scalar on the array, and a point
+    # outside the window raises the scalar's error, with no scalar log_xi
+    # call; an empty batch stays empty
     pts = np.array([[0.0, 1.0 + 1e-8], [complex(-1.5, 20.0), 2.0]])
     want = np.array([[log_xi(complex(z)) for z in row] for row in pts])
     outside = complex(0.5, -T_MAX - 1.0)
