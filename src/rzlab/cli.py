@@ -310,8 +310,7 @@ def cmd_khuri(args):
 
 
 def cmd_hadamard(args):
-    from .hadamard import (RESIDUAL_FLOOR, ZeroCatalog, convergence_profile,
-                           fit_constants)
+    from .hadamard import RESIDUAL_FLOOR, convergence_profile, fit_constants
     from .scattering import _xi_vanishes
     from .zeta import log_xi
 
@@ -320,17 +319,16 @@ def cmd_hadamard(args):
         raise DomainError("--at %r --at-im %r is a zero of xi, where the "
                           "relative residual is undefined"
                           % (args.at_re, args.at_im))
-    catalog = ZeroCatalog.from_zeros(_first_zeros(args.num_zeros))
-    params = fit_constants()
+    ordinates = [z.ordinate for z in _first_zeros(args.num_zeros)]
     checkpoints = sorted({n for n in (10, 25, 50, 100, args.num_zeros)
                           if n <= args.num_zeros})
-    profile = convergence_profile(at, checkpoints, catalog, params)
+    profile = convergence_profile(at, checkpoints, ordinates)
     rows = [{"n": n, "residual": r} for n, r in zip(checkpoints, profile)]
-    decreasing = all(b < a or max(a, b) <= RESIDUAL_FLOOR
-                     for a, b in zip(profile, profile[1:]))
+    decreasing = all(r2 < r1 or max(r1, r2) <= RESIDUAL_FLOOR
+                     for r1, r2 in zip(profile, profile[1:]))
     diagnostics = [] if decreasing else ["residual profile not decreasing"]
-    results = {"constants": {"a": _complex_str(params.a),
-                             "b": _complex_str(params.b)},
+    a, b = fit_constants()
+    results = {"constants": {"a": _complex_str(a), "b": _complex_str(b)},
                "at": _complex_str(at), "profile": rows,
                "decreasing": decreasing}
     return (results, rows, diagnostics,
@@ -356,12 +354,12 @@ def cmd_dispersion(args):
                         % args.half_width)
     builders = {"unit": unit_model, "rational": rational_model,
                 "bound-state": bound_state_model}
-    samples, spec = builders[args.model](half_width=args.half_width,
-                                         nodes=args.nodes)
-    residual = roundtrip_residual(samples, spec)
+    samples = builders[args.model](half_width=args.half_width,
+                                   nodes=args.nodes)
+    residual = roundtrip_residual(samples)
     row = {"model": args.model, "half_width": args.half_width,
            "nodes": args.nodes}
-    results = dict(row, bound_states=list(spec.bound_state_momenta),
+    results = dict(row, bound_states=list(samples.bound_state_momenta),
                    roundtrip_residual=residual)
     return results, [dict(row, residual=residual)], [], EXIT_OK
 

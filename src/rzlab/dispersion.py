@@ -22,26 +22,20 @@ ROUNDTRIP_MIN_NODES = 6
 
 
 @dataclass(frozen=True)
-class BlaschkeSpec:
-    bound_state_momenta: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "bound_state_momenta",
-                           tuple(float(k) for k in self.bound_state_momenta))
-        if any(k <= 0 for k in self.bound_state_momenta):
-            raise ValueError("bound-state momenta must be positive")
-
-
-@dataclass(frozen=True)
 class RealLineSamples:
     grid: np.ndarray
     s_values: np.ndarray
+    bound_state_momenta: tuple = ()
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         sv = np.asarray(self.s_values, dtype=complex)
+        momenta = tuple(float(k) for k in self.bound_state_momenta)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "s_values", sv)
+        object.__setattr__(self, "bound_state_momenta", momenta)
+        if any(k <= 0 for k in momenta):
+            raise ValueError("bound-state momenta must be positive")
         if grid.ndim != 1 or grid.size != sv.size:
             raise ValueError("grid and s_values must be 1-d and equal length")
         if not np.all(np.diff(grid) > 0):
@@ -59,30 +53,24 @@ class RealLineSamples:
                             "nonvanishing on the real line")
 
 
-def blaschke_product(spec, k, sign):
-    """Pi_+-(k) = prod (k -+ i k_j) / (k +- i k_j), sign '+' or '-';
-    unimodular for real k."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    plus = sign == "+"
+def blaschke_product(momenta, k):
+    """Pi_+(k) = prod (k - i k_j) / (k + i k_j); unimodular for real k,
+    where its conjugate is Pi_-(k)."""
     k = np.asarray(k, dtype=complex)
     prod = np.ones_like(k)
-    for kj in spec.bound_state_momenta:
-        if plus:
-            prod = prod * (k - 1j * kj) / (k + 1j * kj)
-        else:
-            prod = prod * (k + 1j * kj) / (k - 1j * kj)
+    for kj in momenta:
+        prod = prod * (k - 1j * kj) / (k + 1j * kj)
     return complex(prod) if prod.ndim == 0 else prod
 
 
-def _log_dispersion_input(samples, spec):
+def _log_dispersion_input(samples):
     """Unwrapped w(k) = ln(S^{-1}(k) Pi_-(k)^2) on the grid.
 
     The phase is tracked node-to-node and shifted by a multiple of
     2 pi so it vanishes at the truncation endpoints; the endpoints must
     already carry |w| < 1e-4 or the grid is too narrow.
     """
-    pm = blaschke_product(spec, samples.grid, "-")
+    pm = np.conj(blaschke_product(samples.bound_state_momenta, samples.grid))
     vals = pm * pm / samples.s_values
     raw_phase = np.angle(vals)
     phase = np.unwrap(raw_phase)
@@ -135,7 +123,7 @@ def _pv_on_grid(grid, w, idx):
             + wi * np.log((b - k) / (k - a)))
 
 
-def reconstruct_jost_plus(samples, spec, k):
+def reconstruct_jost_plus(samples, k):
     """F+(k) for real k strictly inside the grid, via the boundary-value
     integral: Pi_+(k) exp((1/2 pi i)[PV + i pi w(k)]).
 
@@ -146,15 +134,16 @@ def reconstruct_jost_plus(samples, spec, k):
     if not (grid.size >= 3 and grid[0] < k < grid[-1]):
         raise PreconditionError("k must lie strictly inside a sample grid "
                                 "of at least 3 nodes")
-    w = _log_dispersion_input(samples, spec)
+    w = _log_dispersion_input(samples)
     i = int(np.argmin(np.abs(grid - k)))
     i = min(max(i, 1), len(grid) - 2)
     pv = _pv_on_grid(grid, w, [i])[0]
     expo = (pv + 1j * math.pi * w[i]) / (2j * math.pi)
-    return blaschke_product(spec, grid[i], "+") * cmath.exp(expo)
+    return (blaschke_product(samples.bound_state_momenta, grid[i])
+            * cmath.exp(expo))
 
 
-def roundtrip_residual(samples, spec):
+def roundtrip_residual(samples):
     """Reconstruct F+ everywhere, form F- = S F+, rebuild F-'s outer
     part from its boundary modulus alone (lower-half-plane analyticity
     forces arg = Hilbert transform of log modulus), and return
@@ -169,7 +158,7 @@ def roundtrip_residual(samples, spec):
     if n < ROUNDTRIP_MIN_NODES:
         raise GridError("the round trip needs at least %d grid nodes, got %d"
                         % (ROUNDTRIP_MIN_NODES, n))
-    w = _log_dispersion_input(samples, spec)
+    w = _log_dispersion_input(samples)
     # reconstructed F+ on the (end-node-free) grid: Pi_+ e^{u + i phase}
     inner = np.arange(1, n - 1)
     pv = _pv_on_grid(grid, w, inner)
@@ -180,9 +169,9 @@ def roundtrip_residual(samples, spec):
     lo, hi = n // 3, n - n // 3  # interior third
     idx = np.arange(lo, hi)
     hilbert = _pv_on_grid(grid[inner], u_minus + 0j, idx - 1) / math.pi
-    fplus = (blaschke_product(spec, grid[idx], "+")
-             * np.exp(log_fplus_outer[idx - 1]))
-    fminus_rebuilt = (blaschke_product(spec, grid[idx], "-")
+    pi_plus = blaschke_product(samples.bound_state_momenta, grid[idx])
+    fplus = pi_plus * np.exp(log_fplus_outer[idx - 1])
+    fminus_rebuilt = (np.conj(pi_plus)
                       * np.exp(u_minus[idx - 1] + 1j * hilbert.real))
     return float(np.max(np.abs(samples.s_values[idx]
                                - fminus_rebuilt / fplus)))
@@ -191,7 +180,7 @@ def roundtrip_residual(samples, spec):
 def unit_model(half_width=50.0, nodes=4001):
     """S identically 1: trivial scattering, F+ = F- = 1."""
     grid = np.linspace(-half_width, half_width, nodes)
-    return RealLineSamples(grid, np.ones(nodes, dtype=complex)), BlaschkeSpec()
+    return RealLineSamples(grid, np.ones(nodes, dtype=complex))
 
 
 def rational_model(half_width=50.0, nodes=4001, beta=1.0, gamma=1.001):
@@ -204,14 +193,13 @@ def rational_model(half_width=50.0, nodes=4001, beta=1.0, gamma=1.001):
     grid = np.linspace(-half_width, half_width, nodes)
     fplus = (grid + 1j * beta) / (grid + 1j * gamma)
     s = np.conj(fplus) / fplus
-    return RealLineSamples(grid, s), BlaschkeSpec()
+    return RealLineSamples(grid, s)
 
 
 def bound_state_model(half_width=50.0, nodes=4001, k1=1.0,
                       beta=1.0, gamma=1.001):
     """rational_model dressed with one bound state at momentum k1:
     F+ = Pi_+ (k + i beta)/(k + i gamma), S = Pi_-^2 S_rational."""
-    samples, _ = rational_model(half_width, nodes, beta, gamma)
-    spec = BlaschkeSpec((k1,))
-    pm = blaschke_product(spec, samples.grid, "-")
-    return RealLineSamples(samples.grid, pm * pm * samples.s_values), spec
+    samples = rational_model(half_width, nodes, beta, gamma)
+    pm = np.conj(blaschke_product((k1,), samples.grid))
+    return RealLineSamples(samples.grid, pm * pm * samples.s_values, (k1,))

@@ -279,7 +279,11 @@ def _series_moment(nu, a):
                  (np.convolve(hi, hi), 2.0 * nu)):
         q = 2.0 * m + p + 2.0
         total += (c * (0.5 * a) ** q / q).sum()
-    log_scale = math.log(0.5 * math.pi) - _log_sin(math.pi * nu) + shift
+    # nu - n is exact, so sin^2 pi nu = sin^2 pi (nu - n) keeps its
+    # digits near |Re nu| = 1
+    n = round(nu.real)
+    log_scale = (math.log(0.5 * math.pi) - _log_sin(math.pi * (nu - n))
+                 + shift)
     return 4.0 * cmath.exp(2.0 * log_scale) * total
 
 
@@ -297,7 +301,9 @@ def k_moment_closed_form(nu, coefficient):
     _check_not_nonzero_integer(nu)
     if nu == 0:
         return complex(coefficient)
-    v = coefficient * math.pi * nu / cmath.sin(math.pi * nu)
+    n = round(nu.real)  # nu - n is exact: sin pi nu = (-1)^n sin pi (nu - n)
+    sin = cmath.sin(math.pi * (nu - n))
+    v = coefficient * math.pi * nu / (-sin if n % 2 else sin)
     return complex(v.real, 0.0) if abs(v.imag) < 1e-14 * abs(v) else v
 
 

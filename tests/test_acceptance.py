@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 from rzlab.dispersion import rational_model, roundtrip_residual, unit_model
-from rzlab.hadamard import ZeroCatalog, fit_constants, hadamard_partial
+from rzlab.hadamard import fit_constants, hadamard_partial
 from rzlab.numerics import ContourRectangle
 from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
                            jost_solution_analytic, jost_solution_ode,
@@ -147,23 +147,22 @@ def test_criterion_08_khuri_reality():
 
 
 def test_criterion_09_dispersion_roundtrip():
-    assert roundtrip_residual(*unit_model()) < 1e-12
-    r50 = roundtrip_residual(*rational_model(half_width=50.0, nodes=4001))
+    assert roundtrip_residual(unit_model()) < 1e-12
+    r50 = roundtrip_residual(rational_model(half_width=50.0, nodes=4001))
     assert r50 < 1e-3
-    r100 = roundtrip_residual(*rational_model(half_width=100.0, nodes=8001))
+    r100 = roundtrip_residual(rational_model(half_width=100.0, nodes=8001))
     assert 1.4 < r50 / r100 < 2.6  # halves, within +-30%
 
 
 def test_criterion_10_hadamard_truncation():
     zeros = find_zeros(0.0, 237.0)  # the first 100 ordinates
     assert len(zeros) >= 100
-    catalog = ZeroCatalog.from_zeros(zeros[:100])
-    params = fit_constants()
-    assert abs(math.exp(params.a.real) - abs(xi(0.0))) < 1e-8
+    ordinates = [z.ordinate for z in zeros[:100]]
+    assert abs(math.exp(fit_constants()[0].real) - abs(xi(0.0))) < 1e-8
     target = xi(2.0)
-    residuals = [abs(hadamard_partial(params, catalog, 2.0, n) - target)
+    residuals = [abs(hadamard_partial(ordinates, 2.0, n) - target)
                  for n in (10, 50, 100)]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
-    t1 = catalog.ordinates[0]
-    assert hadamard_partial(params, catalog, complex(0.5, t1),
-                            len(catalog)) == 0j
+    t1 = ordinates[0]
+    assert hadamard_partial(ordinates, complex(0.5, t1),
+                            len(ordinates)) == 0j

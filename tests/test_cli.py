@@ -181,6 +181,16 @@ BAD_INPUTS = [
     # a negative number in exponent form is a value, so -1e999 is read
     # as the number -inf
     (("smatrix", "eval", "--re", "-1e999"), EXIT_USAGE),
+    # jost-verify reads the tail at k y = 25, which is a plane wave only
+    # for lambda in about [-10.05, 9.95], at every k
+    (("quantum", "jost-verify", "--lambda", "1e300", "--k", "1"),
+     EXIT_DOMAIN, "plane-wave regime"),
+    (("quantum", "jost-verify", "--lambda", "-1e300", "--k", "1"),
+     EXIT_DOMAIN, "plane-wave regime"),
+    (("quantum", "jost-verify", "--lambda", "10.5", "--k", "1"),
+     EXIT_DOMAIN, "plane-wave regime"),
+    (("quantum", "jost-verify", "--lambda", "-10.5", "--k", "1"),
+     EXIT_DOMAIN, "plane-wave regime"),
 ]
 
 
@@ -308,7 +318,7 @@ def _fail_each(exc):
      _fail_each(VerificationError("forced")),
      ["smatrix", "correspondence", "--num-zeros", "1"]),
     ("hadamard", "convergence_profile",
-     lambda at, checkpoints, catalog, params: [1.0] * len(checkpoints),
+     lambda at, checkpoints, ordinates: [1.0] * len(checkpoints),
      ["hadamard", "--num-zeros", "25"]),
 ])
 def test_cross_check_verdict_exit_3_writes_a_report(
@@ -730,14 +740,15 @@ def _fuzz(*argv):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.one_of(st.floats(-1e300, 1e300), st.floats(-12.0, 12.0)),
+@given(st.floats(-12.0, 12.0),
        st.floats(-150.0, math.log10(25.0), exclude_max=True)
        .map(lambda e: 10.0 ** e))
 def test_jost_verify_fuzz(lam, k):
-    # k is log-uniform in (1e-150, 25), inside both k checks, so that the
-    # draws reach the ODE; the rejected k >= 25 and k below about
-    # 1.9e-153 have rows of their own.  Separate tokens: a negative value
-    # such as -1e+300 is a number
+    # k is log-uniform in (1e-150, 25), inside both k checks, and lambda
+    # lies in [-12, 12], around the plane-wave check's [-10.05, 9.95], so
+    # that the draws reach the ODE; the rejected k >= 25, k below about
+    # 1.9e-153 and lambda beyond the check have rows of their own.
+    # Separate tokens: a negative value such as -1e+300 is a number
     code, out = _fuzz("quantum", "jost-verify", "--lambda", repr(lam),
                       "--k", repr(k))
     assert code in (EXIT_OK, EXIT_DOMAIN), (lam, k)
@@ -977,7 +988,7 @@ def test_hadamard_profile_rising_above_the_floor_exits_3(
         monkeypatch, capsys, scale, expected):
     floor = rzlab.hadamard.RESIDUAL_FLOOR
     monkeypatch.setattr(rzlab.hadamard, "convergence_profile",
-                        lambda at, checkpoints, catalog, params:
+                        lambda at, checkpoints, ordinates:
                         [floor * f for f in scale])
     code, out, _ = run(capsys, "hadamard", "--num-zeros", "25",
                        "--deterministic")

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rzlab.dispersion import (BlaschkeSpec, RealLineSamples,
-                              _log_dispersion_input, _pv_on_grid,
-                              blaschke_product, bound_state_model,
-                              rational_model, reconstruct_jost_plus,
-                              roundtrip_residual, unit_model)
+from rzlab.dispersion import (RealLineSamples, _log_dispersion_input,
+                              _pv_on_grid, blaschke_product,
+                              bound_state_model, rational_model,
+                              reconstruct_jost_plus, roundtrip_residual,
+                              unit_model)
 from rzlab.errors import GridError, PreconditionError
 
 
@@ -28,33 +28,32 @@ def _pv_direct(grid, w, idx):
     return out
 
 
+def test_blaschke_conjugate_is_pi_minus_on_real_grid():
+    # Pi_- = prod (k + i k_j) / (k - i k_j), bit for bit, on a real grid
+    momenta = (1.0, 2.5, 0.3)
+    grid = np.linspace(-50.0, 50.0, 4001)
+    for m in (momenta[:1], momenta):
+        pi_minus = np.ones_like(grid, dtype=complex)
+        for kj in m:
+            pi_minus = pi_minus * (grid + 1j * kj) / (grid - 1j * kj)
+        assert np.array_equal(np.conj(blaschke_product(m, grid)), pi_minus)
+
+
 def test_blaschke_unimodular_on_real_line():
-    spec = BlaschkeSpec((1.0, 2.5))
     for k in (-7.0, -0.3, 0.0, 4.0):
-        assert abs(abs(blaschke_product(spec, k, "+")) - 1.0) < 1e-14
-        assert abs(abs(blaschke_product(spec, k, "-")) - 1.0) < 1e-14
-
-
-def test_blaschke_plus_minus_reciprocal():
-    spec = BlaschkeSpec((1.5,))
-    k = 0.7
-    p = blaschke_product(spec, k, "+")
-    m = blaschke_product(spec, k, "-")
-    assert abs(p * m - 1.0) < 1e-14
+        assert abs(abs(blaschke_product((1.0, 2.5), k)) - 1.0) < 1e-14
 
 
 def test_blaschke_zero_location():
     # Pi_+ vanishes at k = +i k_j (upper half plane bound state)
-    spec = BlaschkeSpec((2.0,))
-    assert abs(blaschke_product(spec, 2j, "+")) < 1e-14
+    assert abs(blaschke_product((2.0,), 2j)) < 1e-14
 
 
-def test_blaschke_rejects_bad_sign_and_momenta():
-    spec = BlaschkeSpec((1.0,))
-    with pytest.raises(ValueError):
-        blaschke_product(spec, 1.0, "x")
-    with pytest.raises(ValueError):
-        BlaschkeSpec((-1.0,))
+@pytest.mark.parametrize("momentum", [0.0, -1.0])
+def test_samples_reject_non_positive_momentum(momentum):
+    grid = np.linspace(-1.0, 1.0, 11)
+    with pytest.raises(ValueError, match="must be positive"):
+        RealLineSamples(grid, np.ones(11, dtype=complex), (1.0, momentum))
 
 
 def test_samples_validation():
@@ -74,17 +73,17 @@ def test_samples_validation():
 
 
 def test_reconstruct_unit_model():
-    samples, spec = unit_model(half_width=20.0, nodes=801)
+    samples = unit_model(half_width=20.0, nodes=801)
     for k in (-5.0, 0.1, 7.3):
-        assert abs(reconstruct_jost_plus(samples, spec, k) - 1.0) < 1e-12
+        assert abs(reconstruct_jost_plus(samples, k) - 1.0) < 1e-12
 
 
 def test_reconstruct_rational_model():
     beta, gamma = 1.0, 1.001
-    samples, spec = rational_model(half_width=50.0, nodes=4001,
-                                   beta=beta, gamma=gamma)
+    samples = rational_model(half_width=50.0, nodes=4001,
+                             beta=beta, gamma=gamma)
     for k in (-3.0, 0.5, 8.0):
-        got = reconstruct_jost_plus(samples, spec, k)
+        got = reconstruct_jost_plus(samples, k)
         i = np.argmin(np.abs(samples.grid - k))
         kk = samples.grid[i]
         want = (kk + 1j * beta) / (kk + 1j * gamma)
@@ -92,29 +91,27 @@ def test_reconstruct_rational_model():
 
 
 def test_reconstruct_requires_interior_point():
-    samples, spec = unit_model(half_width=10.0, nodes=101)
+    samples = unit_model(half_width=10.0, nodes=101)
     with pytest.raises(PreconditionError):
-        reconstruct_jost_plus(samples, spec, 11.0)
+        reconstruct_jost_plus(samples, 11.0)
 
 
 @pytest.mark.parametrize("nodes", [0, 2, 3, 4, 5])
 def test_roundtrip_needs_six_nodes(nodes):
-    samples, spec = unit_model(half_width=10.0, nodes=nodes)
+    samples = unit_model(half_width=10.0, nodes=nodes)
     with pytest.raises(GridError, match="at least 6 grid nodes"):
-        roundtrip_residual(samples, spec)
+        roundtrip_residual(samples)
 
 
 def test_roundtrip_runs_at_six_nodes():
-    samples, spec = unit_model(half_width=10.0, nodes=6)
-    assert roundtrip_residual(samples, spec) < 1e-12
+    assert roundtrip_residual(unit_model(half_width=10.0, nodes=6)) < 1e-12
 
 
 def test_narrow_grid_rejected():
     # slow log-magnitude decay: endpoints carry too much weight
-    samples, spec = rational_model(half_width=2.0, nodes=201,
-                                   beta=1.0, gamma=1.5)
+    samples = rational_model(half_width=2.0, nodes=201, beta=1.0, gamma=1.5)
     with pytest.raises(GridError):
-        reconstruct_jost_plus(samples, spec, 0.3)
+        reconstruct_jost_plus(samples, 0.3)
 
 
 def test_phase_step_of_a_quarter_turn_rejected():
@@ -124,18 +121,17 @@ def test_phase_step_of_a_quarter_turn_rejected():
     samples = RealLineSamples(grid, np.exp(2.5j * np.exp(-(grid / 0.02)
                                                          ** 2)))
     with pytest.raises(GridError, match="pi/2 or more"):
-        roundtrip_residual(samples, BlaschkeSpec())
+        roundtrip_residual(samples)
 
 
 def test_roundtrip_unit_is_exact():
-    samples, spec = unit_model()
-    assert roundtrip_residual(samples, spec) < 1e-12
+    assert roundtrip_residual(unit_model()) < 1e-12
 
 
 def test_roundtrip_rational_truncation_scaling():
-    r50 = roundtrip_residual(*rational_model(half_width=50.0, nodes=4001))
+    r50 = roundtrip_residual(rational_model(half_width=50.0, nodes=4001))
     assert r50 < 1e-3
-    r100 = roundtrip_residual(*rational_model(half_width=100.0, nodes=8001))
+    r100 = roundtrip_residual(rational_model(half_width=100.0, nodes=8001))
     ratio = r50 / r100
     assert 1.4 < ratio < 2.6  # halving within +-30%
 
@@ -148,8 +144,8 @@ def _smooth_input(half_width, nodes):
 
 def _model_input(model):
     def build(half_width, nodes):
-        samples, spec = model(half_width=half_width, nodes=nodes)
-        return samples.grid, _log_dispersion_input(samples, spec)
+        samples = model(half_width=half_width, nodes=nodes)
+        return samples.grid, _log_dispersion_input(samples)
     return build
 
 
@@ -168,21 +164,21 @@ def test_pv_on_grid_matches_direct_sum(nodes, source, stride):
 
 @pytest.mark.parametrize("nodes", [6, 2001, 8001])
 def test_roundtrip_unit_residual_is_zero(nodes):
-    assert roundtrip_residual(*unit_model(nodes=nodes)) == 0.0
+    assert roundtrip_residual(unit_model(nodes=nodes)) == 0.0
 
 
 def test_roundtrip_truncation_scaling_over_a_decade():
     # h = 0.025 fixed, so only the cut-off tails change: residual ~ 1/L
     widths = np.array([50.0, 100.0, 200.0, 400.0, 800.0])
-    residuals = [roundtrip_residual(*rational_model(half_width=L,
-                                                    nodes=int(80 * L) + 1))
+    residuals = [roundtrip_residual(rational_model(half_width=L,
+                                                   nodes=int(80 * L) + 1))
                  for L in widths]
     slope = np.polyfit(np.log(widths), np.log(residuals), 1)[0]
     assert -1.1 <= slope <= -0.9
 
 
 def test_roundtrip_blaschke_invariance():
-    r_plain = roundtrip_residual(*rational_model(half_width=50.0, nodes=4001))
-    r_bound = roundtrip_residual(*bound_state_model(half_width=50.0,
+    r_plain = roundtrip_residual(rational_model(half_width=50.0, nodes=4001))
+    r_bound = roundtrip_residual(bound_state_model(half_width=50.0,
                                                     nodes=4001))
     assert r_bound < 2.0 * r_plain + 1e-12

@@ -194,6 +194,26 @@ def test_k_moment_conditioning_next_to_one(one_pass):
         assert abs(got - want) < 10 * 2.0 ** -52 / (1.0 - nu) * abs(want)
 
 
+@pytest.mark.parametrize("nu,bound", [(0.9999999999, 1e-8),
+                                      (0.9999999, 1e-10),
+                                      (-0.9999999, 1e-10)])
+def test_k_moment_integral_keeps_digits_next_to_one(nu, bound, one_pass):
+    # sin pi nu is taken at the exact nu - round(nu), not at the rounded
+    # product pi nu, which keeps only eps / (pi (1 - |nu|)) of it
+    want = _mp_moment(nu)
+    got = k_moment_integral(nu).value
+    one_pass()
+    assert abs(got - want) <= bound * abs(want)
+
+
+@pytest.mark.parametrize("coefficient", [0.5, 0.125])
+@pytest.mark.parametrize("nu", [0.9999999999, -0.9999999, 0.999999])
+def test_k_moment_closed_form_keeps_digits_next_to_one(nu, coefficient):
+    want = 2.0 * coefficient * _mp_moment(nu)
+    got = k_moment_closed_form(nu, coefficient)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_k_moment_divergence_and_pole_guards():
     with pytest.raises(DivergenceError):
         k_moment_integral(1.0)
