@@ -126,7 +126,7 @@ def _write_report(args, results, rows, diagnostics):
 
 
 def _first_zeros(n):
-    """The first n zeros, from one scan of 0..T, where T solves
+    """The first n ordinates, from one scan of 0..T, where T solves
     theta(T)/pi + 1 = n + 1.5: the main term of the Riemann-von Mangoldt
     count, with a margin above the largest |S(t)| below T_MAX (0.998)."""
     from .zeros import find_zeros
@@ -144,28 +144,28 @@ def _first_zeros(n):
         theta = 0.5 * t * (u - 1.0) - math.pi / 8 + 1.0 / (48.0 * t)
         t = min(float(T_MAX), t - (theta - target)
                 / (0.5 * u - 1.0 / (48.0 * t * t)))
-    zeros = find_zeros(0.0, t)
-    if len(zeros) < n:
+    ordinates, _ = find_zeros(0.0, t)
+    if len(ordinates) < n:
         raise RangeError(
             "only %d zeros available below the evaluation ceiling t = %g"
-            % (len(zeros), T_MAX))
-    return zeros[:n]
+            % (len(ordinates), T_MAX))
+    return ordinates[:n].tolist()
 
 
 def cmd_zeros(args):
     from .numerics import ContourRectangle
     from .zeros import count_zeros_rectangle, find_zeros
 
-    zeros = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
+    t, res = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
     rect = ContourRectangle(-2.0, 3.0, args.t_min, args.t_max)
     rect_count = count_zeros_rectangle(rect)
-    consistent = rect_count == len(zeros)
+    consistent = rect_count == len(t)
     diagnostics = [] if consistent else [
         "line scan found %d zeros but the contour count is %d"
-        % (len(zeros), rect_count)]
-    rows = [{"index": z.index, "ordinate": z.ordinate, "residual": z.residual}
-            for z in zeros]
-    results = {"zeros": rows, "count": len(zeros),
+        % (len(t), rect_count)]
+    rows = [{"index": k + 1, "ordinate": x, "residual": r}
+            for k, (x, r) in enumerate(zip(t.tolist(), res.tolist()))]
+    results = {"zeros": rows, "count": len(t),
                "rectangle_count": rect_count,
                "cross_check": "consistent" if consistent else "inconsistent"}
     return (results, rows, diagnostics,
@@ -175,17 +175,17 @@ def cmd_zeros(args):
 def cmd_smatrix_eval(args):
     from .scattering import s_matrix
 
-    m = s_matrix(complex(args.re, args.im))
+    s = complex(args.re, args.im)
+    log_s, pole, zero = s_matrix(s)
     # at a pole both the value and its log modulus are rounding noise
-    value = None if m.pole_flag else _complex_str(cmath.exp(m.log_value))
-    log_modulus = None if m.pole_flag else m.log_value.real
-    results = {"s": _complex_str(m.s), "value": value,
-               "log_modulus": log_modulus, "pole": m.pole_flag,
-               "zero": m.zero_flag}
+    value = None if pole else _complex_str(cmath.exp(log_s))
+    log_modulus = None if pole else log_s.real
+    results = {"s": _complex_str(s), "value": value,
+               "log_modulus": log_modulus, "pole": pole, "zero": zero}
     rows = [{"re": args.re, "im": args.im,
              "value_re": value["re"] if value else "",
              "value_im": value["im"] if value else "",
-             "pole": m.pole_flag, "zero": m.zero_flag}]
+             "pole": pole, "zero": zero}]
     return results, rows, [], EXIT_OK
 
 
@@ -218,17 +218,18 @@ def cmd_smatrix_correspondence(args):
 
     diagnostics = []
     rows = []
-    zeros = _first_zeros(args.num_zeros)
-    for z, fp in zip(zeros, zero_to_jost_zero([z.ordinate for z in zeros])):
-        p = complex(-0.25, 0.5 * z.ordinate)
+    ordinates = _first_zeros(args.num_zeros)
+    checked = zero_to_jost_zero(ordinates)
+    for k, (t_n, fp) in enumerate(zip(ordinates, checked)):
+        p = complex(-0.25, 0.5 * t_n)
         if isinstance(fp, VerificationError):
             mag = None
             diagnostics.append(str(fp))
         else:
             # |F+| at the float nearest a zero is rounding noise (about
             # 1e-14), so only its first two digits are reported
-            mag = float("%.2g" % math.exp(fp.log_value.real))
-        rows.append({"index": z.index, "ordinate": z.ordinate,
+            mag = float("%.2g" % fp)
+        rows.append({"index": k + 1, "ordinate": t_n,
                      "jost_zero_re": p.real, "jost_zero_im": p.imag,
                      "jost_magnitude": mag, "winding_ok": mag is not None})
     passes = sum(row["winding_ok"] for row in rows)
@@ -319,7 +320,7 @@ def cmd_hadamard(args):
         raise DomainError("--at %r --at-im %r is a zero of xi, where the "
                           "relative residual is undefined"
                           % (args.at_re, args.at_im))
-    ordinates = [z.ordinate for z in _first_zeros(args.num_zeros)]
+    ordinates = _first_zeros(args.num_zeros)
     checkpoints = sorted({n for n in (10, 25, 50, 100, args.num_zeros)
                           if n <= args.num_zeros})
     profile = convergence_profile(at, checkpoints, ordinates)

@@ -11,7 +11,6 @@ s = -rho/2, so the first-zero pole of S sits at s = -1/4 - i t_1 / 2.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +21,6 @@ from .zeta import log_xi, log_xi_array, xi
 # A point p counts as a xi zero when it lies within this distance of
 # one (simple zeros: |xi/xi'| is the distance to the zero).
 ZERO_NEWTON_RADIUS = 1e-6
-
-
-@dataclass(frozen=True)
-class SMatrixValue:
-    """S or F+ = 1/S at s, as its log with the phase unfolded."""
-    s: complex
-    log_value: complex
-    pole_flag: bool
-    zero_flag: bool
-
-    def __post_init__(self):
-        if self.pole_flag and self.zero_flag:
-            raise ValueError("pole_flag and zero_flag are mutually exclusive")
 
 
 def _xi_vanishes(p, lx):
@@ -58,29 +44,32 @@ def _xi_vanishes(p, lx):
 
 
 def s_matrix(s):
-    """S(s) = xi(2s)/xi(-2s) in log form, with pole/zero flags."""
+    """S(s) = xi(2s)/xi(-2s) as (log S, pole, zero), the phase of log S
+    unfolded; a pole of S is never also flagged as a zero."""
     s = complex(s)
     num = log_xi(2.0 * s)
     den = log_xi(-2.0 * s)
     pole = _xi_vanishes(-2.0 * s, den)
-    zero = False if pole else _xi_vanishes(2.0 * s, num)
-    return SMatrixValue(s=s, log_value=num - den, pole_flag=pole,
-                        zero_flag=zero)
+    return num - den, pole, not pole and _xi_vanishes(2.0 * s, num)
 
 
 def log_s_matrix(s):
-    """log S = log xi(2s) - log xi(-2s) at every point of the complex
+    """log S = log xi(2s) - log xi(1 + 2s) at every point of the complex
     array s, with no pole/zero flags: the way S is evaluated at more
-    than one point.  Its phase is not folded into (-pi, pi]."""
+    than one point.  Its phase is not folded into (-pi, pi].  xi(-2s) is
+    taken as xi(1 + 2s), which log_xi_array reaches without reflection
+    for Re s > -1/2: on Re s = 0 the two sums run at Re 0 and Re 1, not
+    at the conjugate points 2s and -2s, whose real parts agree to the
+    bit, so |S(i tau)| - 1 reads rounding rather than exactly 0."""
     s = np.asarray(s, dtype=complex)
-    return log_xi_array(2.0 * s) - log_xi_array(-2.0 * s)
+    return log_xi_array(2.0 * s) - log_xi_array(1.0 + 2.0 * s)
 
 
 def jost_plus(s):
-    """Zero-energy Jost function F+(s) = xi(-2s)/xi(2s) = 1/S(s)."""
-    m = s_matrix(s)
-    return SMatrixValue(s=m.s, log_value=-m.log_value,
-                        pole_flag=m.zero_flag, zero_flag=m.pole_flag)
+    """Zero-energy Jost function F+(s) = xi(-2s)/xi(2s) = 1/S(s) as
+    (log F+, pole, zero): S's triple, the log negated, the flags swapped."""
+    log_s, pole, zero = s_matrix(s)
+    return -log_s, zero, pole
 
 
 def zero_to_jost_zero(ordinates):
@@ -88,8 +77,8 @@ def zero_to_jost_zero(ordinates):
     + i t_n/2, checking the contract: |F+| < 1e-6 there, by the scalar
     jost_plus(p), and F+ = exp(-log S) winds once around a 0.05-radius
     box about the point, every box that passed the point check in one
-    winding_number call.  Returns, for each ordinate, the F+ value at p
-    (its .s is p), so callers need not evaluate S there again, or the
+    winding_number call.  Returns, for each ordinate, |F+| at p as a
+    float, so callers need not evaluate S there again, or the
     VerificationError its check failed with.  A failure falsifies the
     implementation, not the correspondence; a BoundaryZeroError on any
     box is raised for the batch.
@@ -97,22 +86,22 @@ def zero_to_jost_zero(ordinates):
     out, boxes = [], []
     for t_n in ordinates:
         p = complex(-0.25, 0.5 * t_n)
-        fp = jost_plus(p)
-        mag = math.exp(fp.log_value.real)
-        if mag < 1e-6 and fp.zero_flag:
-            boxes.append(len(out))
+        log_f, _, zero = jost_plus(p)
+        mag = math.exp(log_f.real)
+        if mag < 1e-6 and zero:
+            boxes.append((len(out), p))
+            out.append(mag)
         else:
-            fp = VerificationError(
-                "|F+| = %.3g at %s; expected a zero there" % (mag, p))
-        out.append(fp)
+            out.append(VerificationError(
+                "|F+| = %.3g at %s; expected a zero there" % (mag, p)))
     rects = [ContourRectangle(p.real - 0.05, p.real + 0.05,
                               p.imag - 0.05, p.imag + 0.05)
-             for p in (out[i].s for i in boxes)]
+             for _, p in boxes]
     counts = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rects)
-    for i, w in zip(boxes, counts):
+    for (i, p), w in zip(boxes, counts):
         if w != 1:
             out[i] = VerificationError(
-                "winding of F+ around %s is %d, expected 1" % (out[i].s, w))
+                "winding of F+ around %s is %d, expected 1" % (p, w))
     return out
 
 
@@ -141,9 +130,9 @@ def flat_wave(s, y):
     if y <= 0:
         raise ValueError("flat_wave requires y > 0")
     s = complex(s)
-    m = s_matrix(s)
-    if m.pole_flag:
+    log_s, pole, _ = s_matrix(s)
+    if pole:
         raise VerificationError("S(s) has a pole at %s" % s)
-    sv = cmath.exp(m.log_value)
+    sv = cmath.exp(log_s)
     ly = math.log(y)
     return cmath.exp((0.5 + s) * ly) + sv * cmath.exp((0.5 - s) * ly)

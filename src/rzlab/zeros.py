@@ -7,7 +7,6 @@ mirror symmetry about Re s = 1/2; the two routes cross-check each other.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +17,6 @@ from .zeta import T_MAX, log_xi_array
 
 DEFAULT_STEP = 0.1
 DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ZetaZero:
-    ordinate: float
-    residual: float
-    index: int
 
 
 def _signed_scaled(t):
@@ -38,7 +30,8 @@ def _signed_scaled(t):
 
 
 def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
-    """All critical-line zeros with ordinate in (t_min, t_max).
+    """All critical-line zeros with ordinate in (t_min, t_max), as two
+    float arrays: the ordinates, ascending, and their residuals.
 
     xi(1/2 + it) is evaluated on a grid of spacing at most step in one
     batched call; its sign changes are refined all together by
@@ -66,9 +59,7 @@ def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
     t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], tol,
                                 f_lo=f_grid[j], f_hi=f_grid[j + 1])
-    residual = np.abs(ft) * np.exp(-0.25 * math.pi * t)
-    return [ZetaZero(ordinate=float(x), residual=float(r), index=k + 1)
-            for k, (x, r) in enumerate(zip(t, residual))]
+    return t, np.abs(ft) * np.exp(-0.25 * math.pi * t)
 
 
 def count_zeros_rectangle(rect):

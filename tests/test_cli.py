@@ -61,6 +61,20 @@ def test_zeros_empty_window(capsys):
     assert json.loads(out)["results"]["zeros"] == []
 
 
+def test_zeros_index_counts_from_1_within_the_window(capsys):
+    # the window (20, 30) holds t_2 and t_3, numbered 1 and 2
+    code, out, _ = run(capsys, "zeros", "--t-min", "20", "--t-max", "30",
+                       "--deterministic")
+    assert code == EXIT_OK
+    rows = json.loads(out)["results"]["zeros"]
+    assert [r["index"] for r in rows] == [1, 2]
+    assert abs(rows[0]["ordinate"] - 21.022039638771555) < 1e-9
+    code, out, _ = run(capsys, "zeros", "--t-min", "20", "--t-max", "30",
+                       "--format", "csv", "--deterministic")
+    assert [line.split(",")[0] for line in out.splitlines()] \
+        == ["index", "1", "2"]
+
+
 def test_zeros_deterministic_byte_identical(capsys):
     _, out1, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "22",
                      "--deterministic")
@@ -504,12 +518,24 @@ def test_smatrix_scan_to_window_edge(capsys):
     assert results["max_deviation"] < 1e-8
 
 
+def test_smatrix_scan_deviation_is_not_exactly_zero(capsys):
+    # xi(2 i tau) against xi(1 + 2 i tau), two independent sums: the
+    # README scan reads their rounding, not the exact 0 that xi at the
+    # conjugate points 2 i tau and -2 i tau would give
+    argv, = [c for c in _readme_commands() if c[:2] == ["smatrix", "scan"]]
+    code, out, _ = run(capsys, *argv, "--deterministic")
+    assert code == EXIT_OK
+    assert 0.0 < json.loads(out)["results"]["max_deviation"] < 1e-12
+
+
 def test_smatrix_correspondence(capsys):
     code, out, _ = run(capsys, "smatrix", "correspondence",
                        "--num-zeros", "3", "--deterministic")
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["results"]["passes"] == 3
+    # the catalog starts at t_1, so a row's index is n
+    assert [r["index"] for r in report["results"]["per_zero"]] == [1, 2, 3]
 
 
 def test_smatrix_correspondence_evaluates_s_once_per_zero(monkeypatch,
@@ -891,11 +917,12 @@ def test_first_zeros_scans_once_for_every_catalog(monkeypatch):
     monkeypatch.setattr(rzlab.zeros, "find_zeros", counted)
     for n in range(1, 115):
         del scans[:]
-        zeros = _first_zeros(n)
+        ordinates = _first_zeros(n)
         assert len(scans) == 1, n
-        assert [z.index for z in zeros] == list(range(1, n + 1))
-        assert max(abs(z.ordinate - t)
-                   for z, t in zip(zeros, table)) <= 2.4e-11, n
+        assert len(ordinates) == n
+        assert all(type(x) is float for x in ordinates)
+        assert max(abs(x - t)
+                   for x, t in zip(ordinates, table)) <= 2.4e-11, n
 
 
 def test_zeros_consistent_where_a_window_edge_is_a_computed_zero():
@@ -904,7 +931,7 @@ def test_zeros_consistent_where_a_window_edge_is_a_computed_zero():
     from rzlab.zeros import find_zeros
     from rzlab.zeta import T_MAX
 
-    ts = [z.ordinate for z in find_zeros(0.0, T_MAX)]
+    ts = find_zeros(0.0, T_MAX)[0].tolist()
     windows = ([(t, t + 1.0) for t in ts if t + 1.0 <= T_MAX]
                + [(t - 1.0, t) for t in ts]
                + list(zip(ts, ts[1:])) + list(zip(ts, ts[2:])))

@@ -11,7 +11,7 @@ from rzlab.zeta import xi
 
 @pytest.fixture(scope="module")
 def ordinates():
-    return [z.ordinate for z in find_zeros(0.0, 100.0)]
+    return find_zeros(0.0, 100.0)[0].tolist()
 
 
 def test_fit_constants_values():

@@ -17,30 +17,29 @@ T1 = 14.134725141734694
 
 
 def test_s_matrix_at_origin():
-    m = s_matrix(0.0)
-    assert abs(cmath.exp(m.log_value) - 1.0) < 1e-14
-    assert not m.pole_flag and not m.zero_flag
+    log_s, pole, zero = s_matrix(0.0)
+    assert abs(cmath.exp(log_s) - 1.0) < 1e-14
+    assert not pole and not zero
 
 
 def test_s_matrix_inverse_symmetry():
     for s in (complex(0.1, 0.3), complex(-0.05, 2.0), complex(0.2, -1.7)):
-        prod = s_matrix(s).log_value + s_matrix(-s).log_value
+        prod = s_matrix(s)[0] + s_matrix(-s)[0]
         assert abs(cmath.exp(prod) - 1.0) < 1e-10
 
 
 def test_s_matrix_unitary_on_imaginary_axis():
     for tau in (0.5, 3.0, 11.0, 25.0):
-        m = s_matrix(complex(0.0, tau))
-        assert abs(math.exp(m.log_value.real) - 1.0) < 1e-10
+        log_s, _, _ = s_matrix(complex(0.0, tau))
+        assert abs(math.exp(log_s.real) - 1.0) < 1e-10
 
 
-def test_s_matrix_pole_and_zero_flags():
+def test_s_matrix_flags_poles_and_zeros():
     pole_point = complex(-0.25, 0.5 * T1)  # xi(-2s) vanishes here
-    assert s_matrix(pole_point).pole_flag
+    assert s_matrix(pole_point)[1:] == (True, False)
     zero_point = complex(0.25, 0.5 * T1)  # xi(2s) vanishes here
-    assert s_matrix(zero_point).zero_flag
-    m = s_matrix(complex(0.1, 1.0))
-    assert not m.pole_flag and not m.zero_flag
+    assert s_matrix(zero_point)[1:] == (False, True)
+    assert s_matrix(complex(0.1, 1.0))[1:] == (False, False)
 
 
 def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
@@ -59,33 +58,48 @@ def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
     real_xi, real_log_xi = scattering.xi, scattering.log_xi
     monkeypatch.setattr(scattering, "xi", counted)
     monkeypatch.setattr(scattering, "log_xi", counted_log)
-    m = s_matrix(complex(0.3, 40.0))
-    assert not m.pole_flag and not m.zero_flag
+    assert s_matrix(complex(0.3, 40.0))[1:] == (False, False)
     assert len(calls) == 2
     # at an F+ zero (a pole of S) only the derivative stencil is added
     del calls[:]
-    assert s_matrix(complex(-0.25, 0.5 * T1)).pole_flag
+    assert s_matrix(complex(-0.25, 0.5 * T1))[1]
     assert len(calls) == 4
 
 
 def test_jost_plus_is_reciprocal():
     s = complex(0.07, 0.9)
-    prod = jost_plus(s).log_value + s_matrix(s).log_value
+    prod = jost_plus(s)[0] + s_matrix(s)[0]
     assert abs(cmath.exp(prod) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("s", [0.0, complex(0.07, 0.9),
+                               complex(-0.25, 0.5 * T1),
+                               complex(0.25, 0.5 * T1)])
+def test_jost_plus_negates_the_log_and_swaps_the_flags(s):
+    log_s, pole, zero = s_matrix(s)
+    assert jost_plus(s) == (-log_s, zero, pole)
+
+
 def test_zero_to_jost_zero_verified():
+    p = complex(-0.25, 0.5 * T1)
     fp, = zero_to_jost_zero([T1])
-    assert fp.s == complex(-0.25, 0.5 * T1)
-    assert math.exp(fp.log_value.real) < 1e-6 and fp.zero_flag
-    assert fp == jost_plus(fp.s)
+    log_f, _, zero = jost_plus(p)
+    assert fp == math.exp(log_f.real)
+    assert fp < 1e-6 and zero
 
 
 def test_zero_to_jost_zero_rejects_non_zero():
-    # 15.0 is not a zero ordinate; T1 in the same batch still passes
+    # 12.0, 15.0 and 25.0 are not zero ordinates; the true zeros below 50
+    # in the same batch still pass, each as a float
     fp, bad = zero_to_jost_zero([T1, 15.0])
     assert isinstance(bad, VerificationError)
-    assert fp == jost_plus(complex(-0.25, 0.5 * T1))
+    assert fp == math.exp(jost_plus(complex(-0.25, 0.5 * T1))[0].real)
+    ordinates = find_zeros(0.0, 50.0)[0].tolist() + [12.0, 25.0]
+    checked = zero_to_jost_zero(ordinates)
+    assert len(checked) == len(ordinates)
+    for fp in checked[:-2]:
+        assert type(fp) is float and fp < 1e-6
+    assert all(isinstance(fp, VerificationError) for fp in checked[-2:])
 
 
 def test_zero_to_jost_zero_evaluates_s_matrix_once(monkeypatch):
@@ -108,7 +122,7 @@ def test_every_jost_box_winds_once_with_the_zero_near_a_side():
     # box moved so the zero lies 0.01 inside one side, or inside both
     # sides at a corner, where the box stays in the window: at
     # MIN_SIDE_SAMPLES per side each winds once, all in one batch
-    ordinates = [z.ordinate for z in find_zeros(0.0, T_MAX)]
+    ordinates = find_zeros(0.0, T_MAX)[0].tolist()
     rects = []
     for t in ordinates:
         for dx, dy in itertools.product((-0.04, 0.0, 0.04), repeat=2):
@@ -134,7 +148,7 @@ def test_log_s_matrix_matches_s_matrix():
     got = np.exp(log_s_matrix(s))
     assert got.shape == s.shape
     for z, g in zip(s.ravel(), got.ravel()):
-        want = cmath.exp(s_matrix(complex(z)).log_value)
+        want = cmath.exp(s_matrix(complex(z))[0])
         assert abs(g - want) <= 1e-12 * abs(want), z
 
 
@@ -160,7 +174,7 @@ def test_flat_wave_symmetry():
     # functional relation: S(-s) phi(s, y) = phi(-s, y) since S(s)S(-s) = 1
     s = complex(0.2, 1.4)
     for y in (0.7, 2.3):
-        ms = cmath.exp(s_matrix(-s).log_value)
+        ms = cmath.exp(s_matrix(-s)[0])
         lhs = ms * flat_wave(s, y)
         rhs = flat_wave(-s, y)
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)

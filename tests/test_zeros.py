@@ -23,16 +23,26 @@ FIRST_ORDINATES = (14.134725141734694, 21.022039638771555,
 
 
 def test_find_zeros_first_five():
-    zeros = find_zeros(0.0, 33.0)
-    assert len(zeros) == 5
-    for z, ref in zip(zeros, FIRST_ORDINATES):
-        assert abs(z.ordinate - ref) < 1e-7
-        assert z.residual < 1e-12
-    assert [z.index for z in zeros] == [1, 2, 3, 4, 5]
+    t, residuals = find_zeros(0.0, 33.0)
+    assert len(t) == 5
+    for x, r, ref in zip(t, residuals, FIRST_ORDINATES):
+        assert abs(x - ref) < 1e-7
+        assert r < 1e-12
+
+
+def test_find_zeros_returns_two_float_arrays():
+    t, residuals = find_zeros(0.0, 100.0)
+    for a in (t, residuals):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+    assert t.shape == residuals.shape == (29,)
+    assert np.all(np.diff(t) > 0.0)
 
 
 def test_find_zeros_empty_window():
-    assert find_zeros(0.0, 10.0) == []
+    t, residuals = find_zeros(0.0, 10.0)
+    for a in (t, residuals):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64
+        assert a.shape == (0,)
 
 
 def test_find_zeros_precondition():
@@ -49,9 +59,9 @@ def test_find_zeros_rejects_oversized_grid_before_scanning():
 
 
 def test_count_zeros_rectangle_matches_scan():
-    zeros = find_zeros(0.0, 50.0)
+    t, _ = find_zeros(0.0, 50.0)
     rect = ContourRectangle(0.0, 1.0, 0.001, 50.0)
-    assert count_zeros_rectangle(rect) == len(zeros)
+    assert count_zeros_rectangle(rect) == len(t)
 
 
 def test_count_zeros_empty_rectangle():
@@ -64,12 +74,12 @@ def test_count_zeros_at_a_boundary_zero_matches_the_scan():
     # mirror end and the scan's last grid point read one computed xi
     rect = ContourRectangle(0.0, 1.0, 0.001, FIRST_ORDINATES[0])
     assert count_zeros_rectangle(rect) == len(
-        find_zeros(0.001, FIRST_ORDINATES[0]))
+        find_zeros(0.001, FIRST_ORDINATES[0])[0])
 
 
 @pytest.fixture(scope="module")
 def zeros_to_250():
-    return find_zeros(0.0, 250.0)
+    return find_zeros(0.0, 250.0)[0]
 
 
 def test_find_zeros_match_mpmath(zeros_to_250):
@@ -79,14 +89,14 @@ def test_find_zeros_match_mpmath(zeros_to_250):
     for n in list(range(1, 109, 9)) + [108]:
         with mpmath.workdps(25):
             ref = mpmath.zetazero(n).imag
-        assert abs(zeros_to_250[n - 1].ordinate - float(ref)) < 5e-11, n
+        assert abs(zeros_to_250[n - 1] - float(ref)) < 5e-11, n
 
 
 def test_no_float_lands_on_a_zero():
     # find_zeros scans its grid once, with no shift off a zero: at every
     # zero below T_MAX and at the floats on either side, log |xi| stays
     # far above the -inf of a grid point that lands on a zero
-    t = np.array([z.ordinate for z in find_zeros(0.0, T_MAX)])
+    t, _ = find_zeros(0.0, T_MAX)
     assert len(t) == 114
     for u in (t, np.nextafter(t, 0.0), np.nextafter(t, np.inf)):
         assert np.all(log_xi_array(0.5 + 1j * u).real > -300.0)
@@ -108,9 +118,9 @@ def _random_windows():
 def test_rectangle_counts_match_scan_on_random_windows(zeros_to_250):
     for lo, width in _random_windows():
         rect = ContourRectangle(0.0, 1.0, lo, lo + width)
-        expected = len(find_zeros(lo, lo + width))
-        assert expected == sum(1 for z in zeros_to_250
-                               if lo < z.ordinate < lo + width)
+        expected = len(find_zeros(lo, lo + width)[0])
+        assert expected == sum(1 for t in zeros_to_250
+                               if lo < t < lo + width)
         assert count_zeros_rectangle(rect) == expected, (lo, width)
 
 
@@ -118,7 +128,7 @@ def test_cli_contour_matches_scan_on_random_windows():
     for lo, width in _random_windows():
         rect = ContourRectangle(*CLI_RE, lo, lo + width)
         assert count_zeros_rectangle(rect) == len(
-            find_zeros(lo, lo + width)), (lo, width)
+            find_zeros(lo, lo + width)[0]), (lo, width)
 
 
 def test_cli_contour_matches_scan_on_edge_windows(ordinates_to_260):
@@ -132,7 +142,7 @@ def test_cli_contour_matches_scan_on_edge_windows(ordinates_to_260):
                 if hi > T_MAX:
                     continue
                 rect = ContourRectangle(*CLI_RE, lo, hi)
-                if count_zeros_rectangle(rect) != len(find_zeros(lo, hi)):
+                if count_zeros_rectangle(rect) != len(find_zeros(lo, hi)[0]):
                     failed.append((lo, hi))
     assert failed == []
 
@@ -170,7 +180,7 @@ def test_strip_count_evaluates_half_the_contour(monkeypatch):
 
 @pytest.fixture(scope="module")
 def ordinates_to_260():
-    return np.array([z.ordinate for z in find_zeros(0.0, T_MAX)])
+    return find_zeros(0.0, T_MAX)[0]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -186,7 +196,7 @@ def test_mirror_count_matches_full_contour_and_scan(ordinates_to_260, lo,
     assume(np.abs(ordinates_to_260 - hi).min() >= 1e-6)
     rect = ContourRectangle(0.0, 1.0, lo, hi)
     full, = winding_number(lambda z: np.exp(log_xi_array(z)), [rect])
-    assert count_zeros_rectangle(rect) == full == len(find_zeros(lo, hi))
+    assert count_zeros_rectangle(rect) == full == len(find_zeros(lo, hi)[0])
     assert count_zeros_rectangle(ContourRectangle(*CLI_RE, lo, hi)) == full
 
 
@@ -225,7 +235,7 @@ def test_catalog_takes_three_batched_calls(monkeypatch):
 
     monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
     monkeypatch.setattr(rzlab.zeta, "log_xi", scalar_log_xi)
-    assert len(find_zeros(0.0, 250.0)) == 108
+    assert len(find_zeros(0.0, 250.0)[0]) == 108
     assert sizes == [2501, 5 * 108, 3 * 108]
     assert scalar == []
 
@@ -235,8 +245,7 @@ def test_catalog_takes_three_batched_calls(monkeypatch):
 def test_window_zeros_are_sign_changes_of_the_table(table, lo, width):
     hi = lo + width
     assume(hi <= T_MAX)
-    zeros = find_zeros(lo, hi)
-    t = np.array([z.ordinate for z in zeros])
+    t, _ = find_zeros(lo, hi)
     if t.size:
         lx = log_xi_array(0.5 + 1j * np.concatenate(
             (t - DEFAULT_TOL, t + DEFAULT_TOL)))
@@ -245,4 +254,4 @@ def test_window_zeros_are_sign_changes_of_the_table(table, lo, width):
     # with both edges clear of every zero, the count is the table's
     assume(np.abs(table - lo).min() >= 1e-6)
     assume(np.abs(table - hi).min() >= 1e-6)
-    assert len(zeros) == np.count_nonzero((table > lo) & (table < hi))
+    assert len(t) == np.count_nonzero((table > lo) & (table < hi))
