@@ -4,9 +4,8 @@ quantum checks, dispersion reconstruction, and Hadamard factorization.
 """
 
 from .errors import (BoundaryZeroError, DivergenceError, DomainError,
-                     GridError, IntegrationLimitError, PoleError,
-                     PreconditionError, RangeError, RZLabError,
-                     VerificationError)
+                     GridError, PoleError, PreconditionError, RangeError,
+                     RZLabError, VerificationError)
 
 __version__ = "0.1.0"
 
@@ -28,5 +27,4 @@ __all__ = [
     "BoundaryZeroError",
     "GridError",
     "VerificationError",
-    "IntegrationLimitError",
 ]

@@ -25,8 +25,8 @@ import sys
 
 from . import __version__
 from .errors import (BoundaryZeroError, DivergenceError, DomainError,
-                     GridError, IntegrationLimitError, PoleError,
-                     PreconditionError, RangeError, VerificationError)
+                     GridError, PoleError, PreconditionError, RangeError,
+                     VerificationError)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -34,8 +34,7 @@ EXIT_VERIFICATION = 3
 EXIT_USAGE = 64
 
 _DOMAIN_ERRORS = (DomainError, RangeError, PreconditionError, GridError,
-                  PoleError, IntegrationLimitError, DivergenceError,
-                  ValueError, ArithmeticError)
+                  PoleError, DivergenceError, ValueError, ArithmeticError)
 _VERIFICATION_ERRORS = (VerificationError, BoundaryZeroError)
 
 
@@ -156,7 +155,7 @@ def cmd_zeros(args):
     from .numerics import ContourRectangle
     from .zeros import count_zeros_rectangle, find_zeros
 
-    t, res = find_zeros(args.t_min, args.t_max, step=args.step, tol=args.tol)
+    t, res = find_zeros(args.t_min, args.t_max)
     rect = ContourRectangle(-2.0, 3.0, args.t_min, args.t_max)
     rect_count = count_zeros_rectangle(rect)
     consistent = rect_count == len(t)
@@ -268,16 +267,9 @@ def cmd_jost_verify(args):
     from .quantum import (jost_solution_analytic, jost_solution_ode,
                           order_from_coupling)
 
-    if not args.k > 0.0:
-        raise PreconditionError("k must be positive")
-    # the ODE starts at y = 25/k, above the lowest sample, y = 1
-    if args.k >= 25.0:
-        raise PreconditionError("--k must be below 25, got %r" % args.k)
     lam = vars(args)["lambda"]
     nu = order_from_coupling(lam)
-    samples = [(y, f) for y, f in jost_solution_ode(args.k, lam, 1.0,
-                                                    25.0 / args.k)
-               if 1.0 <= y <= 10.0]
+    samples = [(y, f) for y, f in jost_solution_ode(args.k, lam) if y <= 10.0]
     f_ref = jost_solution_analytic(args.k, nu, [y for y, _ in samples])
     rows = [{"y": y, "f_ode_re": f.real, "f_ode_im": f.imag,
              "rel_error": abs(f - r) / abs(r)}
@@ -385,8 +377,6 @@ def mode_parsers():
     p = _mode(modes, "zeros", cmd_zeros, ("index", "ordinate", "residual"))
     p.add_argument("--t-min", type=_finite, required=True)
     p.add_argument("--t-max", type=_finite, required=True)
-    p.add_argument("--step", type=_finite, default=0.1)
-    p.add_argument("--tol", type=_finite, default=1e-10)
     p = _mode(modes, "smatrix eval", cmd_smatrix_eval,
               ("re", "im", "value_re", "value_im", "pole", "zero"))
     p.add_argument("--re", type=_finite, default=0.0)

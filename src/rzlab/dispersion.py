@@ -19,6 +19,8 @@ ENDPOINT_LOG_S_MAX = 1e-4
 # Fewest nodes for which the round trip's interior third stays off the
 # ends of the reduced grid its Hilbert transform runs on.
 ROUNDTRIP_MIN_NODES = 6
+# rational_model's F+ = (k + i BETA)/(k + i GAMMA); bound_state_model's k1
+BETA, GAMMA, K1 = 1.0, 1.001, 1.0
 
 
 @dataclass(frozen=True)
@@ -183,23 +185,22 @@ def unit_model(half_width=50.0, nodes=4001):
     return RealLineSamples(grid, np.ones(nodes, dtype=complex))
 
 
-def rational_model(half_width=50.0, nodes=4001, beta=1.0, gamma=1.001):
-    """Unimodular rational S from F+ = (k + i beta)/(k + i gamma):
-    no bound states, ln S ~ 2i(gamma-beta)/k at infinity.
+def rational_model(half_width=50.0, nodes=4001):
+    """Unimodular rational S from F+ = (k + i BETA)/(k + i GAMMA):
+    no bound states, ln S ~ 2i(GAMMA - BETA)/k at infinity.
 
-    gamma - beta is kept small so |ln S| passes the endpoint-truncation
+    GAMMA - BETA is kept small so |ln S| passes the endpoint-truncation
     gate at half-width 25 and beyond.
     """
     grid = np.linspace(-half_width, half_width, nodes)
-    fplus = (grid + 1j * beta) / (grid + 1j * gamma)
+    fplus = (grid + 1j * BETA) / (grid + 1j * GAMMA)
     s = np.conj(fplus) / fplus
     return RealLineSamples(grid, s)
 
 
-def bound_state_model(half_width=50.0, nodes=4001, k1=1.0,
-                      beta=1.0, gamma=1.001):
-    """rational_model dressed with one bound state at momentum k1:
-    F+ = Pi_+ (k + i beta)/(k + i gamma), S = Pi_-^2 S_rational."""
-    samples = rational_model(half_width, nodes, beta, gamma)
-    pm = np.conj(blaschke_product((k1,), samples.grid))
-    return RealLineSamples(samples.grid, pm * pm * samples.s_values, (k1,))
+def bound_state_model(half_width=50.0, nodes=4001):
+    """rational_model dressed with one bound state at momentum K1:
+    F+ = Pi_+ (k + i BETA)/(k + i GAMMA), S = Pi_-^2 S_rational."""
+    samples = rational_model(half_width, nodes)
+    pm = np.conj(blaschke_product((K1,), samples.grid))
+    return RealLineSamples(samples.grid, pm * pm * samples.s_values, (K1,))

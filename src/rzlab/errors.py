@@ -35,7 +35,3 @@ class GridError(RZLabError):
 
 class VerificationError(RZLabError):
     """A numerical cross-check that must hold has failed."""
-
-
-class IntegrationLimitError(RZLabError):
-    """ODE integration could not proceed past a singular point."""

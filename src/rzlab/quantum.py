@@ -15,12 +15,11 @@ import math
 
 import numpy as np
 
-from .errors import (DivergenceError, DomainError, IntegrationLimitError,
-                     PoleError, PreconditionError, RangeError)
+from .errors import (DivergenceError, DomainError, PoleError,
+                     PreconditionError, RangeError)
 from .numerics import integrate_adaptive, QuadratureResult
 from .specfun import _log_sin, bessel_k, hankel1, log_gamma
 
-ODE_Y_FLOOR = 1e-3
 # jost_solution_ode's step rule: the largest advance of the phase k y
 # plus the potential's scale sqrt(|lambda| + 1) per step, in log y.
 _ODE_STEP = 0.05
@@ -137,16 +136,16 @@ def _bracket(a, b):
                      2.0 * (b[0] * a[2] - a[0] * b[2])])
 
 
-def jost_solution_ode(k, lam, y_end, y_start):
+def jost_solution_ode(k, lam):
     """Independent route to the Jost solution: integrate
-    f'' = (V - k^2) f inward from the plane-wave regime at y_start.
+    f'' = (V - k^2) f inward from y = 25/k, where k y = 25, down to y = 1.
 
-    Requires y_start inside the asymptotic regime (plane-wave residual
-    below 0.2 there; the boundary values themselves come from the
-    large-argument tail expansion, so the O(1/ky) plane-wave error does
-    not limit accuracy), y_start^2 finite for the potential lam/y^2,
-    and y_end above the singular-origin floor 1e-3.
-    Returns [(y, f(y))] at 200 evenly spaced y from y_end to y_start.
+    Requires 0 < k < 25, so that the start lies above 1 and squares to a
+    float, and lambda within about [-10.05, 9.95], so that the start is
+    in the plane-wave regime (residual below 0.2; the boundary values
+    come from the large-argument tail expansion, so the O(1/ky) error
+    does not limit accuracy).  Returns [(y, f(y))] at 200 evenly spaced
+    y from 1 to 25/k.
 
     The system u' = A u, u = (f, f'), A = [[0, 1], [q, 0]] with q =
     lambda/y^2 - k^2, is linear, so each step's propagator exp(Omega)
@@ -161,26 +160,21 @@ def jost_solution_ode(k, lam, y_end, y_start):
     spans decades at tiny k stays a few thousand steps.  The
     preconditions bound the total to about 28,000.  Against mpmath, on
     lambda in [-5, 6] (also complex, |Im lambda| <= 3) and k in [0.3, 3],
-    it is within 2e-12 relative on 1 <= y <= 10 and at y_start.
+    it is within 2e-12 relative on 1 <= y <= 10 and at y = 25/k.
     """
-    if not (y_start > y_end > 0):
-        raise PreconditionError("need y_start > y_end > 0")
-    y_max = float(y_start)
+    if not 0.0 < k < 25.0:
+        raise PreconditionError("need 0 < k < 25, got %r" % k)
+    y_max = 25.0 / k
     if math.isinf(y_max * y_max):
-        raise RangeError("y_start = %g is too large: y^2 overflows" % y_start)
-    if y_end < ODE_Y_FLOOR:
-        raise IntegrationLimitError(
-            "cannot integrate through the y -> 0 singularity (floor %g)"
-            % ODE_Y_FLOOR)
+        raise RangeError("k = %r is too small: (25/k)^2 overflows" % k)
     lam = complex(lam)
     nu = order_from_coupling(lam)
-    f, g = _plane_wave_tail(k, nu, y_start)
+    f, g = _plane_wave_tail(k, nu, y_max)
     # the tail's own residual |f e^{-iky} - 1|; not ... < refuses a NaN
-    if not abs(f * cmath.exp(-1j * k * y_start) - 1.0) < 2e-1:
-        raise PreconditionError(
-            "y_start too small: not yet in the plane-wave regime")
+    if not abs(f * cmath.exp(-1j * k * y_max) - 1.0) < 2e-1:
+        raise PreconditionError("k y = 25 is short of the plane-wave regime")
 
-    ys = np.linspace(y_max, y_end, 200)
+    ys = np.linspace(y_max, 1.0, 200)
     log_ratio = np.log(ys[1:] / ys[:-1])
     n = np.maximum(1, np.ceil((k * ys[:-1] + math.sqrt(abs(lam) + 1.0))
                               * -log_ratio / _ODE_STEP)).astype(int)

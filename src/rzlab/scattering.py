@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import RangeError, VerificationError
 from .numerics import ContourRectangle, winding_number
-from .zeta import log_xi, log_xi_array, xi
+from .zeta import SIGMA_MIN, T_MAX, log_xi, log_xi_array, xi
 
 # A point p counts as a xi zero when it lies within this distance of
 # one (simple zeros: |xi/xi'| is the distance to the zero).
@@ -45,8 +45,15 @@ def _xi_vanishes(p, lx):
 
 def s_matrix(s):
     """S(s) = xi(2s)/xi(-2s) as (log S, pole, zero), the phase of log S
-    unfolded; a pole of S is never also flagged as a zero."""
+    unfolded; a pole of S is never also flagged as a zero.  s must lie
+    in xi's window halved, |Re s| <= 5 and |Im s| <= 130."""
     s = complex(s)
+    if not abs(s.imag) <= 0.5 * T_MAX:
+        raise RangeError("|Im s| = %r outside supported window (<= %g)"
+                         % (abs(s.imag), 0.5 * T_MAX))
+    if not abs(s.real) <= -0.5 * SIGMA_MIN:
+        raise RangeError("Re s = %r outside supported window (|Re s| <= %g)"
+                         % (s.real, -0.5 * SIGMA_MIN))
     num = log_xi(2.0 * s)
     den = log_xi(-2.0 * s)
     pole = _xi_vanishes(-2.0 * s, den)

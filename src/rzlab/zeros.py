@@ -11,12 +11,12 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .numerics import (MAX_GRID_POINTS, find_root_bracketed, real_sign,
-                       winding_number)
+from .numerics import find_root_bracketed, real_sign, winding_number
 from .zeta import T_MAX, log_xi_array
 
-DEFAULT_STEP = 0.1
-DEFAULT_TOL = 1e-10
+# find_zeros' grid spacing (at most 2,600 intervals) and bracket width
+STEP = 0.1
+TOL = 1e-10
 
 
 def _signed_scaled(t):
@@ -29,35 +29,27 @@ def _signed_scaled(t):
         np.maximum(lx.real + 0.25 * math.pi * t, -700.0))
 
 
-def find_zeros(t_min, t_max, step=DEFAULT_STEP, tol=DEFAULT_TOL):
+def find_zeros(t_min, t_max):
     """All critical-line zeros with ordinate in (t_min, t_max), as two
     float arrays: the ordinates, ascending, and their residuals.
 
-    xi(1/2 + it) is evaluated on a grid of spacing at most step in one
+    xi(1/2 + it) is evaluated on a grid of spacing at most STEP in one
     batched call; its sign changes are refined all together by
-    find_root_bracketed, one batched call per round (two rounds at the
-    default step), to brackets of width tol, starting from the grid
-    values at their ends.  Each residual is |xi| at the ordinate, from
-    the round that evaluated it.
+    find_root_bracketed, one batched call per round (a catalog takes
+    two), to brackets of width TOL, starting from the grid values at
+    their ends.  Each residual is |xi| at the ordinate, from the round
+    that evaluated it.
     """
     if not (0.0 <= t_min < t_max <= T_MAX):
         raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
-    if not (0.0 < step <= 0.5):
-        raise PreconditionError("step must be in (0, 0.5]")
-    if not tol > 0.0:
-        raise PreconditionError("tol must be positive")
-    span = (t_max - t_min) / step
-    if span > MAX_GRID_POINTS - 1:
-        raise PreconditionError("step %g gives more than %d grid points"
-                                % (step, MAX_GRID_POINTS))
-    n = int(math.ceil(span))
+    n = int(math.ceil((t_max - t_min) / STEP))
     grid = t_min + np.arange(n + 1) * (t_max - t_min) / n
     grid[-1] = t_max  # the last sum can round past t_max, and so past T_MAX
     # no grid point lands on a zero: at the floats next to each zero below
     # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
     f_grid = _signed_scaled(grid)
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
-    t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], tol,
+    t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], TOL,
                                 f_lo=f_grid[j], f_hi=f_grid[j + 1])
     return t, np.abs(ft) * np.exp(-0.25 * math.pi * t)
 

@@ -164,7 +164,7 @@ def test_criterion_07_jost_solution_ode_vs_analytic():
     for lam, k in ((2.0, 1.0), (6.0, 1.0), (2.0, 2.0)):
         nu = order_from_coupling(lam)
         worst = 0.0
-        for y, f in jost_solution_ode(k, lam, 1.0, 25.0 / k):
+        for y, f in jost_solution_ode(k, lam):
             if 1.0 <= y <= 10.0:
                 ref = jost_solution_analytic(k, nu, y)
                 worst = max(worst, abs(f - ref) / abs(ref))

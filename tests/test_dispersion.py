@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rzlab.dispersion import (RealLineSamples, _log_dispersion_input,
-                              _pv_on_grid, blaschke_product,
-                              bound_state_model, rational_model,
-                              reconstruct_jost_plus, roundtrip_residual,
-                              unit_model)
+from rzlab.dispersion import (BETA, GAMMA, RealLineSamples,
+                              _log_dispersion_input, _pv_on_grid,
+                              blaschke_product, bound_state_model,
+                              rational_model, reconstruct_jost_plus,
+                              roundtrip_residual, unit_model)
 from rzlab.errors import GridError, PreconditionError
 
 
@@ -79,14 +79,12 @@ def test_reconstruct_unit_model():
 
 
 def test_reconstruct_rational_model():
-    beta, gamma = 1.0, 1.001
-    samples = rational_model(half_width=50.0, nodes=4001,
-                             beta=beta, gamma=gamma)
+    samples = rational_model(half_width=50.0, nodes=4001)
     for k in (-3.0, 0.5, 8.0):
         got = reconstruct_jost_plus(samples, k)
         i = np.argmin(np.abs(samples.grid - k))
         kk = samples.grid[i]
-        want = (kk + 1j * beta) / (kk + 1j * gamma)
+        want = (kk + 1j * BETA) / (kk + 1j * GAMMA)
         assert abs(got - want) < 5e-5
 
 
@@ -108,9 +106,10 @@ def test_roundtrip_runs_at_six_nodes():
 
 
 def test_narrow_grid_rejected():
-    # slow log-magnitude decay: endpoints carry too much weight
-    samples = rational_model(half_width=2.0, nodes=201, beta=1.0, gamma=1.5)
-    with pytest.raises(GridError):
+    # slow decay of ln S ~ 2i (GAMMA - BETA)/k: at half-width 2 the
+    # endpoints carry |ln S| = 8e-4, above the 1e-4 gate
+    samples = rational_model(half_width=2.0, nodes=201)
+    with pytest.raises(GridError, match="= 0.0008 at the endpoints"):
         reconstruct_jost_plus(samples, 0.3)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rzlab.quantum
-from rzlab.errors import (DivergenceError, DomainError,
-                          IntegrationLimitError, PoleError,
+from rzlab.errors import (DivergenceError, DomainError, PoleError,
                           PreconditionError, RangeError)
 from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
                            jost_solution_analytic, jost_solution_ode,
@@ -62,7 +62,7 @@ def test_asymptotic_residual_decreasing():
 def test_jost_ode_matches_analytic():
     for lam, k in ((2.0, 1.0), (6.0, 1.0), (2.0, 2.0)):
         nu = order_from_coupling(lam)
-        samples = jost_solution_ode(k, lam, 1.0, 25.0 / k)
+        samples = jost_solution_ode(k, lam)
         worst = 0.0
         for y, f in samples:
             if 1.0 <= y <= 10.0:
@@ -86,7 +86,7 @@ def _mp_jost(k, nu, y):
 def test_jost_ode_matches_mpmath_property(re_lam, im_lam, k):
     lam = complex(re_lam, im_lam)
     nu = order_from_coupling(lam)
-    samples = jost_solution_ode(k, lam, 1.0, 25.0 / k)
+    samples = jost_solution_ode(k, lam)
     inside = [s for s in samples if 1.0 <= s[0] <= 10.0]
     # the Magnus propagator's worst found is 1.5e-12; solve_ivp's was
     # 2.9e-11
@@ -97,7 +97,7 @@ def test_jost_ode_matches_mpmath_property(re_lam, im_lam, k):
 
 
 def test_jost_ode_returns_the_even_grid():
-    samples = jost_solution_ode(1.0, 2.0, 1.0, 25.0)
+    samples = jost_solution_ode(1.0, 2.0)
     assert [y for y, _ in samples] == np.linspace(25.0, 1.0, 200)[::-1].tolist()
     assert all(type(y) is float and type(f) is complex for y, f in samples)
 
@@ -115,14 +115,15 @@ def test_jost_analytic_array_matches_scalar_calls():
 
 
 def test_jost_ode_preconditions():
-    with pytest.raises(PreconditionError):
-        jost_solution_ode(1.0, 2.0, 5.0, 1.0)  # y_start < y_end
-    with pytest.raises(IntegrationLimitError):
-        jost_solution_ode(1.0, 2.0, 1e-5, 25.0)  # below the origin floor
-    with pytest.raises(PreconditionError):
-        jost_solution_ode(1.0, 6.0, 1.0, 2.0)  # not in the asymptotic regime
-    with pytest.raises(RangeError):
-        jost_solution_ode(1e-300, 2.0, 1.0, 2.5e301)  # y^2 overflows
+    # the start y = 25/k must lie above the lowest sample, y = 1
+    for k in (0.0, -1.0, 25.0, 1e300):
+        with pytest.raises(PreconditionError,
+                           match=re.escape("need 0 < k < 25, got %r" % k)):
+            jost_solution_ode(k, 2.0)
+    with pytest.raises(PreconditionError, match="plane-wave regime"):
+        jost_solution_ode(1.0, 10.5)  # k y = 25 not yet asymptotic
+    with pytest.raises(RangeError, match="k = 1e-300 is too small"):
+        jost_solution_ode(1e-300, 2.0)  # (25/k)^2 overflows
 
 
 @pytest.fixture
