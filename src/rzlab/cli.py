@@ -308,7 +308,11 @@ def cmd_hadamard(args):
     from .zeta import log_xi
 
     at = complex(args.at_re, args.at_im)
-    if _xi_vanishes(at, log_xi(at)):
+    log_xi_at = log_xi(at)
+    if log_xi_at.real > math.log(sys.float_info.max):
+        raise RangeError("xi overflows a float at --at %r --at-im %r"
+                         % (args.at_re, args.at_im))
+    if _xi_vanishes(at, log_xi_at):
         raise DomainError("--at %r --at-im %r is a zero of xi, where the "
                           "relative residual is undefined"
                           % (args.at_re, args.at_im))

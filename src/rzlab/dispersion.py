@@ -125,7 +125,7 @@ def _pv_on_grid(grid, w, idx):
             + wi * np.log((b - k) / (k - a)))
 
 
-def reconstruct_jost_plus(samples, k):
+def reconstruct_f_plus(samples, k):
     """F+(k) for real k strictly inside the grid, via the boundary-value
     integral: Pi_+(k) exp((1/2 pi i)[PV + i pi w(k)]).
 

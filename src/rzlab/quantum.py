@@ -1,7 +1,7 @@
-"""Quantum-mechanical side: inverse-square potential with an infinite
-barrier at the origin, zero-energy solutions, the Hankel Jost solution,
-the Bessel-K moment integral, and the reality argument for the
-zero-energy coupling spectrum.
+"""Quantum-mechanical side: the inverse-square potential with an
+infinite barrier at the origin, its Jost solution by the Hankel closed
+form and by an ODE, the Bessel-K moment integral, and the reality
+argument for the zero-energy coupling spectrum.
 
 Units: 2m/hbar^2 = 1, so the coupling is dimensionless and V = lambda/y^2.
 
@@ -48,39 +48,6 @@ def order_from_coupling(lam):
     if nu.real < 0 or (nu.real == 0 and nu.imag < 0):
         nu = -nu
     return nu
-
-
-def potential(lam, y):
-    """V(y) = lambda / y^2 for y > 0; y <= 0 is inside the infinite
-    barrier."""
-    if y <= 0:
-        raise DomainError("barrier region: V = infinity for y <= 0")
-    v = complex(lam) / (y * y)
-    return v.real if v.imag == 0 else v
-
-
-def _sinhc(x):
-    """sinh(x)/x, stable at x -> 0."""
-    if abs(x) < 1e-5:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return cmath.sinh(x) / x
-
-
-def zero_energy_solutions(s, y):
-    """The pair ((y^s + y^{1-s})/2, (y^s - y^{1-s})/(2s - 1)).
-
-    Near s = 1/2 the second solution is taken by its limit
-    y^{1/2} log y (via sinh series), keeping both branches finite.
-    """
-    if y <= 0:
-        raise DomainError("solutions live on y > 0")
-    s = complex(s)
-    ly = math.log(y)
-    u1 = 0.5 * (cmath.exp(s * ly) + cmath.exp((1.0 - s) * ly))
-    delta = s - 0.5  # y^s - y^{1-s} = 2 sqrt(y) sinh(delta ln y)
-    u2 = math.sqrt(y) * ly * _sinhc(delta * ly)
-    return u1, u2
 
 
 def jost_solution_analytic(k, nu, y):

@@ -1,15 +1,14 @@
 """Number-theoretic scattering objects built on xi.
 
-S(s) = xi(2s)/xi(-2s) at a point with pole/zero flags, log S on an
-array of points, the zero-energy Jost function F+(s) = xi(-2s)/xi(2s),
-the zero <-> pole correspondence on Re s = -1/4, the coupling spectrum,
-and the flat-wave zero Fourier coefficient.
+S(s) = xi(2s)/xi(-2s), with xi(-2s) taken as xi(1 + 2s), at a point with
+pole/zero flags and as log S on an array of points, the zero <-> pole
+correspondence on Re s = -1/4, where the zero-energy Jost function
+F+(s) = xi(-2s)/xi(2s) = 1/S(s) vanishes, and the coupling at a zero.
 
 The s-plane here is the shifted one: a zeta zero rho corresponds to
 s = -rho/2, so the first-zero pole of S sits at s = -1/4 - i t_1 / 2.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -45,8 +44,10 @@ def _xi_vanishes(p, lx):
 
 def s_matrix(s):
     """S(s) = xi(2s)/xi(-2s) as (log S, pole, zero), the phase of log S
-    unfolded; a pole of S is never also flagged as a zero.  s must lie
-    in xi's window halved, |Re s| <= 5 and |Im s| <= 130."""
+    unfolded; a pole of S is never also flagged as a zero.  log S is
+    log_s_matrix's log xi(2s) - log xi(1 + 2s), and the pole flag tests
+    xi at 1 + 2s.  s must lie in xi's window halved, |Re s| <= 5 and
+    |Im s| <= 130."""
     s = complex(s)
     if not abs(s.imag) <= 0.5 * T_MAX:
         raise RangeError("|Im s| = %r outside supported window (<= %g)"
@@ -55,47 +56,41 @@ def s_matrix(s):
         raise RangeError("Re s = %r outside supported window (|Re s| <= %g)"
                          % (s.real, -0.5 * SIGMA_MIN))
     num = log_xi(2.0 * s)
-    den = log_xi(-2.0 * s)
-    pole = _xi_vanishes(-2.0 * s, den)
+    den = log_xi(1.0 + 2.0 * s)
+    pole = _xi_vanishes(1.0 + 2.0 * s, den)
     return num - den, pole, not pole and _xi_vanishes(2.0 * s, num)
 
 
 def log_s_matrix(s):
     """log S = log xi(2s) - log xi(1 + 2s) at every point of the complex
-    array s, with no pole/zero flags: the way S is evaluated at more
-    than one point.  Its phase is not folded into (-pi, pi].  xi(-2s) is
-    taken as xi(1 + 2s), which log_xi_array reaches without reflection
-    for Re s > -1/2: on Re s = 0 the two sums run at Re 0 and Re 1, not
-    at the conjugate points 2s and -2s, whose real parts agree to the
-    bit, so |S(i tau)| - 1 reads rounding rather than exactly 0."""
+    array s, with no pole/zero flags: s_matrix's rule on an array.  Its
+    phase is not folded into (-pi, pi].  xi(-2s) is taken as xi(1 + 2s),
+    which log_xi_array reaches without reflection for Re s > -1/2: on
+    Re s = 0 the two sums run at Re 0 and Re 1, not at the conjugate
+    points 2s and -2s, whose real parts agree to the bit, so |S(i tau)|
+    - 1 reads rounding rather than exactly 0."""
     s = np.asarray(s, dtype=complex)
     return log_xi_array(2.0 * s) - log_xi_array(1.0 + 2.0 * s)
 
 
-def jost_plus(s):
-    """Zero-energy Jost function F+(s) = xi(-2s)/xi(2s) = 1/S(s) as
-    (log F+, pole, zero): S's triple, the log negated, the flags swapped."""
-    log_s, pole, zero = s_matrix(s)
-    return -log_s, zero, pole
-
-
 def zero_to_jost_zero(ordinates):
     """Map each zeta-zero ordinate t_n to the predicted F+ zero p = -1/4
-    + i t_n/2, checking the contract: |F+| < 1e-6 there, by the scalar
-    jost_plus(p), and F+ = exp(-log S) winds once around a 0.05-radius
-    box about the point, every box that passed the point check in one
-    winding_number call.  Returns, for each ordinate, |F+| at p as a
-    float, so callers need not evaluate S there again, or the
-    VerificationError its check failed with.  A failure falsifies the
-    implementation, not the correspondence; a BoundaryZeroError on any
-    box is raised for the batch.
+    + i t_n/2, checking the contract: |F+| = exp(-Re log S) < 1e-6 there,
+    with S's pole flag set, by the scalar s_matrix(p), and F+ = exp(-log
+    S) winds once around a 0.05-radius box about the point, every box
+    that passed the point check in one winding_number call.  Returns,
+    for each ordinate, |F+| at p as a float, so callers need not
+    evaluate S there again, or the VerificationError its check failed
+    with.  A failure falsifies the implementation, not the
+    correspondence; a BoundaryZeroError on any box is raised for the
+    batch.
     """
     out, boxes = [], []
     for t_n in ordinates:
         p = complex(-0.25, 0.5 * t_n)
-        log_f, _, zero = jost_plus(p)
-        mag = math.exp(log_f.real)
-        if mag < 1e-6 and zero:
+        log_s, pole, _ = s_matrix(p)
+        mag = math.exp(-log_s.real)
+        if mag < 1e-6 and pole:
             boxes.append((len(out), p))
             out.append(mag)
         else:
@@ -119,27 +114,3 @@ def coupling_at_zero(t_n):
     -1/4.  Computed in that closed form so Im is exactly zero.
     """
     return complex(-(0.25 + t_n * t_n), 0.0)
-
-
-def coupling_from_root(rho):
-    """lambda = rho (rho - 1) for an arbitrary (hypothetical) zero rho.
-
-    Off the critical line Im lambda = 2 t (sigma - 1/2) != 0; callers
-    use this as the negative control.
-    """
-    rho = complex(rho)
-    return rho * (rho - 1.0)
-
-
-def flat_wave(s, y):
-    """Zero Fourier coefficient y^{1/2+s} + S(s) y^{1/2-s} of the
-    Eisenstein wave, for y > 0."""
-    if y <= 0:
-        raise ValueError("flat_wave requires y > 0")
-    s = complex(s)
-    log_s, pole, _ = s_matrix(s)
-    if pole:
-        raise VerificationError("S(s) has a pole at %s" % s)
-    sv = cmath.exp(log_s)
-    ly = math.log(y)
-    return cmath.exp((0.5 + s) * ly) + sv * cmath.exp((0.5 - s) * ly)

@@ -209,13 +209,17 @@ BAD_INPUTS = [
      EXIT_DOMAIN, "plane-wave regime"),
     (("quantum", "jost-verify", "--lambda", "-10.5", "--k", "1"),
      EXIT_DOMAIN, "plane-wave regime"),
-    # S(s) takes xi at 2s and -2s; the message names the s typed
+    # S(s) takes xi at 2s and 1 + 2s; the message names the s typed
     (("smatrix", "eval", "--re", "6"), EXIT_DOMAIN,
      "Re s = 6.0 outside supported window (|Re s| <= 5)"),
     (("smatrix", "eval", "--re", "-6"), EXIT_DOMAIN,
      "Re s = -6.0 outside supported window (|Re s| <= 5)"),
     (("smatrix", "eval", "--im", "131"), EXIT_DOMAIN,
      "|Im s| = 131.0 outside supported window (<= 130)"),
+    # the Hadamard residual is relative to xi, which past about --at 433
+    # overflows a float; no catalog is scanned for it
+    (("hadamard", "--num-zeros", "10", "--at", "500"), EXIT_DOMAIN,
+     "xi overflows a float at --at 500.0 --at-im 0.0"),
 ]
 
 
@@ -1017,6 +1021,21 @@ def test_hadamard_exact_product_is_not_a_failure(capsys):
     rows = json.loads(out)["results"]["profile"]
     assert len(rows) == 4
     assert max(r["residual"] for r in rows) <= rzlab.hadamard.RESIDUAL_FLOOR
+
+
+def test_hadamard_xi_overflow_is_refused_before_the_catalog(monkeypatch,
+                                                            capsys):
+    # log xi(433.0904904706722) is the last below log(float max): xi
+    # and the residual stay finite there, one ulp above they would not
+    code, out, _ = run(capsys, "hadamard", "--num-zeros", "10", "--at",
+                       "433.0904904706722", "--deterministic")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["decreasing"] is True
+    monkeypatch.setattr(rzlab.zeros, "find_zeros", None)
+    code, out, err = run(capsys, "hadamard", "--num-zeros", "10", "--at",
+                         "433.09049047067225")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "xi overflows a float at --at 433.09049047067225" in err
 
 
 @pytest.mark.parametrize("scale,expected", [

@@ -13,8 +13,7 @@ from rzlab.errors import (DivergenceError, DomainError, PoleError,
 from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
                            jost_solution_analytic, jost_solution_ode,
                            k_moment_closed_form, k_moment_integral,
-                           khuri_reality_residual, order_from_coupling,
-                           potential, zero_energy_solutions)
+                           khuri_reality_residual, order_from_coupling)
 
 
 def test_order_parameter_principal_root():
@@ -22,29 +21,6 @@ def test_order_parameter_principal_root():
     nu = order_from_coupling(-5.0)
     assert nu.real == 0.0 and nu.imag > 0
     assert abs(nu.imag - math.sqrt(4.75)) < 1e-15
-
-
-def test_potential_barrier():
-    assert potential(2.0, 2.0) == 0.5
-    with pytest.raises(DomainError):
-        potential(2.0, 0.0)
-
-
-def test_zero_energy_solutions_basic():
-    u1, u2 = zero_energy_solutions(2.0, 3.0)
-    assert abs(u1 - 0.5 * (9.0 + 1.0 / 3.0)) < 1e-14
-    assert abs(u2 - (9.0 - 1.0 / 3.0) / 3.0) < 1e-14
-
-
-def test_zero_energy_solutions_confluent_limit():
-    # at s = 1/2 the second solution degenerates to sqrt(y) log y
-    for y in (0.5, 2.0, 7.0):
-        _, u2 = zero_energy_solutions(0.5, y)
-        assert abs(u2 - math.sqrt(y) * math.log(y)) < 1e-12
-    # continuity in s through the degenerate point
-    _, a = zero_energy_solutions(0.5 + 1e-9, 3.0)
-    _, b = zero_energy_solutions(0.5 - 1e-9, 3.0)
-    assert abs(a - b) < 1e-7
 
 
 def test_jost_analytic_plane_wave_at_half():

@@ -7,8 +7,7 @@ import pytest
 
 from rzlab.errors import VerificationError
 from rzlab.numerics import ContourRectangle, winding_number
-from rzlab.scattering import (coupling_at_zero, coupling_from_root,
-                              flat_wave, jost_plus, log_s_matrix, s_matrix,
+from rzlab.scattering import (coupling_at_zero, log_s_matrix, s_matrix,
                               zero_to_jost_zero)
 from rzlab.zeros import find_zeros
 from rzlab.zeta import T_MAX
@@ -29,9 +28,11 @@ def test_s_matrix_inverse_symmetry():
 
 
 def test_s_matrix_unitary_on_imaginary_axis():
-    for tau in (0.5, 3.0, 11.0, 25.0):
-        log_s, _, _ = s_matrix(complex(0.0, tau))
-        assert abs(math.exp(log_s.real) - 1.0) < 1e-10
+    # xi(2 i tau) and xi(1 + 2 i tau) come from independent sums, so the
+    # deviation is rounding, not the exact 0 of xi at conjugate points
+    worst = max(abs(math.exp(s_matrix(complex(0.0, 0.1 * i))[0].real) - 1.0)
+                for i in range(1301))
+    assert 0.0 < worst < 1e-12
 
 
 def test_s_matrix_flags_poles_and_zeros():
@@ -43,7 +44,7 @@ def test_s_matrix_flags_poles_and_zeros():
 
 
 def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
-    # xi(2s) and xi(-2s) serve both the value and the pole/zero flags
+    # xi(2s) and xi(1 + 2s) serve both the value and the pole/zero flags
     import rzlab.scattering as scattering
     calls = []
 
@@ -66,26 +67,24 @@ def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
     assert len(calls) == 4
 
 
-def test_jost_plus_is_reciprocal():
-    s = complex(0.07, 0.9)
-    prod = jost_plus(s)[0] + s_matrix(s)[0]
-    assert abs(cmath.exp(prod) - 1.0) < 1e-12
-
-
 @pytest.mark.parametrize("s", [0.0, complex(0.07, 0.9),
                                complex(-0.25, 0.5 * T1),
                                complex(0.25, 0.5 * T1)])
-def test_jost_plus_negates_the_log_and_swaps_the_flags(s):
+def test_s_matrix_at_minus_s_swaps_the_flags(s):
+    # S(-s) = 1/S(s) = F+(s): a pole at s is a zero at -s and back
     log_s, pole, zero = s_matrix(s)
-    assert jost_plus(s) == (-log_s, zero, pole)
+    log_m, pole_m, zero_m = s_matrix(-s)
+    assert (pole_m, zero_m) == (zero, pole)
+    if not (pole or zero):
+        assert abs(cmath.exp(log_s + log_m) - 1.0) < 1e-12
 
 
 def test_zero_to_jost_zero_verified():
     p = complex(-0.25, 0.5 * T1)
     fp, = zero_to_jost_zero([T1])
-    log_f, _, zero = jost_plus(p)
-    assert fp == math.exp(log_f.real)
-    assert fp < 1e-6 and zero
+    log_s, pole, _ = s_matrix(p)
+    assert fp == math.exp(-log_s.real)
+    assert fp < 1e-6 and pole
 
 
 def test_zero_to_jost_zero_rejects_non_zero():
@@ -93,7 +92,7 @@ def test_zero_to_jost_zero_rejects_non_zero():
     # in the same batch still pass, each as a float
     fp, bad = zero_to_jost_zero([T1, 15.0])
     assert isinstance(bad, VerificationError)
-    assert fp == math.exp(jost_plus(complex(-0.25, 0.5 * T1))[0].real)
+    assert fp == math.exp(-s_matrix(complex(-0.25, 0.5 * T1))[0].real)
     ordinates = find_zeros(0.0, 50.0)[0].tolist() + [12.0, 25.0]
     checked = zero_to_jost_zero(ordinates)
     assert len(checked) == len(ordinates)
@@ -157,29 +156,3 @@ def test_coupling_at_zero_real_and_below_quarter():
     assert c.imag == 0.0
     assert c.real == -(0.25 + T1 * T1)
     assert c.real < -0.25
-
-
-def test_coupling_from_root_off_line_control():
-    on = coupling_from_root(complex(0.5, 10.0))
-    assert abs(on.imag) < 1e-14
-    off = coupling_from_root(complex(0.6, 10.0))
-    assert abs(off.imag - 2.0) < 1e-12
-
-
-def test_flat_wave_symmetry():
-    # y^{1/2+s} + S y^{1/2-s} with S(0) = 1 gives 2 sqrt(y) at s = 0
-    for y in (0.5, 1.0, 4.0):
-        v = flat_wave(0.0, y)
-        assert abs(v - 2.0 * math.sqrt(y)) < 1e-12
-    # functional relation: S(-s) phi(s, y) = phi(-s, y) since S(s)S(-s) = 1
-    s = complex(0.2, 1.4)
-    for y in (0.7, 2.3):
-        ms = cmath.exp(s_matrix(-s)[0])
-        lhs = ms * flat_wave(s, y)
-        rhs = flat_wave(-s, y)
-        assert abs(lhs - rhs) < 1e-10 * abs(rhs)
-
-
-def test_flat_wave_requires_positive_height():
-    with pytest.raises(ValueError):
-        flat_wave(0.1, 0.0)
