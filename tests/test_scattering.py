@@ -67,16 +67,25 @@ def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
     assert len(calls) == 4
 
 
+def test_jost_plus_is_reciprocal():
+    # F+(s) = S(-s), and F+(s) S(s) = 1
+    s = complex(0.07, 0.9)
+    prod = s_matrix(-s)[0] + s_matrix(s)[0]
+    assert abs(cmath.exp(prod) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("s", [0.0, complex(0.07, 0.9),
                                complex(-0.25, 0.5 * T1),
                                complex(0.25, 0.5 * T1)])
-def test_s_matrix_at_minus_s_swaps_the_flags(s):
-    # S(-s) = 1/S(s) = F+(s): a pole at s is a zero at -s and back
+def test_jost_plus_negates_the_log_and_swaps_the_flags(s):
+    # F+(s) = S(-s) = 1/S(s): a pole at s is a zero of F+ and back, and
+    # log |F+| = -log |S|; the phase is only checked away from both flags
     log_s, pole, zero = s_matrix(s)
-    log_m, pole_m, zero_m = s_matrix(-s)
-    assert (pole_m, zero_m) == (zero, pole)
+    log_f, pole_f, zero_f = s_matrix(-s)
+    assert (pole_f, zero_f) == (zero, pole)
+    assert abs(log_f.real + log_s.real) < 1e-12
     if not (pole or zero):
-        assert abs(cmath.exp(log_s + log_m) - 1.0) < 1e-12
+        assert abs(cmath.exp(log_s + log_f) - 1.0) < 1e-12
 
 
 def test_zero_to_jost_zero_verified():
