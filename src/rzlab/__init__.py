@@ -9,9 +9,9 @@ from .errors import (BoundaryZeroError, DivergenceError, DomainError,
 
 __version__ = "0.1.0"
 
-# The one xi kernel: the numpy Euler-Maclaurin sum rzlab.zeta.zeta_em, called
-# on one point or on a batch of points (zeta.log_xi_array, which zero
-# scans, winding contours and zero refinement use); all of a scan's zero
+# The one xi kernel: the numpy Euler-Maclaurin sum rzlab.zeta.zeta_em, on
+# one point, a batch (zeta.log_xi_array: contours, zero refinement) or a
+# zero scan's uniform line (zeta.log_xi_line); all of a scan's zero
 # brackets are refined together, one log_xi_array call per round.
 backend_name = "python"
 

@@ -6,13 +6,12 @@ samples sit on a uniform grid, where every principal value is one FFT
 correlation, so the round trip costs O(n log n).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, PreconditionError
+from .errors import GridError
 
 S_MAGNITUDE_FLOOR = 1e-12
 ENDPOINT_LOG_S_MAX = 1e-4
@@ -125,24 +124,14 @@ def _pv_on_grid(grid, w, idx):
             + wi * np.log((b - k) / (k - a)))
 
 
-def reconstruct_f_plus(samples, k):
-    """F+(k) for real k strictly inside the grid, via the boundary-value
-    integral: Pi_+(k) exp((1/2 pi i)[PV + i pi w(k)]).
-
-    k is snapped to the nearest grid node (the samples are the only
-    knowledge of S).
-    """
+def _log_f_plus_outer(samples):
+    """log of F+'s outer part, F+ / Pi_+, at every grid node but the two
+    ends, by the boundary-value integral (1/2 pi i)[PV + i pi w(k)]."""
     grid = samples.grid
-    if not (grid.size >= 3 and grid[0] < k < grid[-1]):
-        raise PreconditionError("k must lie strictly inside a sample grid "
-                                "of at least 3 nodes")
     w = _log_dispersion_input(samples)
-    i = int(np.argmin(np.abs(grid - k)))
-    i = min(max(i, 1), len(grid) - 2)
-    pv = _pv_on_grid(grid, w, [i])[0]
-    expo = (pv + 1j * math.pi * w[i]) / (2j * math.pi)
-    return (blaschke_product(samples.bound_state_momenta, grid[i])
-            * cmath.exp(expo))
+    inner = np.arange(1, len(grid) - 1)
+    return (_pv_on_grid(grid, w, inner) + 1j * math.pi * w[inner]) / (
+        2j * math.pi)
 
 
 def roundtrip_residual(samples):
@@ -160,11 +149,9 @@ def roundtrip_residual(samples):
     if n < ROUNDTRIP_MIN_NODES:
         raise GridError("the round trip needs at least %d grid nodes, got %d"
                         % (ROUNDTRIP_MIN_NODES, n))
-    w = _log_dispersion_input(samples)
     # reconstructed F+ on the (end-node-free) grid: Pi_+ e^{u + i phase}
     inner = np.arange(1, n - 1)
-    pv = _pv_on_grid(grid, w, inner)
-    log_fplus_outer = (pv + 1j * math.pi * w[inner]) / (2j * math.pi)
+    log_fplus_outer = _log_f_plus_outer(samples)
     # F- = S F+; its outer part has log modulus u_minus on the boundary
     u_minus = np.real(np.log(np.abs(samples.s_values[inner]))
                       + log_fplus_outer)

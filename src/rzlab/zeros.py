@@ -12,19 +12,18 @@ import numpy as np
 
 from .errors import PreconditionError
 from .numerics import find_root_bracketed, real_sign, winding_number
-from .zeta import T_MAX, log_xi_array
+from .zeta import T_MAX, _one_call, log_xi_array, log_xi_line
 
 # find_zeros' grid spacing (at most 2,600 intervals) and bracket width
 STEP = 0.1
 TOL = 1e-10
 
 
-def _signed_scaled(t):
-    """xi(1/2 + it) e^{pi t / 4} at every t of the array, from one batched
-    evaluation, with the sign real_sign reads off the computed phase:
+def _signed_scaled(t, lx):
+    """xi(1/2 + it) e^{pi t / 4} at every t of the array, from lx = log
+    xi(1/2 + it), with the sign real_sign reads off the computed phase:
     with the e^{-pi t / 4} decay taken out, the values the refiner
     interpolates stay far from underflow."""
-    lx = log_xi_array(0.5 + 1j * np.abs(t))
     return real_sign(lx.imag) * np.exp(
         np.maximum(lx.real + 0.25 * math.pi * t, -700.0))
 
@@ -33,9 +32,9 @@ def find_zeros(t_min, t_max):
     """All critical-line zeros with ordinate in (t_min, t_max), as two
     float arrays: the ordinates, ascending, and their residuals.
 
-    xi(1/2 + it) is evaluated on a grid of spacing at most STEP in one
-    batched call; its sign changes are refined all together by
-    find_root_bracketed, one batched call per round (a catalog takes
+    xi(1/2 + it) is evaluated on a grid of spacing at most STEP (a long
+    one's interior on log_xi_line); its sign changes are refined together
+    by find_root_bracketed, one batched call per round (a catalog takes
     two), to brackets of width TOL, starting from the grid values at
     their ends.  Each residual is |xi| at the ordinate, from the round
     that evaluated it.
@@ -43,14 +42,24 @@ def find_zeros(t_min, t_max):
     if not (0.0 <= t_min < t_max <= T_MAX):
         raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
     n = int(math.ceil((t_max - t_min) / STEP))
-    grid = t_min + np.arange(n + 1) * (t_max - t_min) / n
-    grid[-1] = t_max  # the last sum can round past t_max, and so past T_MAX
+    h = (t_max - t_min) / n
+    t0 = t_min + h
+    grid = np.concatenate(([t_min], t0 + h * np.arange(n - 1), [t_max]))
     # no grid point lands on a zero: at the floats next to each zero below
-    # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
-    f_grid = _signed_scaled(grid)
+    # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38).  A grid of
+    # one zeta_em call has no sums to save; on a longer one the line takes
+    # the interior, and each end, alone, reads log_xi_array at its own n.
+    if _one_call(n + 1, t_max):
+        lx = log_xi_array(0.5 + 1j * grid)
+    else:
+        lx = np.concatenate((log_xi_array(0.5 + 1j * grid[:1]),
+                             log_xi_line(0.5, t0, h, n - 1),
+                             log_xi_array(0.5 + 1j * grid[-1:])))
+    f_grid = _signed_scaled(grid, lx)
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
-    t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], TOL,
-                                f_lo=f_grid[j], f_hi=f_grid[j + 1])
+    t, ft = find_root_bracketed(
+        lambda t: _signed_scaled(t, log_xi_array(0.5 + 1j * np.abs(t))),
+        grid[j], grid[j + 1], TOL, f_lo=f_grid[j], f_hi=f_grid[j + 1])
     return t, np.abs(ft) * np.exp(-0.25 * math.pi * t)
 
 

@@ -62,6 +62,7 @@ _LOG_K = np.log(np.arange(1, int(_em_terms(T_MAX)), dtype=float))
 # above it are mapped and page-faulted afresh on every call unless an
 # earlier large free has raised the threshold.
 _CHUNK_TERMS = 2 ** 13
+_ANCHOR = 32  # log_xi_line's points per exponential row k^(-s)
 
 
 def _check_window(s):
@@ -95,17 +96,7 @@ def zeta_em(sigma, t, n):
              else np.log(np.arange(1, n, dtype=float)))
     if isinstance(sigma, np.ndarray) or isinstance(t, np.ndarray):
         s = np.add(sigma, np.multiply(1j, t))
-        total = np.exp(np.multiply.outer(-s, log_k)).sum(axis=-1)
-        p = n ** (-s)
-        total += 0.5 * p
-        # Running products of u p, u + 1/n, u + 2/n, ..., u + 42/n: every
-        # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
-        # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
-        # to 0 (real s above ~250) the products stay 0, never 0 * inf.
-        f = (s / n)[..., None] + _EM_OFFSETS / n
-        f[..., 0] *= p
-        corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
-        return (s - 1.0) * (total + corrections) + n * p
+        return _em_close(s, n, np.exp(np.multiply.outer(-s, log_k)).sum(-1))
     s = complex(sigma, t)
     total = complex(np.exp(-s * log_k).sum())
     p = n ** (-s)
@@ -130,6 +121,20 @@ def zeta_em(sigma, t, n):
         g += dg
         dg += 8.0 * h2
     return (s - 1.0) * total + n * p
+
+
+def _em_close(s, n, total):
+    """zeta_em at the array s from total, its main sums over k < n."""
+    p = n ** (-s)
+    total = total + 0.5 * p
+    # Running products of u p, u + 1/n, u + 2/n, ..., u + 42/n: every
+    # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
+    # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
+    # to 0 (real s above ~250) the products stay 0, never 0 * inf.
+    f = (s / n)[..., None] + _EM_OFFSETS / n
+    f[..., 0] *= p
+    corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
+    return (s - 1.0) * (total + corrections) + n * p
 
 
 def _zeta_em_window(s):
@@ -190,7 +195,19 @@ def log_xi_array(s):
     _stirling, shifted for the leftmost point, with pi^(-i Im w/2) in it.
     """
     s = np.asarray(s, dtype=complex)
-    w = s.ravel()
+    return _log_xi(s.ravel(), _zeta_em_batch).reshape(s.shape)
+
+
+def log_xi_line(sigma, t0, dt, count):
+    """log xi at sigma + i (t0 + j dt), j < count: log_xi_array up to
+    rounding, at one exponential per _ANCHOR points (see _zeta_em_line).
+    Re s < 0 is taken at 1 - s, where the line runs the other way."""
+    return _log_xi(sigma + 1j * (t0 + dt * np.arange(count)),
+                   lambda w: _zeta_em_line(w, -dt if sigma < 0.0 else dt))
+
+
+def _log_xi(w, em):
+    """log_xi_array at the 1-d array w, with em(w) = zeta_em there."""
     re = w.real
     inside = (np.abs(w.imag) <= T_MAX) & (re >= SIGMA_MIN) & (re <= SIGMA_MAX)
     if not inside.all():
@@ -199,9 +216,32 @@ def log_xi_array(s):
     if left.any():  # an all-right batch does not pay for the mapping
         w = np.where(left, 1.0 - w, w)
     h = 0.5 * w
-    out = (_stirling(h + 1.0, np.log, True) - h.real * _LOG_PI
-           + np.log(_zeta_em_batch(w)))
-    return out.reshape(s.shape)
+    return _stirling(h + 1.0, np.log, True) - h.real * _LOG_PI + np.log(em(w))
+
+
+def _zeta_em_line(w, dt):
+    """zeta_em on a line w of step i dt: in each run that shares n, every
+    _ANCHOR-th point takes its row k^(-s) as exponentials, the next ones
+    that row times one of k^(-i m dt), m < _ANCHOR (Edwards 1974, 6.4;
+    Odlyzko and Schonhage 1988), in chunks of whole anchors."""
+    table = np.exp(np.multiply.outer(-1j * dt * np.arange(_ANCHOR), _LOG_K))
+    terms = _em_terms(w.imag).astype(int)
+    g = np.empty_like(w)
+    starts = np.flatnonzero(np.diff(terms, prepend=0))
+    for lo, end in zip(starts, [*starts[1:], len(w)]):
+        n = int(terms[lo])
+        step = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL)) // _ANCHOR * _ANCHOR
+        for a in range(lo, end, step):
+            x = w[a:min(a + step, end)]
+            rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
+            total = (rows[:, None] * table[:, :n - 1]).sum(-1).ravel()
+            g[a:a + len(x)] = _em_close(x, n, total[:len(x)])
+    return g
+
+
+def _one_call(count, t):
+    """Whether _zeta_em_batch sums count points to |Im s| = t in one call."""
+    return count * max(int(_em_terms(t)), 2 * len(_EM_TAIL)) <= _CHUNK_TERMS
 
 
 def _zeta_em_batch(w):
@@ -213,9 +253,9 @@ def _zeta_em_batch(w):
     calls.  (With another n, zeta moves by its rounding: near a zero,
     1e-11 of it.)"""
     a = np.abs(w.imag)
-    n = int(_em_terms(float(a.max(initial=0.0))))
-    if len(w) * max(n, 2 * len(_EM_TAIL)) <= _CHUNK_TERMS:
-        return zeta_em(w.real, w.imag, n)
+    t = float(a.max(initial=0.0))
+    if _one_call(len(w), t):
+        return zeta_em(w.real, w.imag, int(_em_terms(t)))
     terms = _em_terms(a).astype(int)
     out = np.empty_like(w)
     order = np.argsort(terms, kind="stable")

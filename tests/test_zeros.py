@@ -13,8 +13,8 @@ import rzlab.zeta
 from rzlab.errors import PreconditionError
 from rzlab.numerics import (MIN_SIDE_SAMPLES, SAMPLES_PER_UNIT,
                             ContourRectangle, real_sign, winding_number)
-from rzlab.zeros import TOL, count_zeros_rectangle, find_zeros
-from rzlab.zeta import T_MAX, log_xi_array
+from rzlab.zeros import STEP, TOL, count_zeros_rectangle, find_zeros
+from rzlab.zeta import T_MAX, log_xi_array, log_xi_line
 
 # First ordinates, frozen from an independent high-precision evaluation.
 FIRST_ORDINATES = (14.134725141734694, 21.022039638771555,
@@ -211,25 +211,72 @@ def test_catalog_matches_the_zero_table(ordinates_to_260, table):
     assert np.max(np.abs(ordinates_to_260 - table[:114])) <= 2.4e-11
 
 
-def test_catalog_takes_three_batched_calls(monkeypatch):
-    # the scan, then two refinement rounds over all 108 brackets, 5 and 3
-    # points each; no point goes through the scalar log_xi
-    sizes, scalar = [], []
+def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
+    # the scan's 2,499 interior points on one line, its two ends one
+    # point each, then two refinement rounds over all 108 brackets, 5 and
+    # 3 points each; no point goes through the scalar log_xi
+    calls, scalar = [], []
     log_xi = rzlab.zeta.log_xi
+    log_xi_line = rzlab.zeta.log_xi_line
 
     def counted(z):
-        sizes.append(np.size(z))
+        calls.append(("array", np.size(z)))
         return log_xi_array(z)
+
+    def counted_line(sigma, t0, dt, count):
+        calls.append(("line", count))
+        return log_xi_line(sigma, t0, dt, count)
 
     def scalar_log_xi(s):
         scalar.append(s)
         return log_xi(s)
 
     monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
+    monkeypatch.setattr(rzlab.zeros, "log_xi_line", counted_line)
     monkeypatch.setattr(rzlab.zeta, "log_xi", scalar_log_xi)
     assert len(find_zeros(0.0, 250.0)[0]) == 108
-    assert sizes == [2501, 5 * 108, 3 * 108]
+    assert sorted(calls[:3]) == [("array", 1), ("array", 1), ("line", 2499)]
+    assert calls[3:] == [("array", 5 * 108), ("array", 3 * 108)]
+    # a grid that fits one zeta_em call takes one log_xi_array call; 101
+    # points at n = 84 do not, and take the line
+    del calls[:]
+    assert len(find_zeros(100.0, 110.0)[0]) == 4
+    assert calls[0] == ("array", 101)
+    del calls[:]
+    assert len(find_zeros(250.0, T_MAX)[0]) == 6
+    assert sorted(calls[:3]) == [("array", 1), ("array", 1), ("line", 99)]
     assert scalar == []
+
+
+def _interior(lo, hi):
+    """find_zeros' interior grid of the window: the line's t0, dt and
+    count, and its points."""
+    n = math.ceil((hi - lo) / STEP)
+    h = (hi - lo) / n
+    return (lo + h, h, n - 1), lo + h + h * np.arange(n - 1)
+
+
+def test_line_signs_match_the_array_on_every_scan_grid():
+    # the sign each interior grid point gives the scan, from the line and
+    # from log_xi_array at the same points
+    for lo, width in [(0.0, 250.0)] + list(_random_windows()):
+        line, t = _interior(lo, lo + width)
+        got = real_sign(log_xi_line(0.5, *line).imag)
+        want = real_sign(log_xi_array(0.5 + 1j * t).imag)
+        assert np.array_equal(got, want), lo
+
+
+@pytest.mark.parametrize("interior", [0, 1, 31, 32, 33])
+def test_windows_of_few_interior_points_match_the_table(table, interior):
+    # the width (interior + 0.95) STEP takes interior + 1 steps; each
+    # window starts just below a zero
+    for t0 in table[[0, 40, 110]] - 0.05:
+        hi = t0 + (interior + 0.95) * STEP
+        assert _interior(t0, hi)[1].size == interior
+        t, _ = find_zeros(t0, hi)
+        want = table[(table > t0) & (table < hi)]
+        assert len(t) == len(want) >= 1
+        assert np.max(np.abs(t - want)) <= 2.4e-11
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

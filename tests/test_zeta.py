@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import rzlab.zeta
 from rzlab.errors import PoleError, RangeError
 from rzlab.zeta import (SIGMA_MAX, SIGMA_MIN, T_MAX, log_xi, log_xi_array,
-                        xi, xi_symmetry_residual, zeta, zeta_em)
+                        log_xi_line, xi, xi_symmetry_residual, zeta, zeta_em)
 
 # Frozen references from an independent high-precision evaluation.
 ZETA_REFS = [
@@ -277,12 +277,12 @@ GRID_BOUNDS = {
 }
 
 
-def _mp_zeta_and_prefactor(s):
+def _mp_zeta_and_prefactor(s, dps=20):
     """zeta(s) and the log of xi's prefactor s (s-1) pi^(-s/2) Gamma(s/2)
-    / 2 = (s-1) pi^(-s/2) Gamma(s/2 + 1), from mpmath at 20 digits, its
+    / 2 = (s-1) pi^(-s/2) Gamma(s/2 + 1), from mpmath at dps digits, its
     phase reduced mod 2 pi there: rounded to a double at some 340 rad
     (|Im s| near 245), it would add up to 2.8e-14 rad to every error."""
-    with mpmath.workdps(20):
+    with mpmath.workdps(dps):
         s = mpmath.mpc(s)
         pre = (mpmath.log(s - 1) - s / 2 * mpmath.log(mpmath.pi)
                + mpmath.loggamma(s / 2 + 1))
@@ -406,3 +406,51 @@ def test_log_xi_array_batches_reflected_points(monkeypatch):
     monkeypatch.setattr(rzlab.zeta, "log_xi", refuse)
     got = log_xi_array(pts)
     assert np.max(np.abs(np.exp(got - want) - 1.0)) < 1e-12
+
+
+def _line(sigma, t0, dt, count):
+    return sigma + 1j * (t0 + dt * np.arange(count))
+
+
+def test_log_xi_line_against_mpmath_as_the_array():
+    # every other interior point of find_zeros(0, 250)'s grid: the zeta
+    # that the line implies stays within 1.5 times the array's worst and
+    # median errors against mpmath at 30 digits
+    pts = _line(0.5, 0.1, 0.1, 2499)[::2]
+    zetas, prefactors = map(np.array, zip(*(_mp_zeta_and_prefactor(s, 30)
+                                            for s in pts)))
+    errors = [np.abs(np.exp(lx - prefactors) - zetas)
+              for lx in (log_xi_line(0.5, 0.1, 0.1, 2499)[::2],
+                         log_xi_array(pts))]
+    for stat in (np.max, np.median):
+        assert stat(errors[0]) <= 1.5 * stat(errors[1])
+
+
+@pytest.mark.parametrize("sigma,t0,dt,count", [
+    (0.5, 20.0, 0.01, 0), (0.5, 20.0, 0.01, 1), (0.5, 20.0, 0.01, 31),
+    (0.5, 20.0, 0.01, 32), (0.5, 20.0, 0.01, 33),
+    # t = 16 takes n = 24, its neighbour 16.1 n = 28
+    (0.5, 15.0, 0.1, 21),
+    # the last point at T_MAX
+    (0.5, 252.0, 0.25, 33),
+    # across t = 0 through every n; and left of the strip, at 1 - s
+    (2.0, -T_MAX, 0.5, 1041), (-3.0, 30.0, -0.1, 40)])
+def test_log_xi_line_matches_the_array(sigma, t0, dt, count):
+    # each point against log_xi_array on it alone, with its own n
+    pts = _line(sigma, t0, dt, count)
+    got = log_xi_line(sigma, t0, dt, count)
+    assert got.shape == (count,) and got.dtype == complex
+    want = np.array([log_xi_array(pts[j:j + 1])[0] for j in range(count)])
+    assert np.max(np.abs(np.exp(got - want) - 1.0), initial=0.0) < 1e-12
+
+
+def test_log_xi_line_edges_of_the_window():
+    assert 16.0 in _line(0.5, 15.0, 0.1, 21).imag
+    assert _line(0.5, 252.0, 0.25, 33).imag[-1] == T_MAX
+    # one point more passes T_MAX: log_xi_array's error for that point
+    for args in ((0.5, 252.0, 0.25, 34), (SIGMA_MIN - 1.0, 0.0, 1.0, 3)):
+        with pytest.raises(RangeError) as array:
+            log_xi_array(_line(*args))
+        with pytest.raises(RangeError) as line:
+            log_xi_line(*args)
+        assert str(line.value) == str(array.value)
