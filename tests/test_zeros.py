@@ -237,8 +237,8 @@ def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
     assert len(find_zeros(0.0, 250.0)[0]) == 108
     assert sorted(calls[:3]) == [("array", 1), ("array", 1), ("line", 2499)]
     assert calls[3:] == [("array", 5 * 108), ("array", 3 * 108)]
-    # a grid that fits one zeta_em call takes one log_xi_array call; 101
-    # points at n = 84 do not, and take the line
+    # a grid that fits one zeta_em call takes one log_xi_array call: 101
+    # points at n = 48 do, 101 points at n = 88 do not and take the line
     del calls[:]
     assert len(find_zeros(100.0, 110.0)[0]) == 4
     assert calls[0] == ("array", 101)
