@@ -19,11 +19,12 @@ STEP = 0.1
 TOL = 1e-10
 
 
-def _signed_scaled(t, lx):
+def _signed_scaled(t, lx=None):
     """xi(1/2 + it) e^{pi t / 4} at every t of the array, from lx = log
-    xi(1/2 + it), with the sign real_sign reads off the computed phase:
-    with the e^{-pi t / 4} decay taken out, the values the refiner
-    interpolates stay far from underflow."""
+    xi(1/2 + it) or one batched evaluation, with the sign real_sign reads
+    off the computed phase: with the e^{-pi t / 4} decay taken out, the
+    values the refiner interpolates stay far from underflow."""
+    lx = log_xi_array(0.5 + 1j * np.abs(t)) if lx is None else lx
     return real_sign(lx.imag) * np.exp(
         np.maximum(lx.real + 0.25 * math.pi * t, -700.0))
 
@@ -32,34 +33,28 @@ def find_zeros(t_min, t_max):
     """All critical-line zeros with ordinate in (t_min, t_max), as two
     float arrays: the ordinates, ascending, and their residuals.
 
-    xi(1/2 + it) is evaluated on a grid of spacing at most STEP (a long
-    one's interior on log_xi_line); its sign changes are refined together
-    by find_root_bracketed, one batched call per round (a catalog takes
-    two), to brackets of width TOL, starting from the grid values at
-    their ends.  Each residual is |xi| at the ordinate, from the round
-    that evaluated it.
+    xi(1/2 + it) is evaluated on a grid of spacing at most STEP; its sign
+    changes are refined together by find_root_bracketed, one batched call
+    per round, to brackets of width TOL, from the grid values at their
+    ends.  Each residual is |xi| at the ordinate, from its last round.
     """
     if not (0.0 <= t_min < t_max <= T_MAX):
         raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
     n = int(math.ceil((t_max - t_min) / STEP))
     h = (t_max - t_min) / n
-    t0 = t_min + h
-    grid = np.concatenate(([t_min], t0 + h * np.arange(n - 1), [t_max]))
+    grid = np.concatenate(([t_min], t_min + h + h * np.arange(n - 1), [t_max]))
     # no grid point lands on a zero: at the floats next to each zero below
-    # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38).  A grid of
-    # one zeta_em call has no sums to save; on a longer one the line takes
-    # the interior, and each end, alone, reads log_xi_array at its own n.
+    # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
     if _one_call(n + 1, t_max):
         lx = log_xi_array(0.5 + 1j * grid)
-    else:
+    else:  # each end alone, at its own n, as a long batch reads it
         lx = np.concatenate((log_xi_array(0.5 + 1j * grid[:1]),
-                             log_xi_line(0.5, t0, h, n - 1),
+                             log_xi_line(t_min + h, h, n - 1),
                              log_xi_array(0.5 + 1j * grid[-1:])))
     f_grid = _signed_scaled(grid, lx)
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
-    t, ft = find_root_bracketed(
-        lambda t: _signed_scaled(t, log_xi_array(0.5 + 1j * np.abs(t))),
-        grid[j], grid[j + 1], TOL, f_lo=f_grid[j], f_hi=f_grid[j + 1])
+    t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], TOL,
+                                f_lo=f_grid[j], f_hi=f_grid[j + 1])
     return t, np.abs(ft) * np.exp(-0.25 * math.pi * t)
 
 

@@ -78,25 +78,36 @@ def _check_window(s):
                          % (float(s.real), SIGMA_MAX))
 
 
-def zeta_em(sigma, t, n):
+def zeta_em(sigma, t, n, total=None):
     """Euler-Maclaurin value of the entire function (s - 1) zeta(s) at
     s = sigma + i t with n initial terms.  zeta's pole sits in the one
     term n^(1-s) / (s - 1), which the factor s - 1 turns into n n^(-s),
     so s = 1 needs no case of its own.
 
-    Valid for sigma > -1 once n >= _em_terms(t), with corrections
-    through B_44.  sigma and t may be arrays, which broadcast to the
-    shape of the result; n is one int for every point.  A single point
-    stops the corrections at the first term below rounding of the larger
-    of |total| and |n^(-s)|; an array adds all 22 as one running product
-    per point, which costs less than the test.  Callers handle
-    reflection.
+    Valid for sigma > -1 once n >= _em_terms(t), with corrections through
+    B_44.  sigma and t may be arrays, which broadcast to the shape of the
+    result, and then total, if given, holds their main sums over k < n;
+    n is one int for every point.  A single point stops the corrections
+    at the first term below rounding of the larger of |total| and
+    |n^(-s)|; an array adds all 22 as one running product per point,
+    which costs less than the test.  Callers handle reflection.
     """
     log_k = (_LOG_K[:n - 1] if n <= len(_LOG_K) + 1
              else np.log(np.arange(1, n, dtype=float)))
     if isinstance(sigma, np.ndarray) or isinstance(t, np.ndarray):
         s = np.add(sigma, np.multiply(1j, t))
-        return _em_close(s, n, np.exp(np.multiply.outer(-s, log_k)).sum(-1))
+        if total is None:
+            total = np.exp(np.multiply.outer(-s, log_k)).sum(axis=-1)
+        p = n ** (-s)
+        total = total + 0.5 * p
+        # Running products of u p, u + 1/n, u + 2/n, ..., u + 42/n: every
+        # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
+        # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
+        # to 0 (real s above ~250) the products stay 0, never 0 * inf.
+        f = (s / n)[..., None] + _EM_OFFSETS / n
+        f[..., 0] *= p
+        corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
+        return (s - 1.0) * (total + corrections) + n * p
     s = complex(sigma, t)
     total = complex(np.exp(-s * log_k).sum())
     p = n ** (-s)
@@ -121,20 +132,6 @@ def zeta_em(sigma, t, n):
         g += dg
         dg += 8.0 * h2
     return (s - 1.0) * total + n * p
-
-
-def _em_close(s, n, total):
-    """zeta_em at the array s from total, its main sums over k < n."""
-    p = n ** (-s)
-    total = total + 0.5 * p
-    # Running products of u p, u + 1/n, u + 2/n, ..., u + 42/n: every
-    # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
-    # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
-    # to 0 (real s above ~250) the products stay 0, never 0 * inf.
-    f = (s / n)[..., None] + _EM_OFFSETS / n
-    f[..., 0] *= p
-    corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
-    return (s - 1.0) * (total + corrections) + n * p
 
 
 def _zeta_em_window(s):
@@ -189,21 +186,30 @@ def log_xi(s):
 def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
     point, up to rounding (see _zeta_em_batch) and to a multiple of 2 pi
-    in the phase, which is reduced once, not per term.  The first point
-    outside the window raises log_xi's RangeError.  The points, Re s < 0
-    taken at 1 - s as in log_xi, share one zeta_em batch and one
-    _stirling, shifted for the leftmost point, with pi^(-i Im w/2) in it.
-    """
+    in the phase.  The first point outside the window raises log_xi's
+    RangeError."""
     s = np.asarray(s, dtype=complex)
     return _log_xi(s.ravel(), _zeta_em_batch).reshape(s.shape)
 
 
-def log_xi_line(sigma, t0, dt, count):
-    """log xi at sigma + i (t0 + j dt), j < count: log_xi_array up to
-    rounding, at one exponential per _ANCHOR points (see _zeta_em_line).
-    Re s < 0 is taken at 1 - s, where the line runs the other way."""
-    return _log_xi(sigma + 1j * (t0 + dt * np.arange(count)),
-                   lambda w: _zeta_em_line(w, -dt if sigma < 0.0 else dt))
+def log_xi_line(t0, dt, count):
+    """log_xi_array at 1/2 + i (t0 + j dt), j < count, up to rounding."""
+    table = np.exp(np.multiply.outer(-1j * dt * np.arange(_ANCHOR), _LOG_K))
+    chunk = _CHUNK_TERMS // (2 * len(_EM_TAIL))  # points per zeta_em call
+    def em(w):  # per run of one n: anchor rows k^(-s) times k^(-i m dt)
+        out = [w[:0]]  # an empty line concatenates too
+        for x in np.split(w, np.flatnonzero(np.diff(_em_terms(w.imag))) + 1):
+            n = int(_em_terms(np.abs(x.imag).max(initial=0.0)))
+            rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
+            a = _CHUNK_TERMS // _ANCHOR // (n - 1)  # anchors per product
+            part = np.split(rows, range(a, len(rows), a))
+            total = np.concatenate([(r[:, None] * table[:, :n - 1]).sum(-1)
+                                    for r in part]).ravel()
+            for b in range(0, len(x), chunk):
+                y = x[b:b + chunk]
+                out.append(zeta_em(y.real, y.imag, n, total[b:b + len(y)]))
+        return np.concatenate(out)
+    return _log_xi(0.5 + 1j * (t0 + dt * np.arange(count)), em)
 
 
 def _log_xi(w, em):
@@ -217,26 +223,6 @@ def _log_xi(w, em):
         w = np.where(left, 1.0 - w, w)
     h = 0.5 * w
     return _stirling(h + 1.0, np.log, True) - h.real * _LOG_PI + np.log(em(w))
-
-
-def _zeta_em_line(w, dt):
-    """zeta_em on a line w of step i dt: in each run that shares n, every
-    _ANCHOR-th point takes its row k^(-s) as exponentials, the next ones
-    that row times one of k^(-i m dt), m < _ANCHOR (Edwards 1974, 6.4;
-    Odlyzko and Schonhage 1988), in chunks of whole anchors."""
-    table = np.exp(np.multiply.outer(-1j * dt * np.arange(_ANCHOR), _LOG_K))
-    terms = _em_terms(w.imag).astype(int)
-    g = np.empty_like(w)
-    starts = np.flatnonzero(np.diff(terms, prepend=0))
-    for lo, end in zip(starts, [*starts[1:], len(w)]):
-        n = int(terms[lo])
-        step = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL)) // _ANCHOR * _ANCHOR
-        for a in range(lo, end, step):
-            x = w[a:min(a + step, end)]
-            rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
-            total = (rows[:, None] * table[:, :n - 1]).sum(-1).ravel()
-            g[a:a + len(x)] = _em_close(x, n, total[:len(x)])
-    return g
 
 
 def _one_call(count, t):

@@ -223,9 +223,9 @@ def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
         calls.append(("array", np.size(z)))
         return log_xi_array(z)
 
-    def counted_line(sigma, t0, dt, count):
+    def counted_line(t0, dt, count):
         calls.append(("line", count))
-        return log_xi_line(sigma, t0, dt, count)
+        return log_xi_line(t0, dt, count)
 
     def scalar_log_xi(s):
         scalar.append(s)
@@ -261,22 +261,9 @@ def test_line_signs_match_the_array_on_every_scan_grid():
     # from log_xi_array at the same points
     for lo, width in [(0.0, 250.0)] + list(_random_windows()):
         line, t = _interior(lo, lo + width)
-        got = real_sign(log_xi_line(0.5, *line).imag)
+        got = real_sign(log_xi_line(*line).imag)
         want = real_sign(log_xi_array(0.5 + 1j * t).imag)
         assert np.array_equal(got, want), lo
-
-
-@pytest.mark.parametrize("interior", [0, 1, 31, 32, 33])
-def test_windows_of_few_interior_points_match_the_table(table, interior):
-    # the width (interior + 0.95) STEP takes interior + 1 steps; each
-    # window starts just below a zero
-    for t0 in table[[0, 40, 110]] - 0.05:
-        hi = t0 + (interior + 0.95) * STEP
-        assert _interior(t0, hi)[1].size == interior
-        t, _ = find_zeros(t0, hi)
-        want = table[(table > t0) & (table < hi)]
-        assert len(t) == len(want) >= 1
-        assert np.max(np.abs(t - want)) <= 2.4e-11
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
