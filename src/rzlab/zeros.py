@@ -47,10 +47,10 @@ def find_zeros(t_min, t_max):
     # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
     if _one_call(n + 1, t_max):
         lx = log_xi_array(0.5 + 1j * grid)
-    else:  # each end alone, at its own n, as a long batch reads it
-        lx = np.concatenate((log_xi_array(0.5 + 1j * grid[:1]),
-                             log_xi_line(t_min + h, h, n - 1),
-                             log_xi_array(0.5 + 1j * grid[-1:])))
+    else:  # the ends as the contour's mirror ends read them, not the line
+        ends = log_xi_array(0.5 + 1j * grid[[0, -1]])
+        lx = np.concatenate((ends[:1], log_xi_line(t_min + h, h, n - 1),
+                             ends[1:]))
     f_grid = _signed_scaled(grid, lx)
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
     t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], TOL,

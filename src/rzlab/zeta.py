@@ -104,8 +104,9 @@ def zeta_em(sigma, t, n, total=None):
         # other one is the factor s (s+1) ... (s+2k-2) n^(-s-2k+1) of
         # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
         # to 0 (real s above ~250) the products stay 0, never 0 * inf.
-        f = (s / n)[..., None] + _EM_OFFSETS / n
-        f[..., 0] *= p
+        u = s / n
+        f = u[..., None] + _EM_OFFSETS / n
+        f[..., 0] = u * p
         corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
         return (s - 1.0) * (total + corrections) + n * p
     s = complex(sigma, t)
@@ -185,9 +186,9 @@ def log_xi(s):
 
 def log_xi_array(s):
     """log xi at every point of the complex array s: log_xi point by
-    point, up to rounding (see _zeta_em_batch) and to a multiple of 2 pi
-    in the phase.  The first point outside the window raises log_xi's
-    RangeError."""
+    point, up to rounding and to a multiple of 2 pi in the phase.  Each
+    point's Euler-Maclaurin sum is its own, whatever the batch.  The
+    first point outside the window raises log_xi's RangeError."""
     s = np.asarray(s, dtype=complex)
     return _log_xi(s.ravel(), _zeta_em_batch).reshape(s.shape)
 
@@ -226,27 +227,22 @@ def _log_xi(w, em):
 
 
 def _one_call(count, t):
-    """Whether _zeta_em_batch sums count points to |Im s| = t in one call."""
+    """Whether count points to |Im s| = t fit one of _zeta_em_batch's
+    chunks, so that a zero scan takes them as one log_xi_array call."""
     return count * max(int(_em_terms(t)), 2 * len(_EM_TAIL)) <= _CHUNK_TERMS
 
 
 def _zeta_em_batch(w):
-    """zeta_em, (w - 1) zeta(w), at every point of the 1-d array w.  A
-    batch of at most _CHUNK_TERMS // max(n, 44) points takes one call at
-    its largest n (more terms never lose accuracy); a larger one sums
-    each point with its own n, as the scalar path does, in chunks of that
-    size, where a shared n would cost more in terms than it saves in
-    calls.  (With another n, zeta moves by its rounding: near a zero,
-    1e-11 of it.)"""
-    a = np.abs(w.imag)
-    t = float(a.max(initial=0.0))
-    if _one_call(len(w), t):
-        return zeta_em(w.real, w.imag, int(_em_terms(t)))
-    terms = _em_terms(a).astype(int)
+    """zeta_em, (w - 1) zeta(w), at every point of the 1-d array w, each
+    at its own n = _em_terms(Im w), so that a point reads the same value
+    in any batch: one call per n, in chunks of _CHUNK_TERMS // max(n, 44)
+    points."""
+    terms = _em_terms(w.imag).astype(int)
     out = np.empty_like(w)
-    order = np.argsort(terms, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(terms[order])) + 1):
-        n = int(terms[group[0]])
+    # no n is above len(_LOG_K) + 1 = 88, so an empty batch takes none
+    for n in range(terms.min(initial=len(_LOG_K) + 1),
+                   terms.max(initial=20) + 1, 4):
+        group = np.flatnonzero(terms == n)
         chunk = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL))
         for lo in range(0, len(group), chunk):
             j = group[lo:lo + chunk]

@@ -109,6 +109,23 @@ def test_zeros_window_up_to_t_max(capsys, t_min):
     assert json.loads(out)["results"]["cross_check"] == "consistent"
 
 
+@pytest.mark.parametrize("t_min,t_max", [
+    ("25.01085758014569", "75.01085758014569"),
+    ("25.01085758014569", "65.01085758014568"),
+    ("92.49189927055849", "142.4918992705585"),
+    ("182.20707848436646", "222.20707848436646"),
+    ("229.33741330552536", "260.0")])
+def test_zeros_window_from_a_zero(capsys, t_min, t_max):
+    # t_min is a table zero: the scan's end point and the contour's
+    # mirror end, taken in batches of other sizes, read one xi there
+    code, out, err = run(capsys, "zeros", "--t-min", t_min, "--t-max", t_max,
+                         "--deterministic")
+    assert (code, err) == (EXIT_OK, "")
+    results = json.loads(out)["results"]
+    assert results["count"] == results["rectangle_count"]
+    assert results["cross_check"] == "consistent"
+
+
 def test_timestamp_present_by_default(capsys):
     _, out, _ = run(capsys, "zeros", "--t-min", "0", "--t-max", "10")
     assert "timestamp" in json.loads(out)

@@ -232,6 +232,42 @@ def test_log_xi_array_matches_scalar_across_n_groups():
         assert np.max(np.abs(got - want)) < 2e-15 * np.max(np.abs(want))
 
 
+def _mixed_points(count):
+    """count points with Re s in [0, 5], both signs of t and every n from
+    20 to 88 (20 only at t = 0), a third of them on Re s = 1/2."""
+    rng = np.random.default_rng(36)
+    pts = rng.uniform(0.0, 5.0, count) + 1j * rng.uniform(-T_MAX, T_MAX, count)
+    pts[::3] = 0.5 + 1j * pts[::3].imag
+    pts[1:6:2] = [2.0, 0.5, complex(4.5, -T_MAX)]
+    n = rzlab.zeta._em_terms(pts.imag).astype(int)
+    assert set(n) == set(range(20, 89, 4))
+    return pts
+
+
+def test_zeta_em_batch_is_bit_identical_alone_and_in_any_batch():
+    # every point is summed at its own n, whatever else is in its batch
+    batch = rzlab.zeta._zeta_em_batch
+    pts = _mixed_points(15535)
+    alone = np.array([batch(pts[j:j + 1])[0] for j in range(len(pts))])
+    for size in (7, 100, 3000):
+        got = np.concatenate([batch(pts[j:j + size])
+                              for j in range(0, len(pts), size)])
+        assert np.array_equal(got, alone), size
+
+
+def test_log_xi_array_on_the_line_is_bit_identical_in_mixed_batches():
+    # a critical-line point among up to 99 others with Re s in [0, 5]:
+    # log Gamma's shift stays 11 and its stacked path (at most 128 points)
+    # forms each point alone, so the whole of log xi is the point's own
+    pts = _mixed_points(600)
+    line, others = pts[::3][:175], pts[1::3]
+    for j, s in enumerate(line):
+        size = (7, 100, 40)[j % 3]
+        mixed = np.insert(np.roll(others, -j)[:size - 1], j % size, s)
+        got = log_xi_array(mixed)[j % size]
+        assert got == log_xi_array(line[j:j + 1])[0], s
+
+
 def test_zeta_em_main_sum_at_t_250_is_short(monkeypatch):
     # the former rule summed max(20, 2|t|) = 500 terms here
     seen = []
