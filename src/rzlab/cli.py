@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import math
-import os
 import re
 import sys
 
@@ -58,14 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_jobs():
-    """The RZLAB_JOBS value, else 1.  No mode reads it: it is kept only
+    """1, the one thread rzlab runs.  No mode reads it: it exists only
     for the header line of perfbench/run.py."""
-    env = os.environ.get("RZLAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageExit("RZLAB_JOBS must be an integer, got %r" % env)
     return 1
 
 

@@ -63,14 +63,16 @@ def s_matrix(s):
 
 def log_s_matrix(s):
     """log S = log xi(2s) - log xi(1 + 2s) at every point of the complex
-    array s, with no pole/zero flags: s_matrix's rule on an array.  Its
-    phase is not folded into (-pi, pi].  xi(-2s) is taken as xi(1 + 2s),
-    which log_xi_array reaches without reflection for Re s > -1/2: on
-    Re s = 0 the two sums run at Re 0 and Re 1, not at the conjugate
-    points 2s and -2s, whose real parts agree to the bit, so |S(i tau)|
-    - 1 reads rounding rather than exactly 0."""
+    array s, with no pole/zero flags: s_matrix's rule on an array, both
+    halves in one log_xi_array call.  Its phase is not folded into (-pi,
+    pi].  xi(-2s) is taken as xi(1 + 2s), which log_xi_array reaches
+    without reflection for Re s > -1/2: on Re s = 0 the two sums run at
+    Re 0 and Re 1, not at the conjugate points 2s and -2s, whose real
+    parts agree to the bit, so |S(i tau)| - 1 reads rounding rather
+    than exactly 0."""
     s = np.asarray(s, dtype=complex)
-    return log_xi_array(2.0 * s) - log_xi_array(1.0 + 2.0 * s)
+    num, den = log_xi_array(np.stack((2.0 * s, 1.0 + 2.0 * s)))
+    return num - den
 
 
 def zero_to_jost_zero(ordinates):

@@ -4,12 +4,12 @@ exp(-pi t / 4)).
 """
 
 import cmath
-import math
 
 import numpy as np
 
 from .errors import PoleError, RangeError
-from .specfun import log_gamma, _LOG_PI_HI, _LOG_PI_LO, _mod_tau, _stirling
+from .specfun import (log_gamma, _LOG_PI, _LOG_PI_HI, _LOG_PI_LO, _mod_tau,
+                      _stirling)
 
 # Window: |t| large enough that a 100-ordinate zero catalog exists
 # (t_100 ~ 236.5).  Euler-Maclaurin with n = _em_terms(t) <= 88 terms
@@ -21,8 +21,6 @@ SIGMA_MIN = -10.0
 # Re s = 5e305 log Gamma(s/2 + 1) and so log xi are inf, and nearer the
 # largest float the Euler-Maclaurin exponents -s log k overflow.
 SIGMA_MAX = 1e300
-
-_LOG_PI = math.log(math.pi)
 
 # B_2k / (2k)! for k = 1 .. 22, the coefficient of s (s+1) ... (s+2k-2)
 # n^(-s-2k+1) in the Euler-Maclaurin corrections.

@@ -22,7 +22,7 @@ import rzlab.quantum
 import rzlab.scattering
 import rzlab.zeros
 from rzlab.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_USAGE,
-                       EXIT_VERIFICATION, main, mode_parsers)
+                       EXIT_VERIFICATION, _default_jobs, main, mode_parsers)
 from rzlab.errors import BoundaryZeroError, RangeError, VerificationError
 
 
@@ -124,6 +124,18 @@ def test_zeros_window_from_a_zero(capsys, t_min, t_max):
     results = json.loads(out)["results"]
     assert results["count"] == results["rectangle_count"]
     assert results["cross_check"] == "consistent"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "3"])
+def test_rzlab_reads_no_environment(monkeypatch, capsys, value):
+    # RZLAB_JOBS is a header field of perfbench/run.py, read by no mode
+    argv = ("zeros", "--t-min", "0", "--t-max", "30", "--deterministic")
+    monkeypatch.delenv("RZLAB_JOBS", raising=False)
+    unset = run(capsys, *argv)
+    assert unset[0::2] == (EXIT_OK, "")
+    monkeypatch.setenv("RZLAB_JOBS", value)
+    assert _default_jobs() == 1
+    assert run(capsys, *argv) == unset
 
 
 def test_timestamp_present_by_default(capsys):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import rzlab.scattering
 from rzlab.errors import VerificationError
 from rzlab.numerics import ContourRectangle, winding_number
 from rzlab.scattering import (coupling_at_zero, log_s_matrix, s_matrix,
                               zero_to_jost_zero)
 from rzlab.zeros import find_zeros
-from rzlab.zeta import T_MAX
+from rzlab.zeta import T_MAX, log_xi_array
 
 T1 = 14.134725141734694
 
@@ -158,6 +159,25 @@ def test_log_s_matrix_matches_s_matrix():
     for z, g in zip(s.ravel(), got.ravel()):
         want = cmath.exp(s_matrix(complex(z))[0])
         assert abs(g - want) <= 1e-12 * abs(want), z
+
+
+def test_log_s_matrix_takes_both_halves_in_one_batch(monkeypatch):
+    # scans on Re s = 0 below and above _STACKED_POINTS per half: the
+    # one batch reads the two separate calls' values to the bit
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return log_xi_array(z)
+
+    monkeypatch.setattr(rzlab.scattering, "log_xi_array", counted)
+    for count in (21, 61, 129, 261):
+        s = 0.5j * np.arange(count)
+        del calls[:]
+        got = log_s_matrix(s)
+        assert calls == [(2, count)]
+        want = log_xi_array(2.0 * s) - log_xi_array(1.0 + 2.0 * s)
+        assert np.array_equal(got, want), count
 
 
 def test_coupling_at_zero_real_and_below_quarter():

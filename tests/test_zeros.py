@@ -205,10 +205,11 @@ def table():
 
 
 def test_catalog_matches_the_zero_table(ordinates_to_260, table):
-    # Brent's stopping point left up to 2.38e-11 (at zero 31); the
-    # certified estimate is within the rounding of xi itself
+    # the certified estimate is within the rounding of xi itself: on a
+    # 2-core x86-64 host with AVX-512 (numpy 2.4) the 114 ordinates lie
+    # within 3.69e-13 of the table (zero 107), median 2.8e-14
     assert len(ordinates_to_260) == 114
-    assert np.max(np.abs(ordinates_to_260 - table[:114])) <= 2.4e-11
+    assert np.max(np.abs(ordinates_to_260 - table[:114])) <= 1e-12
 
 
 def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
