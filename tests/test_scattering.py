@@ -173,7 +173,7 @@ def test_log_s_matrix_takes_both_halves_in_one_batch(monkeypatch):
     monkeypatch.setattr(rzlab.scattering, "log_xi_array", counted)
     for count in (21, 61, 129, 261):
         s = 0.5j * np.arange(count)
-        del calls[:]
+        calls.clear()
         got = log_s_matrix(s)
         assert calls == [(2, count)]
         want = log_xi_array(2.0 * s) - log_xi_array(1.0 + 2.0 * s)
