@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rzlab.errors import DomainError, PoleError, RangeError
+from rzlab.quantum import order_from_coupling
 from rzlab.specfun import (_normalize_phase, _stirling, bessel_k, hankel1,
                            log_gamma)
 
@@ -274,6 +275,10 @@ def test_log_gamma_matches_mpmath_property(re, im):
     assert abs(d) < 1e-14 * max(1.0, abs(want)), z
 
 
+def _h_bound(nu):
+    return 1e-13 + 5e-16 * math.exp(math.pi * abs(complex(nu).imag))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.floats(-2.5, 2.5), st.floats(-3.0, 3.0),
        st.floats(math.log(1e-3), math.log(30.0)))
@@ -281,9 +286,9 @@ def test_hankel1_matches_mpmath_property(re_nu, im_nu, log_x):
     nu, x = complex(re_nu, im_nu), min(math.exp(log_x), 30.0)
     want = _mp_hankel1(nu, x)
     # rounding of the phases on the path is amplified by the range
-    # e^(pi |Im nu|) of the terms' moduli: the worst found is 2.7e-12 at
+    # e^(pi |Im nu|) of the terms' moduli: the worst found is 9e-13 at
     # nu = 0.62 + 3i, x = 2.5e-3, and 3e-14 for |Im nu| <= 2
-    bound = 1e-13 + 5e-16 * math.exp(math.pi * abs(im_nu))
+    bound = _h_bound(nu)
     assert abs(hankel1(nu, x) - want) < bound * abs(want)
 
 
@@ -309,7 +314,7 @@ def test_hankel1_array_matches_scalar_calls(nu):
     assert got.shape == xs.shape
     # the array sums every x on one grid, the step of x = 30 and the
     # range of x = 1e-6, so both carry their own phase rounding: within
-    # 7.1e-15 at real order and |Im nu| <= 1.7, and 4.2e-14 at 2.18i,
+    # 7.1e-15 at real order and |Im nu| <= 1.7, and 4.4e-14 at 2.18i,
     # x = 1e-6, where the scalar call is itself 4.3e-14 from mpmath
     bound = 1e-14 * math.exp(max(0.0, math.pi * (abs(complex(nu).imag)
                                                   - 1.5)))
@@ -317,6 +322,33 @@ def test_hankel1_array_matches_scalar_calls(nu):
         want = hankel1(nu, x)
         assert type(want) is complex
         assert abs(v - want) < bound * abs(want), x
+
+
+@pytest.mark.parametrize("k", (0.3, 1.0, 3.0))
+@pytest.mark.parametrize("lam", np.linspace(-10.0, 9.9, 12))
+def test_hankel1_array_matches_mpmath_on_jost_arrays(lam, k):
+    # the array jost-verify sends: x = k y at the samples y <= 10 of the
+    # ODE's 200 points from 25/k to 1, at nu = sqrt(lambda + 1/4),
+    # imaginary below lambda = -1/4
+    nu = order_from_coupling(lam)
+    ys = np.linspace(25.0 / k, 1.0, 200)
+    xs = k * ys[ys <= 10.0]
+    got = hankel1(nu, xs)
+    for i in np.linspace(0, xs.size - 1, 5).astype(int):
+        want = _mp_hankel1(nu, xs[i])
+        assert abs(got[i] - want) < _h_bound(nu) * abs(want), xs[i]
+
+
+@pytest.mark.parametrize("nu", (0.0, 0.3, 0.5 + 1.2j))
+def test_hankel1_array_mixing_subnormal_and_large_x(nu):
+    # the grid spans the range of x = 5e-324, where the exponents of the
+    # rows of x >= 1e-6 overflow to -inf at the sum's ends, zero terms,
+    # and each row's largest exponent is taken out on its own; at 2.2i
+    # subnormal x reads 4e-12, outside 1e-6 <= x <= 30 and this bound
+    xs = np.array([5e-324, 1e-300, 1e-6, 1.0, 30.0])
+    for x, v in zip(xs, hankel1(nu, xs)):
+        want = _mp_hankel1(nu, x)
+        assert abs(v - want) < _h_bound(nu) * abs(want), x
 
 
 def test_hankel1_array_range_errors():
