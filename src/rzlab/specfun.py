@@ -16,10 +16,6 @@ from .numerics import MAX_GRID_POINTS, _fold_phase
 # B_2k / (2k (2k-1)) for the Stirling series of log Gamma.
 _STIRLING = (1.0 / 12, -1.0 / 360, 1.0 / 1260, -1.0 / 1680, 1.0 / 1188,
              -691.0 / 360360, 1.0 / 156, -3617.0 / 122400, 43867.0 / 244188)
-_SERIES = np.array(_STIRLING)
-# Stacked, the factors and terms of a 1-point array take a quarter of the
-# time of the loops, of 200 points as long.
-_STACKED_POINTS = 128
 
 _LOG_PI = math.log(math.pi)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -85,28 +81,21 @@ def _mod_tau(y, hi, lo):
 
 
 def _stirling(z, log, over_pi=False):
-    """log Gamma(z), Re z >= 1/2, for a number or an array z with log =
-    cmath.log or np.log to match; over_pi takes i Im(z) log pi from it.
-    Stirling at w = z + n, with n = 12 - Re z rounded up at the leftmost
-    point, so Re w >= 12 throughout, and one log of q = prod (z + j) / w
-    for the shift: its n factors have modulus in [1/25, 1], so q cannot
-    overflow.  The large phase Im(w) (log|w| - 1), less Im(z) log pi, is
-    reduced mod 2 pi before it rounds."""
+    """log Gamma(z), with log = cmath.log or np.log to match; over_pi
+    takes i Im(z) log pi from it.  Stirling at w = z + n, Re w >= 12: n
+    = 12 - Re z rounded up for a number with Re z >= 1/2, and n = 11 for
+    an array, whose points z = s/2 + 1 from log_xi have Re z >= 1, so a
+    point reads the same value in any batch.  One log of q = prod (z + j)
+    / w for the shift: its n factors have modulus in [1/25, 1], so q
+    cannot overflow.  The large phase Im(w) (log|w| - 1), less Im(z) log
+    pi, is reduced mod 2 pi before it rounds."""
     array = isinstance(z, np.ndarray)
-    n = max(0, math.ceil(12.0 - (z.real.min(initial=12.0) if array
-                                 else z.real)))
-    # a small array runs the loops below along one more axis, a few
-    # numpy calls in place of one per factor and per term
-    stacked = array and z.size <= _STACKED_POINTS
+    n = 11 if array else max(0, math.ceil(12.0 - z.real))
     w = z + n
     zi = 1.0 / w
-    if stacked and n:
-        q = np.multiply.accumulate(
-            (z[..., None] + np.arange(n)) * zi[..., None], axis=-1)[..., -1]
-    else:
-        q = 1.0
-        for j in range(n):
-            q = q * ((z + j) * zi)
+    q = 1.0
+    for j in range(n):
+        q = q * ((z + j) * zi)
     lw = log(w)
     # log|w| = k log 2 + log m, with |w| = m 2^k and m in [sqrt(1/2),
     # sqrt(2)), is within 2e-16, and the high part of the factor of Im(w)
@@ -121,13 +110,6 @@ def _stirling(z, log, over_pi=False):
     res = ((w.real - 0.5) * (lw - 1.0) - w.imag * lw.imag + 1j * phase
            + _STIRLING_CONST - (n * lw + log(q)))
     z2 = zi * zi
-    if stacked:
-        # res and the terms zi^(2k+1) c_k, summed in the loop's order
-        t = np.empty(z.shape + (len(_STIRLING) + 1,), dtype=complex)
-        t[..., 0], t[..., 1], t[..., 2:] = res, zi, z2[..., None]
-        np.multiply.accumulate(t[..., 1:], axis=-1, out=t[..., 1:])
-        t[..., 1:] *= _SERIES
-        return np.add.accumulate(t, axis=-1)[..., -1]
     term = zi
     for c in _STIRLING:
         res += c * term
@@ -217,6 +199,9 @@ def hankel1(nu, x):
     |Re nu| <= 5 it is within 1.1e-14 relative at real order.  Phase
     rounding grows with the range e^(pi |Im nu|) of the terms: 3e-14 for
     |Im nu| <= 2, 9e-14 at order 3i, 9e-13 at 0.62 + 3i, x = 2.5e-3.
+    Below x = 1e-6, down to 5e-324, log x -+ u cancel from about 700:
+    measured at 20 x per order, 6.9e-14 at real order up to 2.5, 3.2e-13
+    at imaginary order up to 2i, 1.2e-12 at 2.2i and 2.5e-12 at 3i.
 
     x may be a number, which gives a complex, or an array of arguments,
     which gives an array of that shape.  An array takes one node grid:

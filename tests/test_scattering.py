@@ -162,8 +162,8 @@ def test_log_s_matrix_matches_s_matrix():
 
 
 def test_log_s_matrix_takes_both_halves_in_one_batch(monkeypatch):
-    # scans on Re s = 0 below and above _STACKED_POINTS per half: the
-    # one batch reads the two separate calls' values to the bit
+    # scans on Re s = 0 of 21 to 261 points per half: the one batch
+    # reads the two separate calls' values to the bit
     calls = []
 
     def counted(z):
@@ -171,7 +171,7 @@ def test_log_s_matrix_takes_both_halves_in_one_batch(monkeypatch):
         return log_xi_array(z)
 
     monkeypatch.setattr(rzlab.scattering, "log_xi_array", counted)
-    for count in (21, 61, 129, 261):
+    for count in (21, 61, 100, 129, 261):
         s = 0.5j * np.arange(count)
         calls.clear()
         got = log_s_matrix(s)

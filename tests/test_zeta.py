@@ -255,17 +255,23 @@ def test_zeta_em_batch_is_bit_identical_alone_and_in_any_batch():
         assert np.array_equal(got, alone), size
 
 
-def test_log_xi_array_on_the_line_is_bit_identical_in_mixed_batches():
-    # a critical-line point among up to 99 others with Re s in [0, 5]:
-    # log Gamma's shift stays 11 and its stacked path (at most 128 points)
-    # forms each point alone, so the whole of log xi is the point's own
-    pts = _mixed_points(600)
-    line, others = pts[::3][:175], pts[1::3]
-    for j, s in enumerate(line):
-        size = (7, 100, 40)[j % 3]
-        mixed = np.insert(np.roll(others, -j)[:size - 1], j % size, s)
-        got = log_xi_array(mixed)[j % size]
-        assert got == log_xi_array(line[j:j + 1])[0], s
+def test_log_xi_array_is_bit_identical_alone_and_in_any_batch():
+    # the whole window: _mixed_points, reflected points with Re s in
+    # [-10, 0) and points far right, at Re s = 30 and 1e300; log Gamma's
+    # shift is 11 for every array, so a point's log xi, its phase
+    # included, is its own whatever else is in its batch
+    rng = np.random.default_rng(40)
+    t = rng.uniform(-T_MAX, T_MAX, 400)
+    pts = np.concatenate([_mixed_points(3000),
+                          rng.uniform(-10.0, 0.0, 300) + 1j * t[:300],
+                          30.0 + 1j * t[300:350], 1e300 + 1j * t[350:]])
+    rng.shuffle(pts)
+    alone = np.array([log_xi_array(z) for z in pts])
+    assert np.isfinite(alone).all()
+    for size in (1, 2, 7, 128, 129, 3000):
+        got = np.concatenate([log_xi_array(pts[j:j + size])
+                              for j in range(0, len(pts), size)])
+        assert np.array_equal(got, alone), size
 
 
 def test_zeta_em_main_sum_at_t_250_is_short(monkeypatch):
