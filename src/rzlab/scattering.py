@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RangeError, VerificationError
 from .numerics import ContourRectangle, winding_number
-from .zeta import SIGMA_MIN, T_MAX, log_xi, log_xi_array, xi
+from .zeta import SIGMA_MIN, T_MAX, log_xi, log_xi_array
 
 # A point p counts as a xi zero when it lies within this distance of
 # one (simple zeros: |xi/xi'| is the distance to the zero).
@@ -23,23 +23,23 @@ ZERO_NEWTON_RADIUS = 1e-6
 
 
 def _xi_vanishes(p, lx):
-    """True when xi, whose log at p is lx, has a zero within
-    ZERO_NEWTON_RADIUS of p.
-
-    Decided on the decay-normalized magnitude |xi| e^{pi |t| / 4} (the
-    raw linear floor would misfire at large t), then confirmed by the
-    distance estimate |xi / xi'| for a simple zero, with xi' taken from
-    a stencil wide enough to sit clear of the zero itself.
-    """
-    scale = lx.real + 0.25 * math.pi * abs(p.imag)
-    if scale > math.log(1e-3):  # clearly away from any zero
-        return False
+    """Whether xi, whose log at p is lx, has a zero within
+    ZERO_NEWTON_RADIUS of p: a bool at a number p, a bool array at an
+    array.  Decided on the decay-normalized magnitude |xi| e^{pi |t| / 4}
+    (the raw linear floor would misfire at large t), then confirmed by
+    the distance h / |r - 1| to a simple zero, exact where xi is linear,
+    with r = exp(log xi(q) - lx) the ratio of xi at q = p + h to xi at p:
+    one log_xi call at a number, one log_xi_array call on the near
+    points of an array.  h sits clear of the zero itself."""
     h = 1e-3
-    deriv = (xi(p + h) - xi(p - h)) / (2.0 * h)
-    if deriv == 0:
-        return False
-    distance = math.exp(lx.real) / abs(deriv)
-    return distance < ZERO_NEWTON_RADIUS
+    q = p + h
+    near = lx.real + 0.25 * math.pi * abs(p.imag) <= math.log(1e-3)
+    if isinstance(lx, np.ndarray):
+        r = np.exp(log_xi_array(q[near]) - lx[near])
+        near[near] = h < ZERO_NEWTON_RADIUS * np.abs(r - 1.0)
+        return near
+    return near and bool(h < ZERO_NEWTON_RADIUS
+                         * abs(np.exp(log_xi(q) - lx) - 1.0))
 
 
 def s_matrix(s):
@@ -77,36 +77,29 @@ def log_s_matrix(s):
 
 def zero_to_jost_zero(ordinates):
     """Map each zeta-zero ordinate t_n to the predicted F+ zero p = -1/4
-    + i t_n/2, checking the contract: |F+| = exp(-Re log S) < 1e-6 there,
-    with S's pole flag set, by the scalar s_matrix(p), and F+ = exp(-log
-    S) winds once around a 0.05-radius box about the point, every box
-    that passed the point check in one winding_number call.  Returns,
-    for each ordinate, |F+| at p as a float, so callers need not
-    evaluate S there again, or the VerificationError its check failed
-    with.  A failure falsifies the implementation, not the
-    correspondence; a BoundaryZeroError on any box is raised for the
-    batch.
-    """
-    out, boxes = [], []
-    for t_n in ordinates:
-        p = complex(-0.25, 0.5 * t_n)
-        log_s, pole, _ = s_matrix(p)
-        mag = math.exp(-log_s.real)
-        if mag < 1e-6 and pole:
-            boxes.append((len(out), p))
-            out.append(mag)
-        else:
-            out.append(VerificationError(
-                "|F+| = %.3g at %s; expected a zero there" % (mag, p)))
-    rects = [ContourRectangle(p.real - 0.05, p.real + 0.05,
-                              p.imag - 0.05, p.imag + 0.05)
-             for _, p in boxes]
-    counts = winding_number(lambda zs: np.exp(-log_s_matrix(zs)), rects)
-    for (i, p), w in zip(boxes, counts):
-        if w != 1:
-            out[i] = VerificationError(
-                "winding of F+ around %s is %d, expected 1" % (p, w))
-    return out
+    + i t_n/2, checking the contract: |F+| = exp(Re log xi(1 + 2p) - Re
+    log xi(2p)) < 1e-6 there, with S's pole flag set, log xi at every 2p
+    and 1 + 2p in one log_xi_array call, and F+ = exp(-log S) winds once
+    around a 0.05-radius box about the point, every box that passed the
+    point check in one winding_number call.  Returns, for each ordinate,
+    |F+| at p as a float, so callers need not evaluate S there again, or
+    the VerificationError its check failed with.  A failure falsifies
+    the implementation, not the correspondence; a BoundaryZeroError on
+    any box is raised for the batch."""
+    p = -0.25 + 0.5j * np.asarray(ordinates, dtype=float)
+    num, den = log_xi_array(np.stack((2.0 * p, 1.0 + 2.0 * p)))
+    # math.exp: numpy's vector exp may round a point differently
+    mag = [math.exp(x) for x in (den.real - num.real).tolist()]
+    passed = (np.array(mag) < 1e-6) & _xi_vanishes(1.0 + 2.0 * p, den)
+    winding = np.zeros(len(p), dtype=int)  # 1 where F+ winds once
+    winding[passed] = winding_number(
+        lambda zs: np.exp(-log_s_matrix(zs)),
+        [ContourRectangle(z.real - 0.05, z.real + 0.05, z.imag - 0.05,
+                          z.imag + 0.05) for z in p[passed].tolist()])
+    return [m if w == 1 else VerificationError(
+        "winding of F+ around %s is %d, expected 1" % (z, w) if ok
+        else "|F+| = %.3g at %s; expected a zero there" % (m, z))
+        for z, m, ok, w in zip(p.tolist(), mag, passed, winding)]
 
 
 def coupling_at_zero(t_n):

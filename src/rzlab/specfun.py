@@ -200,13 +200,15 @@ def hankel1(nu, x):
     rounding grows with the range e^(pi |Im nu|) of the terms: 3e-14 for
     |Im nu| <= 2, 9e-14 at order 3i, 9e-13 at 0.62 + 3i, x = 2.5e-3.
     Below x = 1e-6, down to 5e-324, log x -+ u cancel from about 700:
-    measured at 20 x per order, 6.9e-14 at real order up to 2.5, 3.2e-13
-    at imaginary order up to 2i, 1.2e-12 at 2.2i and 2.5e-12 at 3i.
+    measured at 20 x per order, each alone, 6.9e-14 at real order to 2.5,
+    3.2e-13 at imaginary order to 2i, 1.2e-12 at 2.2i and 2.5e-12 at 3i.
 
     x may be a number, which gives a complex, or an array of arguments,
     which gives an array of that shape.  An array takes one node grid:
     the step of its largest x and the range of its smallest, each row's
-    largest exponent taken out on its own.  RangeError for an empty
+    largest exponent taken out on its own.  So tiny x reads more beside
+    x = 30: [5e-324, 1e-300, 1e-6, 1, 30] is within 3.7e-13 at order 2i,
+    4.1e-12 at 2.2i and 5.5e-12 at 3i.  RangeError for an empty
     array, for any x outside (0, 30], for a grid above MAX_GRID_POINTS
     nodes (|Im nu| beyond about 10^6), and where |H1| leaves the float
     range (nu = 2.5, x = 1e-200)."""

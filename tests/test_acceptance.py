@@ -19,7 +19,8 @@ from rzlab.quantum import (asymptotic_residual, fit_moment_coefficient,
                            jost_solution_analytic, jost_solution_ode,
                            k_moment_integral, khuri_reality_residual,
                            order_from_coupling)
-from rzlab.scattering import coupling_at_zero, s_matrix, zero_to_jost_zero
+from rzlab.scattering import (coupling_at_zero, log_s_matrix, s_matrix,
+                              zero_to_jost_zero)
 from rzlab.specfun import log_gamma
 from rzlab.zeros import count_zeros_rectangle, find_zeros
 from rzlab.zeta import log_xi, xi, xi_symmetry_residual, zeta, zeta_em
@@ -143,7 +144,8 @@ def test_criterion_05_jost_zero_correspondence(zeros_to_100):
     checked = zero_to_jost_zero(ordinates)
     assert len(checked) == 10  # the winding checks inside, in one call
     for t, fp in zip(ordinates, checked):
-        mag = math.exp(-s_matrix(complex(-0.25, 0.5 * t))[0].real)
+        # |F+| as log_s_matrix gives it: the array path that produced fp
+        mag = math.exp(-log_s_matrix(complex(-0.25, 0.5 * t)).real)
         assert fp == mag
         assert mag < 1e-6
         lam = coupling_at_zero(t)

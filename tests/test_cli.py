@@ -13,6 +13,7 @@ import time
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +174,8 @@ BAD_INPUTS = [
     (("smatrix", "eval", "--im", "-inf"), EXIT_USAGE),
     (("hadamard", "--at", "nan"), EXIT_USAGE),
     (("zeros", "--t-min", "nan", "--t-max", "10"), EXIT_USAGE),
+    (("zeros", "--t-min", "abc", "--t-max", "1"), EXIT_USAGE,
+     "usage error: argument --t-min: not a finite number: 'abc'"),
     # a mode takes only the options it reads
     (("smatrix", "eval", "--num-zeros", "3"), EXIT_USAGE),
     (("quantum", "kmoment", "--lambda", "5"), EXIT_USAGE),
@@ -401,6 +404,17 @@ def test_raised_exit_3_writes_only_its_stderr_line(
     assert err == "verification failure: forced\n"
 
 
+def test_non_finite_result_exits_2_with_only_its_stderr_line(
+        monkeypatch, capsys):
+    # the report is serialized before it is written, so inf in a result
+    # leaves stdout empty
+    monkeypatch.setattr(rzlab.quantum, "khuri_reality_residual",
+                        lambda lam: math.inf)
+    code, out, err = run(capsys, "quantum", "khuri", "--deterministic")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err == "domain error: the result holds a non-finite number\n"
+
+
 def test_raised_range_error_exits_2_with_only_its_stderr_line(
         monkeypatch, capsys):
     # a trapezoid sum past the node cap raises RangeError: a domain error
@@ -584,23 +598,48 @@ def test_smatrix_correspondence(capsys):
 
 def test_smatrix_correspondence_evaluates_s_once_per_zero(monkeypatch,
                                                           capsys):
-    # the point check inside zero_to_jost_zero is the only scalar S at p
+    # S at every predicted F+ zero p comes from one log_xi_array call on
+    # all 2p and 1 + 2p: no scalar S or log xi
     import rzlab.scattering
     calls = []
 
-    def counted(s):
-        calls.append(s)
-        return real_s_matrix(s)
+    def counted(z):
+        calls.append(np.array(z))
+        return real_log_xi_array(z)
 
-    real_s_matrix = rzlab.scattering.s_matrix
-    monkeypatch.setattr(rzlab.scattering, "s_matrix", counted)
+    real_log_xi_array = rzlab.scattering.log_xi_array
+    monkeypatch.setattr(rzlab.scattering, "log_xi_array", counted)
+    monkeypatch.setattr(rzlab.scattering, "s_matrix", pytest.fail)
+    monkeypatch.setattr(rzlab.scattering, "log_xi", pytest.fail)
     code, out, _ = run(capsys, "smatrix", "correspondence",
                        "--num-zeros", "2", "--deterministic")
     assert code == EXIT_OK
     rows = json.loads(out)["results"]["per_zero"]
-    assert calls == [complex(r["jost_zero_re"], r["jost_zero_im"])
-                     for r in rows]
+    p = np.array([complex(r["jost_zero_re"], r["jost_zero_im"])
+                  for r in rows])
+    assert np.array_equal(calls[0], np.stack((2.0 * p, 1.0 + 2.0 * p)))
     assert all(r["jost_magnitude"] < 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("count", (0, 2))
+def test_smatrix_correspondence_box_that_does_not_wind_once_fails(
+        monkeypatch, capsys, count):
+    # every point passes its |F+| check, and every box winds 0 or 2 times
+    import rzlab.scattering
+    monkeypatch.setattr(rzlab.scattering, "winding_number",
+                        lambda g, rects: [count] * len(rects))
+    code, out, _ = run(capsys, "smatrix", "correspondence",
+                       "--num-zeros", "2", "--deterministic")
+    assert code == EXIT_VERIFICATION
+    report = json.loads(out)
+    rows = report["results"]["per_zero"]
+    assert [(r["winding_ok"], r["jost_magnitude"]) for r in rows] \
+        == [(False, None)] * 2
+    assert report["results"]["passes"] == 0
+    assert report["diagnostics"] == [
+        "winding of F+ around %s is %d, expected 1"
+        % (complex(r["jost_zero_re"], r["jost_zero_im"]), count)
+        for r in rows]
 
 
 def test_correspondence_checks_every_box_in_one_batch(monkeypatch, capsys):
@@ -1010,6 +1049,65 @@ def test_readme_commands_import_no_scipy():
     codes, scipy_modules = json.loads(out.stdout)
     assert codes == [EXIT_OK] * 9
     assert scipy_modules == []
+
+
+# xi work of each README command: calls of the scalar log_xi, calls
+# and points of log_xi_array and of log_xi_line, and calls of zeta_em.
+# A change that moves a count updates this table and says why.
+XI_LEDGER = {
+    "zeros --t-min 0 --t-max 30": (0, 4, 105, 1, 299, 11),
+    "smatrix eval --re 0 --im 0": (2, 0, 0, 0, 0, 2),
+    "smatrix scan --tau-max 50 --step 0.1": (0, 1, 1002, 0, 0, 8),
+    # no scalar log_xi: log xi at every 2p and 1 + 2p in one batch, the
+    # pole flag's points in one more, and the catalog scan's four
+    "smatrix correspondence --num-zeros 10": (0, 6, 840, 1, 561, 28),
+    "quantum kmoment --nu 0.5": (0, 0, 0, 0, 0, 0),
+    "quantum jost-verify --lambda 2 --k 1": (0, 0, 0, 0, 0, 0),
+    "quantum khuri --lambda -5": (0, 0, 0, 0, 0, 0),
+    "hadamard --num-zeros 100 --at 2": (2, 3, 810, 1, 2394, 49),
+    "dispersion roundtrip --model rational --half-width 50 --nodes 4001":
+        (0, 0, 0, 0, 0, 0),
+}
+
+
+def test_readme_commands_xi_ledger(monkeypatch, capsys):
+    # counted by wrapping each kernel at every module that binds it, so a
+    # call through any import is seen; counts do not move with the host.
+    # Every rzlab module is loaded first, so none binds a wrapper that
+    # would outlive the test
+    import rzlab.dispersion
+    import rzlab.zeta
+    calls = {}
+
+    def counted(name, f, size):
+        def wrapper(*args):
+            calls[name] += 1
+            calls[name + " points"] += size(args)
+            return f(*args)
+        return wrapper
+
+    kernels = {"log_xi": lambda args: 0,
+               "log_xi_array": lambda args: np.size(args[0]),
+               "log_xi_line": lambda args: args[2],
+               "zeta_em": lambda args: 0}
+    for name, size in kernels.items():
+        f = getattr(rzlab.zeta, name)
+        wrapper = counted(name, f, size)
+        for module in [m for k, m in sys.modules.items()
+                       if k.split(".")[0] == "rzlab"]:
+            if getattr(module, name, None) is f:
+                monkeypatch.setattr(module, name, wrapper)
+    commands = _readme_commands()
+    assert [" ".join(argv) for argv in commands] == list(XI_LEDGER)
+    for argv in commands:
+        calls.update(dict.fromkeys(
+            [k + s for k in kernels for s in ("", " points")], 0))
+        code, _, _ = run(capsys, *argv, "--deterministic")
+        assert code == EXIT_OK
+        got = tuple(calls[k] for k in (
+            "log_xi", "log_xi_array", "log_xi_array points", "log_xi_line",
+            "log_xi_line points", "zeta_em"))
+        assert got == XI_LEDGER[" ".join(argv)], argv
 
 
 def _mode_words(argv):

@@ -60,6 +60,8 @@ def test_samples_validation():
     grid = np.linspace(-1.0, 1.0, 11)
     with pytest.raises(ValueError):
         RealLineSamples(grid[::-1], np.ones(11, dtype=complex))
+    with pytest.raises(ValueError, match="equal length"):
+        RealLineSamples(grid, np.ones(10, dtype=complex))
     with pytest.raises(ValueError):
         RealLineSamples(np.linspace(0.0, 1.0, 11),
                         np.ones(11, dtype=complex))

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,27 +46,28 @@ def test_s_matrix_flags_poles_and_zeros():
 
 
 def test_s_matrix_reuses_xi_values_for_flags(monkeypatch):
-    # xi(2s) and xi(1 + 2s) serve both the value and the pole/zero flags
+    # log xi(2s) and log xi(1 + 2s) serve both the value and the
+    # pole/zero flags; no xi is taken from its linear value
     import rzlab.scattering as scattering
     calls = []
-
-    def counted(p):
-        calls.append(p)
-        return real_xi(p)
 
     def counted_log(p):
         calls.append(p)
         return real_log_xi(p)
 
-    real_xi, real_log_xi = scattering.xi, scattering.log_xi
-    monkeypatch.setattr(scattering, "xi", counted)
+    real_log_xi = scattering.log_xi
     monkeypatch.setattr(scattering, "log_xi", counted_log)
+    assert not hasattr(scattering, "xi")
     assert s_matrix(complex(0.3, 40.0))[1:] == (False, False)
     assert len(calls) == 2
-    # at an F+ zero (a pole of S) only the derivative stencil is added
-    del calls[:]
-    assert s_matrix(complex(-0.25, 0.5 * T1))[1]
-    assert len(calls) == 4
+    # at an F+ zero (a pole of S) or an S zero only the point q = p + h
+    # of the distance rule is added
+    for s, flags in ((complex(-0.25, 0.5 * T1), (True, False)),
+                     (complex(0.25, 0.5 * T1), (False, True))):
+        del calls[:]
+        assert s_matrix(s)[1:] == flags
+        assert len(calls) == 3
+        assert calls[2] == calls[1 if flags[0] else 0] + 1e-3
 
 
 def test_jost_plus_is_reciprocal():
@@ -89,12 +91,17 @@ def test_jost_plus_negates_the_log_and_swaps_the_flags(s):
         assert abs(cmath.exp(log_s + log_f) - 1.0) < 1e-12
 
 
+def _jost_magnitude(t):
+    """|F+| at -1/4 + i t/2 from log_s_matrix, the batch that
+    zero_to_jost_zero reads it from."""
+    return math.exp(-log_s_matrix(complex(-0.25, 0.5 * t)).real)
+
+
 def test_zero_to_jost_zero_verified():
     p = complex(-0.25, 0.5 * T1)
     fp, = zero_to_jost_zero([T1])
-    log_s, pole, _ = s_matrix(p)
-    assert fp == math.exp(-log_s.real)
-    assert fp < 1e-6 and pole
+    assert fp == _jost_magnitude(T1)
+    assert fp < 1e-6 and s_matrix(p)[1]
 
 
 def test_zero_to_jost_zero_rejects_non_zero():
@@ -102,7 +109,7 @@ def test_zero_to_jost_zero_rejects_non_zero():
     # in the same batch still pass, each as a float
     fp, bad = zero_to_jost_zero([T1, 15.0])
     assert isinstance(bad, VerificationError)
-    assert fp == math.exp(-s_matrix(complex(-0.25, 0.5 * T1))[0].real)
+    assert fp == _jost_magnitude(T1)
     ordinates = find_zeros(0.0, 50.0)[0].tolist() + [12.0, 25.0]
     checked = zero_to_jost_zero(ordinates)
     assert len(checked) == len(ordinates)
@@ -111,19 +118,38 @@ def test_zero_to_jost_zero_rejects_non_zero():
     assert all(isinstance(fp, VerificationError) for fp in checked[-2:])
 
 
+def test_zero_to_jost_zero_verdicts_on_no_zero_and_a_non_zero():
+    assert zero_to_jost_zero([]) == []
+    bad, = zero_to_jost_zero([15.0])
+    assert isinstance(bad, VerificationError)
+    assert re.fullmatch(r"\|F\+\| = \S+ at \(-0\.25\+7\.5j\); "
+                        r"expected a zero there", str(bad))
+
+
 def test_zero_to_jost_zero_evaluates_s_matrix_once(monkeypatch):
-    # the point check takes the scalar S; the winding box takes log_s_matrix
+    # S at every p is evaluated once, in one log_xi_array call on all 2p
+    # and 1 + 2p, then the pole flag's points 1 + 2p + h in one more; no
+    # scalar log_xi or s_matrix call (the boxes are not evaluated here)
     import rzlab.scattering as scattering
     calls = []
 
-    def counted(s):
-        calls.append(s)
-        return real_s_matrix(s)
+    def counted(z):
+        calls.append(np.array(z))
+        return log_xi_array(z)
 
-    real_s_matrix = scattering.s_matrix
-    monkeypatch.setattr(scattering, "s_matrix", counted)
-    zero_to_jost_zero([T1])
-    assert calls == [complex(-0.25, 0.5 * T1)]
+    monkeypatch.setattr(scattering, "log_xi_array", counted)
+    monkeypatch.setattr(scattering, "log_xi", pytest.fail)
+    monkeypatch.setattr(scattering, "s_matrix", pytest.fail)
+    monkeypatch.setattr(scattering, "winding_number",
+                        lambda g, rects: [1] * len(rects))
+    ordinates = [T1, 15.0, 21.022039638771555]
+    checked = zero_to_jost_zero(ordinates)
+    assert [isinstance(fp, float) for fp in checked] == [True, False, True]
+    p = -0.25 + 0.5j * np.array(ordinates)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], np.stack((2.0 * p, 1.0 + 2.0 * p)))
+    # 15.0 is far from a zero: its |xi| fails the magnitude test
+    assert np.array_equal(calls[1], 1.0 + 2.0 * p[[0, 2]] + 1e-3)
 
 
 def test_every_jost_box_winds_once_with_the_zero_near_a_side():

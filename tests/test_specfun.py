@@ -300,6 +300,13 @@ def test_hankel1_subnormal_argument():
         for x in (1e-300, 1e-310, 5e-324):
             want = _mp_hankel1(nu, x)
             assert abs(hankel1(nu, x) - want) < 1e-12 * abs(want), (nu, x)
+    # beside x = 30 the array takes its step, and tiny x reads more
+    # than alone: the bounds hankel1's docstring gives for this array
+    xs = np.array([5e-324, 1e-300, 1e-6, 1.0, 30.0])
+    for nu, bound in ((2j, 3.7e-13), (2.2j, 4.1e-12), (3j, 5.5e-12)):
+        for x, v in zip(xs, hankel1(nu, xs)):
+            want = _mp_hankel1(nu, x)
+            assert abs(v - want) < bound * abs(want), (nu, x)
 
 
 def test_hankel1_overflow_is_range_error():
