@@ -64,7 +64,7 @@ def log_gamma(z):
         w = (_LOG_PI - _log_sin(math.pi * (z - n)) - 1j * math.pi * n
              - log_gamma(1.0 - z))
         return _normalize_phase(w)
-    return _normalize_phase(_stirling(z, cmath.log))
+    return _normalize_phase(_stirling(z))
 
 
 def _mod_tau(y, hi, lo):
@@ -80,16 +80,17 @@ def _mod_tau(y, hi, lo):
     return (p - n * _TAU_HI) + ((y - y_hi) * hi + y * lo - n * _TAU_LO)
 
 
-def _stirling(z, log, over_pi=False):
-    """log Gamma(z), with log = cmath.log or np.log to match; over_pi
-    takes i Im(z) log pi from it.  Stirling at w = z + n, Re w >= 12: n
-    = 12 - Re z rounded up for a number with Re z >= 1/2, and n = 11 for
-    an array, whose points z = s/2 + 1 from log_xi have Re z >= 1, so a
-    point reads the same value in any batch.  One log of q = prod (z + j)
-    / w for the shift: its n factors have modulus in [1/25, 1], so q
-    cannot overflow.  The large phase Im(w) (log|w| - 1), less Im(z) log
-    pi, is reduced mod 2 pi before it rounds."""
+def _stirling(z, over_pi=False):
+    """log Gamma(z) for a number z, by cmath and math, or an array z, by
+    numpy; over_pi takes i Im(z) log pi from it.  Stirling at w = z + n,
+    Re w >= 12: n = 12 - Re z rounded up for a number with Re z >= 1/2,
+    and n = 11 for an array, whose points z = s/2 + 1 from log_xi have
+    Re z >= 1, so a point reads the same value in any batch.  One log of
+    q = prod (z + j) / w for the shift: its n factors have modulus in
+    [1/25, 1], so q cannot overflow.  The large phase Im(w) (log|w| - 1),
+    less Im(z) log pi, is reduced mod 2 pi before it rounds."""
     array = isinstance(z, np.ndarray)
+    lib, log = (np, np.log) if array else (math, cmath.log)
     n = 11 if array else max(0, math.ceil(12.0 - z.real))
     w = z + n
     zi = 1.0 / w
@@ -100,13 +101,11 @@ def _stirling(z, log, over_pi=False):
     # log|w| = k log 2 + log m, with |w| = m 2^k and m in [sqrt(1/2),
     # sqrt(2)), is within 2e-16, and the high part of the factor of Im(w)
     # is exact
-    frexp, hypot, log1p = ((np.frexp, np.hypot, np.log1p) if array
-                           else (math.frexp, math.hypot, math.log1p))
-    m, k = frexp(hypot(w.real, w.imag))
+    m, k = lib.frexp(lib.hypot(w.real, w.imag))
     low = m * m < 0.5
     m, k = m + m * low, k - low
     phase = _mod_tau(w.imag, k * _LN2_HI - (1.0 + over_pi * _LOG_PI_HI),
-                     k * _LN2_LO - over_pi * _LOG_PI_LO + log1p(m - 1.0))
+                     k * _LN2_LO - over_pi * _LOG_PI_LO + lib.log1p(m - 1.0))
     res = ((w.real - 0.5) * (lw - 1.0) - w.imag * lw.imag + 1j * phase
            + _STIRLING_CONST - (n * lw + log(q)))
     z2 = zi * zi

@@ -54,11 +54,10 @@ def _em_terms(t):
 # log 1, log 2, ... for the Euler-Maclaurin sums of the window, whose
 # n = _em_terms(t) terms stay at or below _em_terms(T_MAX) = 88.
 _LOG_K = np.log(np.arange(1, int(_em_terms(T_MAX)), dtype=float))
-# log_xi_array passes zeta_em at most this many points times max(n, 44)
-# at once, so that its (points x (n-1)) terms and (points x 43)
-# correction factors stay below glibc's 128 KB mmap threshold: arrays
-# above it are mapped and page-faulted afresh on every call unless an
-# earlier large free has raised the threshold.
+# _zeta_em_batch keeps each zeta_em temporary, its (points x (n-1)) main
+# sum terms and (points x 43) correction factors, below this many complex
+# numbers, glibc's 128 KB mmap threshold: larger arrays are mapped and
+# page-faulted afresh on every call unless a large free has raised it.
 _CHUNK_TERMS = 2 ** 13
 _ANCHOR = 32  # log_xi_line's points per exponential row k^(-s)
 
@@ -188,31 +187,29 @@ def log_xi_array(s):
     point's Euler-Maclaurin sum is its own, whatever the batch.  The
     first point outside the window raises log_xi's RangeError."""
     s = np.asarray(s, dtype=complex)
-    return _log_xi(s.ravel(), _zeta_em_batch).reshape(s.shape)
+    return _log_xi(s.ravel()).reshape(s.shape)
 
 
 def log_xi_line(t0, dt, count):
     """log_xi_array at 1/2 + i (t0 + j dt), j < count, up to rounding."""
+    w = 0.5 + 1j * (t0 + dt * np.arange(count))
+    if not (np.abs(w.imag) <= T_MAX).all():  # before sums sized by |t|
+        return _log_xi(w)  # raises the array's RangeError
     table = np.exp(np.multiply.outer(-1j * dt * np.arange(_ANCHOR), _LOG_K))
-    chunk = _CHUNK_TERMS // (2 * len(_EM_TAIL))  # points per zeta_em call
-    def em(w):  # per run of one n: anchor rows k^(-s) times k^(-i m dt)
-        out = [w[:0]]  # an empty line concatenates too
-        for x in np.split(w, np.flatnonzero(np.diff(_em_terms(w.imag))) + 1):
-            n = int(_em_terms(np.abs(x.imag).max(initial=0.0)))
-            rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
-            a = _CHUNK_TERMS // _ANCHOR // (n - 1)  # anchors per product
-            part = np.split(rows, range(a, len(rows), a))
-            total = np.concatenate([(r[:, None] * table[:, :n - 1]).sum(-1)
-                                    for r in part]).ravel()
-            for b in range(0, len(x), chunk):
-                y = x[b:b + chunk]
-                out.append(zeta_em(y.real, y.imag, n, total[b:b + len(y)]))
-        return np.concatenate(out)
-    return _log_xi(0.5 + 1j * (t0 + dt * np.arange(count)), em)
+    sums = []  # per run of one n: anchor rows k^(-s) times k^(-i m dt)
+    for x in np.split(w, np.flatnonzero(np.diff(_em_terms(w.imag))) + 1):
+        n = int(_em_terms(np.abs(x.imag).max(initial=0.0)))
+        rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
+        a = _CHUNK_TERMS // _ANCHOR // (n - 1)  # anchors per product
+        part = np.split(rows, range(a, len(rows), a))
+        sums.append(np.concatenate([(r[:, None] * table[:, :n - 1]).sum(-1)
+                                    for r in part]).ravel()[:len(x)])
+    return _log_xi(w, np.concatenate(sums))
 
 
-def _log_xi(w, em):
-    """log_xi_array at the 1-d array w, with em(w) = zeta_em there."""
+def _log_xi(w, total=None):
+    """log_xi_array at the 1-d array w.  total, if given, holds the main
+    sums over k < n of points with Re w >= 0, for _zeta_em_batch."""
     re = w.real
     inside = (np.abs(w.imag) <= T_MAX) & (re >= SIGMA_MIN) & (re <= SIGMA_MAX)
     if not inside.all():
@@ -221,30 +218,33 @@ def _log_xi(w, em):
     if left.any():  # an all-right batch does not pay for the mapping
         w = np.where(left, 1.0 - w, w)
     h = 0.5 * w
-    return _stirling(h + 1.0, np.log, True) - h.real * _LOG_PI + np.log(em(w))
+    return (_stirling(h + 1.0, True) - h.real * _LOG_PI
+            + np.log(_zeta_em_batch(w, total)))
 
 
 def _one_call(count, t):
-    """Whether count points to |Im s| = t fit one of _zeta_em_batch's
-    chunks, so that a zero scan takes them as one log_xi_array call."""
+    """Whether count points to |Im s| = t fit one _zeta_em_batch chunk of
+    summed terms, so that a zero scan takes them as one log_xi_array call."""
     return count * max(int(_em_terms(t)), 2 * len(_EM_TAIL)) <= _CHUNK_TERMS
 
 
-def _zeta_em_batch(w):
+def _zeta_em_batch(w, total=None):
     """zeta_em, (w - 1) zeta(w), at every point of the 1-d array w, each
     at its own n = _em_terms(Im w), so that a point reads the same value
-    in any batch: one call per n, in chunks of _CHUNK_TERMS // max(n, 44)
-    points."""
+    in any batch; total, if given, holds their main sums over k < n.  One
+    call per n, on _CHUNK_TERMS // max(n, 44) points, or on 186 (// 44)
+    with total, as zeta_em then forms only its 43 correction factors."""
     terms = _em_terms(w.imag).astype(int)
     out = np.empty_like(w)
     # no n is above len(_LOG_K) + 1 = 88, so an empty batch takes none
     for n in range(terms.min(initial=len(_LOG_K) + 1),
                    terms.max(initial=20) + 1, 4):
         group = np.flatnonzero(terms == n)
-        chunk = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL))
+        chunk = _CHUNK_TERMS // max(n * (total is None), 2 * len(_EM_TAIL))
         for lo in range(0, len(group), chunk):
             j = group[lo:lo + chunk]
-            out[j] = zeta_em(w.real[j], w.imag[j], n)
+            out[j] = zeta_em(w.real[j], w.imag[j], n,
+                             None if total is None else total[j])
     return out
 
 

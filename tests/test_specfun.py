@@ -69,7 +69,7 @@ def _array_log_gamma(z):
     """log Gamma on an array by _stirling's array path (n = 11), its
     phase folded as log_gamma's is; the tests take Re z down to 1/2,
     below the Re z >= 1 of log_xi_array's points."""
-    return _normalize_phase(_stirling(z, np.log))
+    return _normalize_phase(_stirling(z))
 
 
 def test_log_gamma_array_matches_scalar():

@@ -245,12 +245,21 @@ def _mixed_points(count):
 
 
 def test_zeta_em_batch_is_bit_identical_alone_and_in_any_batch():
-    # every point is summed at its own n, whatever else is in its batch
+    # every point is summed at its own n, whatever else is in its batch,
+    # and closed from given main sums over k < n to the same value: each
+    # point's own, by zeta_em's formula (3000 crosses both chunk sizes,
+    # 186 points with the sums and 97 at n = 84 without)
     batch = rzlab.zeta._zeta_em_batch
     pts = _mixed_points(15535)
     alone = np.array([batch(pts[j:j + 1])[0] for j in range(len(pts))])
+    n = rzlab.zeta._em_terms(pts.imag).astype(int)
+    sums = np.array([np.exp(np.multiply.outer(-s, np.log(np.arange(1.0, m))))
+                     .sum(axis=-1) for s, m in zip(pts, n)])
     for size in (7, 100, 3000):
         got = np.concatenate([batch(pts[j:j + size])
+                              for j in range(0, len(pts), size)])
+        assert np.array_equal(got, alone), size
+        got = np.concatenate([batch(pts[j:j + size], sums[j:j + size])
                               for j in range(0, len(pts), size)])
         assert np.array_equal(got, alone), size
 
@@ -278,9 +287,9 @@ def test_zeta_em_main_sum_at_t_250_is_short(monkeypatch):
     # the former rule summed max(20, 2|t|) = 500 terms here
     seen = []
 
-    def spy(sigma, t, n):
+    def spy(sigma, t, n, total=None):
         seen.append(n)
-        return zeta_em(sigma, t, n)
+        return zeta_em(sigma, t, n, total)
 
     monkeypatch.setattr(rzlab.zeta, "zeta_em", spy)
     zeta(complex(0.5, 250.0))
@@ -451,7 +460,8 @@ def test_log_xi_array_batches_reflected_points(monkeypatch):
 
 
 def test_zeta_em_takes_the_main_sums_it_is_given():
-    # log_xi_line passes its own sums over k < n; these are zeta_em's
+    # _zeta_em_batch passes log_xi_line's sums over k < n; these are
+    # zeta_em's own
     s = 0.5 + 1j * np.linspace(0.0, 50.0, 7)
     total = np.exp(np.multiply.outer(-s, np.log(np.arange(1.0, 36.0))))
     assert np.array_equal(zeta_em(s.real, s.imag, 36, total.sum(-1)),
@@ -484,6 +494,10 @@ def test_log_xi_line_against_mpmath_as_the_array():
     (25.5, 0.01, 400),
     # t = 16 takes n = 24, its neighbour 16.1 n = 28
     (15.0, 0.1, 21),
+    # 201 points to t = 240 at n = 80, then a run of 599 at n = 84 in four
+    # zeta_em calls from given sums (seven of 97 if they were summed),
+    # clear of the zeros 239.56 and 241.05
+    (239.8, 0.001, 800),
     # the last point at T_MAX
     (252.0, 0.25, 33)])
 def test_log_xi_line_matches_the_array(t0, dt, count):
@@ -503,4 +517,16 @@ def test_log_xi_line_edges_of_the_window():
         log_xi_array(_line(252.0, 0.25, 34))
     with pytest.raises(RangeError) as line:
         log_xi_line(252.0, 0.25, 34)
+    assert str(line.value) == str(array.value)
+
+
+@pytest.mark.parametrize("t0", [1e6, float("nan")])
+def test_log_xi_line_far_outside_the_window(t0):
+    # the line checks the window before it builds its main sums, whose n
+    # grows with |t|: the array's RangeError, not a failed int(nan) or a
+    # chunk of 0 anchors
+    with pytest.raises(RangeError) as array:
+        log_xi_array(_line(t0, 0.1, 5))
+    with pytest.raises(RangeError) as line:
+        log_xi_line(t0, 0.1, 5)
     assert str(line.value) == str(array.value)
