@@ -192,7 +192,8 @@ def log_xi_array(s):
 
 def log_xi_line(t0, dt, count):
     """log_xi_array at 1/2 + i (t0 + j dt), j < count, up to rounding."""
-    w = 0.5 + 1j * (t0 + dt * np.arange(count))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf t: outside
+        w = 0.5 + 1j * (t0 + dt * np.arange(count))
     if not (np.abs(w.imag) <= T_MAX).all():  # before sums sized by |t|
         return _log_xi(w)  # raises the array's RangeError
     table = np.exp(np.multiply.outer(-1j * dt * np.arange(_ANCHOR), _LOG_K))
@@ -200,10 +201,8 @@ def log_xi_line(t0, dt, count):
     for x in np.split(w, np.flatnonzero(np.diff(_em_terms(w.imag))) + 1):
         n = int(_em_terms(np.abs(x.imag).max(initial=0.0)))
         rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
-        a = _CHUNK_TERMS // _ANCHOR // (n - 1)  # anchors per product
-        part = np.split(rows, range(a, len(rows), a))
-        sums.append(np.concatenate([(r[:, None] * table[:, :n - 1]).sum(-1)
-                                    for r in part]).ravel()[:len(x)])
+        sums.append(np.einsum("ak,mk->am", rows, table[:, :n - 1])
+                    .ravel()[:len(x)])
     return _log_xi(w, np.concatenate(sums))
 
 

@@ -212,6 +212,17 @@ def test_zeta_em_array_matches_scalar():
         assert abs(w - zeta_em(0.5, float(x), 61)) < 1e-14
 
 
+def test_zeta_em_above_the_window_terms():
+    # n above len(_LOG_K) + 1 = 88 takes its logs from np.log, not the
+    # table; more terms than the window needs agree with n = 88
+    t = np.array([0.0, 10.0, 100.0, 255.0])
+    for n in (100, 120):
+        for got, want in ((zeta_em(0.5, t, n), zeta_em(0.5, t, 88)),
+                          ([zeta_em(0.5, x, n) for x in t],
+                           [zeta_em(0.5, x, 88) for x in t])):
+            assert np.max(np.abs(np.divide(got, want) - 1.0)) < 1e-13
+
+
 def test_log_xi_array_matches_scalar_across_n_groups():
     # off the critical line, both signs of t, every n from 20 to 88
     rng = np.random.default_rng(5)
@@ -520,13 +531,21 @@ def test_log_xi_line_edges_of_the_window():
     assert str(line.value) == str(array.value)
 
 
-@pytest.mark.parametrize("t0", [1e6, float("nan")])
-def test_log_xi_line_far_outside_the_window(t0):
+@pytest.mark.parametrize("t0,dt,count", [
+    pytest.param(1e6, 0.1, 5, id="1000000.0"),
+    pytest.param(float("nan"), 0.1, 5, id="nan"),
+    # grids of inf * 0, 1j * inf and 1e308 * 2: NaN and infinite
+    # ordinates, which the line forms with no RuntimeWarning
+    pytest.param(0.0, float("inf"), 5, id="dt=inf"),
+    pytest.param(float("inf"), 0.1, 3, id="inf"),
+    pytest.param(0.0, 1e308, 3, id="dt=1e308")])
+def test_log_xi_line_far_outside_the_window(t0, dt, count):
     # the line checks the window before it builds its main sums, whose n
-    # grows with |t|: the array's RangeError, not a failed int(nan) or a
-    # chunk of 0 anchors
+    # grows with |t|: the array's RangeError, not a failed int(nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = _line(t0, dt, count)
     with pytest.raises(RangeError) as array:
-        log_xi_array(_line(t0, 0.1, 5))
+        log_xi_array(pts)
     with pytest.raises(RangeError) as line:
-        log_xi_line(t0, 0.1, 5)
+        log_xi_line(t0, dt, count)
     assert str(line.value) == str(array.value)
