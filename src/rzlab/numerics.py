@@ -90,14 +90,14 @@ def integrate_adaptive(f, a, b, tol):
                      "(error %.3g > tol %.3g)" % (MAX_GRID_POINTS, err, tol))
 
 
-# A spread round of find_root_bracketed samples 5 points evenly inside
-# each bracket: with its ends, 7 nodes on [-1, 1].  Row i of _BASIS holds
+# A spread round of find_root_bracketed samples 7 points evenly inside
+# each bracket: with its ends, 9 nodes on [-1, 1].  Row i of _BASIS holds
 # the coefficients, in increasing _POWERS, of the Lagrange polynomial of
 # node i, and _FIT takes values at the nodes to the coefficients of the
 # polynomial p through them and of p'.  Both are built and applied
 # without BLAS, whose first call adds about 0.5 MB of resident memory.
-_NODES = np.linspace(-1.0, 1.0, 7)
-_POWERS = np.arange(7.0)
+_NODES = np.linspace(-1.0, 1.0, 9)
+_POWERS = np.arange(9.0)
 _BASIS = np.array([np.poly(np.delete(_NODES, i))[::-1]
                    / np.prod(u - np.delete(_NODES, i))
                    for i, u in enumerate(_NODES)])
@@ -113,17 +113,17 @@ def find_root_bracketed(f, lo, hi, tol, f_lo, f_hi):
     return the refined points and f there, each value from the round
     that evaluated its point.
 
-    Rounds alternate.  A spread round samples 5 points evenly inside
+    Rounds alternate.  A spread round samples 7 points evenly inside
     each bracket, which keeps the neighbouring samples across which f
-    changes sign; Newton's method on the polynomial through the 7, from
+    changes sign; Newton's method on the polynomial through the 9, from
     the secant root of that pair, estimates the root x.  A certifying
     round samples x and x -+ d, d = max(tol/2, 2 eps |x|), or the
     quarters of a bracket narrower than 4 d.  A bracket closes once f is
     0 at an end or it is tol (or 4 eps max(|lo|, |hi|)) wide; its end
-    with the smaller |f| is the result.  Brackets a tenth of a smooth
-    f's scale wide, as the zero scan's are, close in one round of each
-    kind.  A bracket without a sign change raises PreconditionError
-    before any call.
+    with the smaller |f| is the result.  Brackets up to half a smooth
+    f's scale wide (sin's on brackets 0.5 wide), as the zero scan's are,
+    close in one round of each kind.  A bracket without a sign change
+    raises PreconditionError before any call.
     """
     if not tol > 0.0:
         raise PreconditionError("tol must be positive")

@@ -14,8 +14,8 @@ from .errors import PreconditionError
 from .numerics import find_root_bracketed, real_sign, winding_number
 from .zeta import T_MAX, _one_call, log_xi_array, log_xi_line
 
-# find_zeros' grid spacing (at most 2,600 intervals) and bracket width
-STEP = 0.1
+# find_zeros' grid spacing (at most 867 intervals) and bracket width
+STEP = 0.3
 TOL = 1e-10
 
 

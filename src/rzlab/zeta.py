@@ -187,6 +187,8 @@ def log_xi_array(s):
     point's Euler-Maclaurin sum is its own, whatever the batch.  The
     first point outside the window raises log_xi's RangeError."""
     s = np.asarray(s, dtype=complex)
+    if not s.size:  # no fixed numpy work for an empty batch
+        return np.empty(s.shape, complex)
     return _log_xi(s.ravel()).reshape(s.shape)
 
 

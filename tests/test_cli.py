@@ -1055,16 +1055,16 @@ def test_readme_commands_import_no_scipy():
 # and points of log_xi_array and of log_xi_line, and calls of zeta_em.
 # A change that moves a count updates this table and says why.
 XI_LEDGER = {
-    "zeros --t-min 0 --t-max 30": (0, 4, 105, 1, 299, 11),
+    "zeros --t-min 0 --t-max 30": (0, 4, 210, 0, 0, 10),
     "smatrix eval --re 0 --im 0": (2, 0, 0, 0, 0, 2),
     "smatrix scan --tau-max 50 --step 0.1": (0, 1, 1002, 0, 0, 8),
     # no scalar log_xi: log xi at every 2p and 1 + 2p in one batch, the
     # pole flag's points in one more, and the catalog scan's four
-    "smatrix correspondence --num-zeros 10": (0, 6, 840, 1, 561, 28),
+    "smatrix correspondence --num-zeros 10": (0, 6, 862, 1, 187, 28),
     "quantum kmoment --nu 0.5": (0, 0, 0, 0, 0, 0),
     "quantum jost-verify --lambda 2 --k 1": (0, 0, 0, 0, 0, 0),
     "quantum khuri --lambda -5": (0, 0, 0, 0, 0, 0),
-    "hadamard --num-zeros 100 --at 2": (2, 3, 810, 1, 2394, 49),
+    "hadamard --num-zeros 100 --at 2": (2, 3, 1012, 1, 798, 49),
     "dispersion roundtrip --model rational --half-width 50 --nodes 4001":
         (0, 0, 0, 0, 0, 0),
 }

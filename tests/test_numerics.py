@@ -94,20 +94,20 @@ def test_root_bracketed_cosine():
     assert abs(r[0] - 0.5 * math.pi) <= 1e-12
     assert abs(fr[0]) <= 1e-12
     # a spread round and a certifying one, twice over
-    assert [len(x) for x in calls] == [5, 3, 5, 3]
+    assert [len(x) for x in calls] == [7, 3, 7, 3]
 
 
 def test_root_bracketed_many_brackets_few_rounds():
     # 200 roots of sin, each in a bracket a tenth wide: a spread round of
-    # 5 points per bracket and a certifying round of 3, one call each
+    # 7 points per bracket and a certifying round of 3, one call each
     k = np.arange(1, 201)
     lo = k * math.pi - 0.037
     f, calls = _counted(np.sin)
     r, fr = find_root_bracketed(f, lo, lo + 0.1, 1e-12, np.sin(lo),
                                 np.sin(lo + 0.1))
     assert np.all(np.abs(r - k * math.pi) <= 1e-12)
-    assert [len(x) for x in calls] == [1000, 600]
-    # brackets half a scale wide take a second pair of rounds
+    assert [len(x) for x in calls] == [1400, 600]
+    # brackets half a scale wide take at most a second pair of rounds
     f, calls = _counted(np.sin)
     r, fr = find_root_bracketed(f, lo, lo + 0.5, 1e-12, np.sin(lo),
                                 np.sin(lo + 0.5))
@@ -140,7 +140,7 @@ def test_root_bracketed_zero_end_value_returns_that_end():
     assert list(r[:2]) == [1.5, 1.5] and list(fr[:2]) == [0.0, 0.0]
     assert r[2] == 1.5
     # the closed brackets add no points to the rounds
-    assert all(len(x) % 5 == 0 or len(x) == 3 for x in calls)
+    assert all(len(x) % 7 == 0 or len(x) == 3 for x in calls)
 
 
 def test_root_bracketed_tol_finer_than_float_spacing():
@@ -152,7 +152,7 @@ def test_root_bracketed_tol_finer_than_float_spacing():
                                 np.log([1e5 / root]),
                                 np.log([(1e5 + 1.0) / root]))
     assert abs(r[0] - root) <= 4 * np.spacing(root)
-    assert [len(x) for x in calls] == [5, 3]
+    assert [len(x) for x in calls] == [7, 3]
 
 
 @pytest.mark.parametrize("fn,lo,hi", [

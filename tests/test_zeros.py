@@ -207,14 +207,14 @@ def table():
 def test_catalog_matches_the_zero_table(ordinates_to_260, table):
     # the certified estimate is within the rounding of xi itself: on a
     # 2-core x86-64 host with AVX-512 (numpy 2.4) the 114 ordinates lie
-    # within 3.69e-13 of the table (zero 107), median 2.8e-14
+    # within 2.84e-13 of the table (zero 109), median 1.4e-14
     assert len(ordinates_to_260) == 114
     assert np.max(np.abs(ordinates_to_260 - table[:114])) <= 1e-12
 
 
 def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
-    # the scan's two ends in one batch, its 2,499 interior points on one
-    # line, then two refinement rounds over all 108 brackets, 5 and 3
+    # the scan's two ends in one batch, its 833 interior points on one
+    # line, then two refinement rounds over all 108 brackets, 7 and 3
     # points each; no point goes through the scalar log_xi
     calls, scalar = [], []
     log_xi = rzlab.zeta.log_xi
@@ -236,17 +236,33 @@ def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
     monkeypatch.setattr(rzlab.zeros, "log_xi_line", counted_line)
     monkeypatch.setattr(rzlab.zeta, "log_xi", scalar_log_xi)
     assert len(find_zeros(0.0, 250.0)[0]) == 108
-    assert calls == [("array", 2), ("line", 2499), ("array", 5 * 108),
+    assert calls == [("array", 2), ("line", 833), ("array", 7 * 108),
                      ("array", 3 * 108)]
-    # a grid that fits one zeta_em chunk takes one log_xi_array call: 101
-    # points at n = 48 do, 101 points at n = 88 do not and take the line
+    # a grid that fits one zeta_em chunk takes one log_xi_array call: 35
+    # points at n = 48 do, 135 points at n = 88 (93 would) do not and
+    # take the line, its last grid point at T_MAX
     del calls[:]
     assert len(find_zeros(100.0, 110.0)[0]) == 4
-    assert calls[0] == ("array", 101)
+    assert calls[0] == ("array", 35)
     del calls[:]
-    assert len(find_zeros(250.0, T_MAX)[0]) == 6
-    assert calls[:2] == [("array", 2), ("line", 99)]
+    assert len(find_zeros(220.0, T_MAX)[0]) == 24
+    assert calls[:2] == [("array", 2), ("line", 133)]
     assert scalar == []
+
+
+def test_step_splits_the_closest_zeros_and_a_catalog_takes_two_rounds(
+        table, monkeypatch):
+    # STEP stays below half the smallest gap between zeros below T_MAX
+    # (0.716, between t_91 and t_92), so no grid interval holds two of
+    # them; after the scan's two ends, every bracket of the full catalog
+    # closes in one spread round and one certifying round, one call each
+    assert STEP < 0.5 * np.diff(table[table < T_MAX]).min()
+    calls = []
+    monkeypatch.setattr(rzlab.zeros, "log_xi_array",
+                        lambda z: calls.append(np.size(z))
+                        or log_xi_array(z))
+    assert len(find_zeros(0.0, T_MAX)[0]) == 114
+    assert calls == [2, 7 * 114, 3 * 114]
 
 
 def _interior(lo, hi):

@@ -294,6 +294,18 @@ def test_log_xi_array_is_bit_identical_alone_and_in_any_batch():
         assert np.array_equal(got, alone), size
 
 
+def test_log_xi_array_empty_batch_does_no_work(monkeypatch):
+    # the S-matrix's zero and pole flags hand log_xi_array their near
+    # points, often none
+    def refuse(*args):
+        raise AssertionError("xi work on an empty batch")
+    monkeypatch.setattr(rzlab.zeta, "_stirling", refuse)
+    monkeypatch.setattr(rzlab.zeta, "zeta_em", refuse)
+    for shape in [(0,), (2, 0)]:
+        got = log_xi_array(np.empty(shape, complex))
+        assert got.shape == shape and got.dtype == complex
+
+
 def test_zeta_em_main_sum_at_t_250_is_short(monkeypatch):
     # the former rule summed max(20, 2|t|) = 500 terms here
     seen = []
@@ -484,15 +496,15 @@ def _line(t0, dt, count):
 
 
 def test_log_xi_line_against_mpmath_as_the_array():
-    # every other interior point of find_zeros(0, 250)'s grid: the zeta
-    # that the line implies stays within 1.5 times the array's worst and
-    # median errors against mpmath at 30 digits
-    pts = _line(0.1, 0.1, 2499)[::2]
+    # every interior point of find_zeros(0, 250)'s grid: the zeta that
+    # the line implies stays within 1.5 times the array's worst and median
+    # errors against mpmath at 30 digits
+    h = 250.0 / 834
+    pts = _line(h, h, 833)
     zetas, prefactors = map(np.array, zip(*(_mp_zeta_and_prefactor(s, 30)
                                             for s in pts)))
     errors = [np.abs(np.exp(lx - prefactors) - zetas)
-              for lx in (log_xi_line(0.1, 0.1, 2499)[::2],
-                         log_xi_array(pts))]
+              for lx in (log_xi_line(h, h, 833), log_xi_array(pts))]
     for stat in (np.max, np.median):
         assert stat(errors[0]) <= 1.5 * stat(errors[1])
 
