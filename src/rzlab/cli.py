@@ -312,7 +312,7 @@ def cmd_hadamard(args):
     ordinates = _first_zeros(args.num_zeros)
     checkpoints = sorted({n for n in (10, 25, 50, 100, args.num_zeros)
                           if n <= args.num_zeros})
-    profile = convergence_profile(at, checkpoints, ordinates)
+    profile = convergence_profile(at, checkpoints, ordinates, log_xi_at)
     rows = [{"n": n, "residual": r} for n, r in zip(checkpoints, profile)]
     decreasing = all(r2 < r1 or max(r1, r2) <= RESIDUAL_FLOOR
                      for r1, r2 in zip(profile, profile[1:]))

@@ -1,17 +1,16 @@
 """Truncated Hadamard factorization of xi from a catalog of
-critical-line ordinates, with convergence diagnostics against direct
-evaluation.
+critical-line ordinates, with convergence diagnostics against log xi.
 
 Each ordinate t contributes the conjugate pair of zeros 1/2 +- i t; the
 pair's genus-one convergence factors are kept and grouped before
 exponentiation so real arguments give real values.
 """
 
-import cmath
 import math
 
+import numpy as np
+
 from .errors import PreconditionError
-from .zeta import xi
 
 EULER_GAMMA = 0.5772156649015329
 # A residual at or below this is xi's own rounding: the largest bound on
@@ -28,37 +27,38 @@ def fit_constants():
     return a, b
 
 
-def hadamard_partial(ordinates, z, n):
-    """Partial Hadamard product over the first n ordinates, with A and B
-    from fit_constants:
-    e^A e^{Bz} prod (1 - z/rho)(1 - z/conj rho) e^{z(1/rho + 1/conj rho)}.
-
-    Returns exactly 0 when z coincides with a catalog zero (relative
-    tolerance 1e-12); that is a value, not an error.
-    """
+def _log_partials(ordinates, z, n):
+    """log P_N(z) for N = 0 .. n, one running sum over the first n pairs
+    of log((1 - z/rho)(1 - z/conj rho)) + z (1/rho + 1/conj rho) from A +
+    Bz; None where z is one of their zeros (relative tolerance 1e-12)."""
     if n > len(ordinates):
         raise PreconditionError("n exceeds catalog size")
-    z = complex(z)
+    rho = 0.5 + 1j * np.asarray(ordinates[:n], dtype=float)
+    # the nearer to z of rho and conj rho lies on z's side of the axis
+    if np.any(abs(complex(z.real, abs(z.imag)) - rho) < 1e-12 * abs(rho)):
+        return None
+    # 1/rho + 1/conj rho = 2 Re rho / |rho|^2, exactly real
+    pairs = np.log((1 - z / rho) * (1 - z / rho.conj())) + z / abs(rho) ** 2
     a, b = fit_constants()
-    log_total = a + b * z
-    total_pairs = 0j
-    for t in ordinates[:n]:
-        rho = complex(0.5, t)
-        rho_bar = rho.conjugate()
-        if abs(z - rho) < 1e-12 * abs(rho) or abs(z - rho_bar) < 1e-12 * abs(rho):
-            return 0j
-        pair = (1.0 - z / rho) * (1.0 - z / rho_bar)
-        # 1/rho + 1/conj rho = 2 Re rho / |rho|^2, exactly real
-        total_pairs += cmath.log(pair) + z * (1.0 / (rho.real * rho.real
-                                                     + rho.imag * rho.imag))
-    value = cmath.exp(log_total + total_pairs)
-    if z.imag == 0.0:
-        return complex(value.real, 0.0)
-    return value
+    return np.cumsum(np.append(a + b * z, pairs))
 
 
-def convergence_profile(z, n_list, ordinates):
-    """Relative residual |P_N(z) - xi(z)| / |xi(z)| for each N."""
-    target = xi(complex(z))
-    return [abs(hadamard_partial(ordinates, z, n) - target) / abs(target)
-            for n in n_list]
+def hadamard_partial(ordinates, z, n):
+    """Partial Hadamard product over the first n ordinates,
+    e^A e^{Bz} prod (1 - z/rho)(1 - z/conj rho) e^{z(1/rho + 1/conj rho)}
+    with A and B from fit_constants; exactly 0, a value and not an error,
+    when z is a catalog zero (relative tolerance 1e-12)."""
+    z = complex(z)
+    logs = _log_partials(ordinates, z, n)
+    value = 0j if logs is None else complex(np.exp(logs[n]))
+    return complex(value.real, 0.0) if z.imag == 0.0 else value
+
+
+def convergence_profile(z, n_list, ordinates, log_xi_z):
+    """|P_N(z) / xi(z) - 1| = |expm1(log P_N(z) - log xi(z))| for each N,
+    from one pass and the caller's log xi(z); 1 for every N where z is a
+    zero of the pairs taken, which the hadamard mode refuses first."""
+    logs = _log_partials(ordinates, complex(z), max(n_list))
+    if logs is None:
+        return [1.0] * len(n_list)
+    return np.abs(np.expm1(logs[n_list] - log_xi_z)).tolist()

@@ -248,8 +248,9 @@ BAD_INPUTS = [
      "Re s = -6.0 outside supported window (|Re s| <= 5)"),
     (("smatrix", "eval", "--im", "131"), EXIT_DOMAIN,
      "|Im s| = 131.0 outside supported window (<= 130)"),
-    # the Hadamard residual is relative to xi, which past about --at 433
-    # overflows a float; no catalog is scanned for it
+    # past about --at 433 xi overflows a float; the residual, taken in
+    # log form, would read 1.0 at every checkpoint there, and the point
+    # is refused before any catalog is scanned
     (("hadamard", "--num-zeros", "10", "--at", "500"), EXIT_DOMAIN,
      "xi overflows a float at --at 500.0 --at-im 0.0"),
 ]
@@ -379,7 +380,7 @@ def _fail_each(exc):
      _fail_each(VerificationError("forced")),
      ["smatrix", "correspondence", "--num-zeros", "1"]),
     ("hadamard", "convergence_profile",
-     lambda at, checkpoints, ordinates: [1.0] * len(checkpoints),
+     lambda at, checkpoints, ordinates, log_xi_at: [1.0] * len(checkpoints),
      ["hadamard", "--num-zeros", "25"]),
 ])
 def test_cross_check_verdict_exit_3_writes_a_report(
@@ -1064,7 +1065,7 @@ XI_LEDGER = {
     "quantum kmoment --nu 0.5": (0, 0, 0, 0, 0, 0),
     "quantum jost-verify --lambda 2 --k 1": (0, 0, 0, 0, 0, 0),
     "quantum khuri --lambda -5": (0, 0, 0, 0, 0, 0),
-    "hadamard --num-zeros 100 --at 2": (2, 3, 1012, 1, 798, 49),
+    "hadamard --num-zeros 100 --at 2": (1, 3, 1012, 1, 798, 48),
     "dispersion roundtrip --model rational --half-width 50 --nodes 4001":
         (0, 0, 0, 0, 0, 0),
 }
@@ -1152,8 +1153,8 @@ def test_hadamard_exact_product_is_not_a_failure(capsys):
 
 def test_hadamard_xi_overflow_is_refused_before_the_catalog(monkeypatch,
                                                             capsys):
-    # log xi(433.0904904706722) is the last below log(float max): xi
-    # and the residual stay finite there, one ulp above they would not
+    # log xi(433.0904904706722) is the last below log(float max): it is
+    # accepted, with the profile [1.0], and one ulp above is refused
     code, out, _ = run(capsys, "hadamard", "--num-zeros", "10", "--at",
                        "433.0904904706722", "--deterministic")
     assert code == EXIT_OK
@@ -1172,7 +1173,7 @@ def test_hadamard_profile_rising_above_the_floor_exits_3(
         monkeypatch, capsys, scale, expected):
     floor = rzlab.hadamard.RESIDUAL_FLOOR
     monkeypatch.setattr(rzlab.hadamard, "convergence_profile",
-                        lambda at, checkpoints, ordinates:
+                        lambda at, checkpoints, ordinates, log_xi_at:
                         [floor * f for f in scale])
     code, out, _ = run(capsys, "hadamard", "--num-zeros", "25",
                        "--deterministic")

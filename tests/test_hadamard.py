@@ -1,12 +1,14 @@
+import cmath
 import math
 
 import mpmath
 import pytest
 
+from rzlab.cli import _first_zeros
 from rzlab.errors import PreconditionError
 from rzlab.hadamard import convergence_profile, fit_constants, hadamard_partial
 from rzlab.zeros import find_zeros
-from rzlab.zeta import xi
+from rzlab.zeta import log_xi, xi
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +45,45 @@ def test_partial_product_converges_on_real_axis(ordinates):
 
 def test_partial_product_converges_off_axis(ordinates):
     z = complex(0.5, 5.0)
-    prof = convergence_profile(z, [5, 15, len(ordinates)], ordinates)
+    prof = convergence_profile(z, [5, 15, len(ordinates)], ordinates,
+                               log_xi(z))
     assert all(b < a for a, b in zip(prof, prof[1:]))
+
+
+@pytest.mark.parametrize("z", [2.0, -3.0, complex(0.5, 5.0),
+                               complex(30.0, 20.0), 433.0904904706722])
+def test_convergence_profile_against_mpmath(z):
+    # referee: |P_N(z) / xi(z) - 1| at 30 digits on the same ordinates,
+    # P_N built factor by factor and xi(s) = s (s - 1)/2 pi^{-s/2}
+    # Gamma(s/2) zeta(s), at the checkpoints the hadamard mode takes for
+    # 100 zeros; 433.09... is the last real point the mode accepts
+    checkpoints = [10, 25, 50, 100]
+    ordinates = _first_zeros(100)
+    profile = convergence_profile(z, checkpoints, ordinates, log_xi(z))
+    expected = []
+    with mpmath.workdps(30):
+        s = mpmath.mpmathify(z)
+        target = (s * (s - 1) / 2 * mpmath.pi ** (-s / 2)
+                  * mpmath.gamma(s / 2) * mpmath.zeta(s))
+        product = mpmath.exp(mpmath.log(0.5) + s * (
+            -mpmath.euler / 2 - 1 + mpmath.log(4 * mpmath.pi) / 2))
+        for n, t in enumerate(ordinates, 1):
+            rho = mpmath.mpc(0.5, t)
+            product *= ((1 - s / rho) * (1 - s / mpmath.conj(rho))
+                        * mpmath.exp(s / abs(rho) ** 2))
+            if n in checkpoints:
+                expected.append(float(abs(product / target - 1)))
+    assert len(profile) == len(expected) == len(checkpoints)
+    for got, want in zip(profile, expected):
+        assert abs(got - want) <= 1e-10 * want, (z, got, want)
+
+
+@pytest.mark.parametrize("z", [2.0, complex(0.5, 5.0), complex(-3.0, 1.0)])
+def test_partial_product_of_no_pairs_is_exp_a_plus_bz(ordinates, z):
+    a, b = fit_constants()
+    value = hadamard_partial(ordinates, z, 0)
+    assert abs(value - cmath.exp(a + b * z)) <= 1e-15 * abs(value)
+    assert isinstance(z, complex) or value.imag == 0.0
 
 
 def test_exact_zero_at_catalog_points(ordinates):
