@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .numerics import find_root_bracketed, real_sign, winding_number
-from .zeta import T_MAX, _one_call, log_xi_array, log_xi_line
+from .zeta import T_MAX, log_xi_array, log_xi_line
 
 # find_zeros' grid spacing (at most 867 intervals) and bracket width
 STEP = 0.3
@@ -45,13 +45,7 @@ def find_zeros(t_min, t_max):
     grid = np.concatenate(([t_min], t_min + h + h * np.arange(n - 1), [t_max]))
     # no grid point lands on a zero: at the floats next to each zero below
     # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
-    if _one_call(n + 1, t_max):
-        lx = log_xi_array(0.5 + 1j * grid)
-    else:  # the ends as the contour's mirror ends read them, not the line
-        ends = log_xi_array(0.5 + 1j * grid[[0, -1]])
-        lx = np.concatenate((ends[:1], log_xi_line(t_min + h, h, n - 1),
-                             ends[1:]))
-    f_grid = _signed_scaled(grid, lx)
+    f_grid = _signed_scaled(grid, log_xi_line(grid))
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
     t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], TOL,
                                 f_lo=f_grid[j], f_hi=f_grid[j + 1])

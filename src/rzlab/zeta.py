@@ -192,20 +192,33 @@ def log_xi_array(s):
     return _log_xi(s.ravel()).reshape(s.shape)
 
 
-def log_xi_line(t0, dt, count):
-    """log_xi_array at 1/2 + i (t0 + j dt), j < count, up to rounding."""
+def log_xi_line(t):
+    """log_xi_array at 1/2 + i t for a zero scan's uniform grid t, in one
+    batch: exactly where the grid fits one _zeta_em_batch chunk, and at
+    a longer grid's two ends; up to rounding on its interior, whose main
+    sums are taken along the line (Odlyzko and Schonhage, 1988), k^(-s)
+    at every _ANCHOR-th point times k^(-i m dt), dt the mean step."""
     with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf t: outside
-        w = 0.5 + 1j * (t0 + dt * np.arange(count))
-    if not (np.abs(w.imag) <= T_MAX).all():  # before sums sized by |t|
-        return _log_xi(w)  # raises the array's RangeError
-    table = np.exp(np.multiply.outer(-1j * dt * np.arange(_ANCHOR), _LOG_K))
+        w = 0.5 + 1j * np.asarray(t, dtype=float)
+    top = np.abs(w.imag).max(initial=0.0)
+    if not top <= T_MAX or (len(w) * max(_em_terms(top), 2 * len(_EM_TAIL))
+                            <= _CHUNK_TERMS):
+        return _log_xi(w)  # one plain batch, or the array's RangeError
+    t = w.imag
+    terms = _em_terms(t).astype(int)
+    table = np.exp(np.multiply.outer(
+        -1j * ((t[-1] - t[0]) / (len(t) - 1)) * np.arange(_ANCHOR), _LOG_K))
     sums = []  # per run of one n: anchor rows k^(-s) times k^(-i m dt)
-    for x in np.split(w, np.flatnonzero(np.diff(_em_terms(w.imag))) + 1):
-        n = int(_em_terms(np.abs(x.imag).max(initial=0.0)))
+    for x in np.split(w[1:-1], np.flatnonzero(np.diff(terms[1:-1])) + 1):
+        n = int(_em_terms(x.imag[0]))
         rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
         sums.append(np.einsum("ak,mk->am", rows, table[:, :n - 1])
                     .ravel()[:len(x)])
-    return _log_xi(w, np.concatenate(sums))
+    # the ends summed as log_xi_array sums them, so that a zero scan's
+    # ends read what the zeros contour reads at its corners on the line
+    first, last = (np.exp(-w[j] * _LOG_K[:terms[j] - 1]).sum(keepdims=True)
+                   for j in (0, -1))
+    return _log_xi(w, np.concatenate([first] + sums + [last]))
 
 
 def _log_xi(w, total=None):
@@ -221,12 +234,6 @@ def _log_xi(w, total=None):
     h = 0.5 * w
     return (_stirling(h + 1.0, True) - h.real * _LOG_PI
             + np.log(_zeta_em_batch(w, total)))
-
-
-def _one_call(count, t):
-    """Whether count points to |Im s| = t fit one _zeta_em_batch chunk of
-    summed terms, so that a zero scan takes them as one log_xi_array call."""
-    return count * max(int(_em_terms(t)), 2 * len(_EM_TAIL)) <= _CHUNK_TERMS
 
 
 def _zeta_em_batch(w, total=None):
@@ -247,12 +254,6 @@ def _zeta_em_batch(w, total=None):
             out[j] = zeta_em(w.real[j], w.imag[j], n,
                              None if total is None else total[j])
     return out
-
-
-def xi(s):
-    """Completed xi function as a complex number, exp(log_xi(s)).
-    Callers whose values may under- or overflow take log_xi itself."""
-    return cmath.exp(log_xi(s))
 
 
 def xi_symmetry_residual(s):

@@ -23,7 +23,7 @@ from rzlab.scattering import (coupling_at_zero, log_s_matrix, s_matrix,
                               zero_to_jost_zero)
 from rzlab.specfun import log_gamma
 from rzlab.zeros import count_zeros_rectangle, find_zeros
-from rzlab.zeta import log_xi, xi, xi_symmetry_residual, zeta, zeta_em
+from rzlab.zeta import log_xi, xi_symmetry_residual, zeta, zeta_em
 
 # Criterion 4's companion checks: each is about 1e-13 on this library,
 # and one side scaled by 1 + 1e-9 moves it a hundred times past this.
@@ -202,8 +202,9 @@ def test_criterion_10_hadamard_truncation():
     zeros, _ = find_zeros(0.0, 237.0)  # the first 100 ordinates
     assert len(zeros) >= 100
     ordinates = zeros[:100].tolist()
-    assert abs(math.exp(fit_constants()[0].real) - abs(xi(0.0))) < 1e-8
-    target = xi(2.0)
+    assert abs(math.exp(fit_constants()[0].real)
+               - abs(cmath.exp(log_xi(0.0)))) < 1e-8
+    target = cmath.exp(log_xi(2.0))
     residuals = [abs(hadamard_partial(ordinates, 2.0, n) - target)
                  for n in (10, 50, 100)]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))

@@ -8,7 +8,7 @@ from rzlab.cli import _first_zeros
 from rzlab.errors import PreconditionError
 from rzlab.hadamard import convergence_profile, fit_constants, hadamard_partial
 from rzlab.zeros import find_zeros
-from rzlab.zeta import log_xi, xi
+from rzlab.zeta import log_xi
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_fit_constants_b_matches_log_xi_derivative():
 
 def test_partial_product_converges_on_real_axis(ordinates):
     n_max = len(ordinates)
-    target = xi(2.0)
+    target = cmath.exp(log_xi(2.0))
     residuals = [abs(hadamard_partial(ordinates, 2.0, n) - target)
                  / abs(target) for n in (5, 10, 20, n_max)]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))

@@ -213,20 +213,26 @@ def test_catalog_matches_the_zero_table(ordinates_to_260, table):
 
 
 def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
-    # the scan's two ends in one batch, its 833 interior points on one
-    # line, then two refinement rounds over all 108 brackets, 7 and 3
-    # points each; no point goes through the scalar log_xi
+    # the scan's 835 grid points in one log_xi_line call and one xi batch,
+    # the 833 interior ones summed along the line and its two ends as the
+    # array sums them, then two refinement rounds over all 108 brackets,
+    # 7 and 3 points each; no point goes through the scalar log_xi
     calls, scalar = [], []
     log_xi = rzlab.zeta.log_xi
     log_xi_line = rzlab.zeta.log_xi_line
+    batch = rzlab.zeta._log_xi
 
     def counted(z):
         calls.append(("array", np.size(z)))
         return log_xi_array(z)
 
-    def counted_line(t0, dt, count):
-        calls.append(("line", count))
-        return log_xi_line(t0, dt, count)
+    def counted_line(t):
+        calls.append(("line", len(t)))
+        return log_xi_line(t)
+
+    def counted_batch(w, total=None):
+        calls.append(("batch", len(w), total is not None))
+        return batch(w, total)
 
     def scalar_log_xi(s):
         scalar.append(s)
@@ -234,19 +240,21 @@ def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
 
     monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
     monkeypatch.setattr(rzlab.zeros, "log_xi_line", counted_line)
+    monkeypatch.setattr(rzlab.zeta, "_log_xi", counted_batch)
     monkeypatch.setattr(rzlab.zeta, "log_xi", scalar_log_xi)
     assert len(find_zeros(0.0, 250.0)[0]) == 108
-    assert calls == [("array", 2), ("line", 833), ("array", 7 * 108),
-                     ("array", 3 * 108)]
-    # a grid that fits one zeta_em chunk takes one log_xi_array call: 35
-    # points at n = 48 do, 135 points at n = 88 (93 would) do not and
-    # take the line, its last grid point at T_MAX
+    assert calls == [("line", 835), ("batch", 835, True),
+                     ("array", 7 * 108), ("batch", 7 * 108, False),
+                     ("array", 3 * 108), ("batch", 3 * 108, False)]
+    # a grid that fits one zeta_em chunk is one plain batch: 35 points at
+    # n = 48 are, 135 points at n = 88 (93 would be) are not and take the
+    # line's sums, the last grid point at T_MAX
     del calls[:]
     assert len(find_zeros(100.0, 110.0)[0]) == 4
-    assert calls[0] == ("array", 35)
+    assert calls[:2] == [("line", 35), ("batch", 35, False)]
     del calls[:]
     assert len(find_zeros(220.0, T_MAX)[0]) == 24
-    assert calls[:2] == [("array", 2), ("line", 133)]
+    assert calls[:2] == [("line", 135), ("batch", 135, True)]
     assert scalar == []
 
 
@@ -254,7 +262,7 @@ def test_step_splits_the_closest_zeros_and_a_catalog_takes_two_rounds(
         table, monkeypatch):
     # STEP stays below half the smallest gap between zeros below T_MAX
     # (0.716, between t_91 and t_92), so no grid interval holds two of
-    # them; after the scan's two ends, every bracket of the full catalog
+    # them; after the scan's one line, every bracket of the full catalog
     # closes in one spread round and one certifying round, one call each
     assert STEP < 0.5 * np.diff(table[table < T_MAX]).min()
     calls = []
@@ -262,25 +270,42 @@ def test_step_splits_the_closest_zeros_and_a_catalog_takes_two_rounds(
                         lambda z: calls.append(np.size(z))
                         or log_xi_array(z))
     assert len(find_zeros(0.0, T_MAX)[0]) == 114
-    assert calls == [2, 7 * 114, 3 * 114]
+    assert calls == [7 * 114, 3 * 114]
 
 
-def _interior(lo, hi):
-    """find_zeros' interior grid of the window: the line's t0, dt and
-    count, and its points."""
+def _grid(lo, hi):
+    """find_zeros' scan grid of the window."""
     n = math.ceil((hi - lo) / STEP)
     h = (hi - lo) / n
-    return (lo + h, h, n - 1), lo + h + h * np.arange(n - 1)
+    return np.concatenate(([lo], lo + h + h * np.arange(n - 1), [hi]))
 
 
 def test_line_signs_match_the_array_on_every_scan_grid():
-    # the sign each interior grid point gives the scan, from the line and
-    # from log_xi_array at the same points
+    # the sign each grid point gives the scan, from the line and from
+    # log_xi_array at the same points
     for lo, width in [(0.0, 250.0)] + list(_random_windows()):
-        line, t = _interior(lo, lo + width)
-        got = real_sign(log_xi_line(*line).imag)
+        t = _grid(lo, lo + width)
+        got = real_sign(log_xi_line(t).imag)
         want = real_sign(log_xi_array(0.5 + 1j * t).imag)
         assert np.array_equal(got, want), lo
+
+
+def test_line_ends_are_the_arrays_at_every_zero(table, monkeypatch):
+    # a scan grid's two ends read what log_xi_array reads there, bit for
+    # bit, on one batch and on the line's sums: windows 1 and 40 wide on
+    # each side of every table zero below T_MAX, 0..250 and 220..T_MAX
+    summed, batch = set(), rzlab.zeta._log_xi
+    monkeypatch.setattr(rzlab.zeta, "_log_xi", lambda w, total=None: (
+        summed.add(total is not None) or batch(w, total)))
+    windows = [(0.0, 250.0), (220.0, T_MAX)]
+    for t_n in table[table < T_MAX]:
+        for w in (1.0, 40.0):
+            windows += [(max(t_n - w, 0.0), t_n), (t_n, min(t_n + w, T_MAX))]
+    for lo, hi in windows:
+        t = _grid(lo, hi)
+        assert np.array_equal(log_xi_line(t)[[0, -1]],
+                              log_xi_array(0.5 + 1j * t[[0, -1]])), (lo, hi)
+    assert summed == {False, True}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import rzlab.zeta
 from rzlab.errors import PoleError, RangeError
 from rzlab.zeta import (SIGMA_MAX, SIGMA_MIN, T_MAX, log_xi, log_xi_array,
-                        log_xi_line, xi, xi_symmetry_residual, zeta, zeta_em)
+                        log_xi_line, xi_symmetry_residual, zeta, zeta_em)
 
 # Frozen references from an independent high-precision evaluation.
 ZETA_REFS = [
@@ -103,7 +103,7 @@ def test_window_right_edge():
 
 @pytest.mark.parametrize("s,ref", XI_REFS)
 def test_xi_reference(s, ref):
-    got = xi(s)
+    got = cmath.exp(log_xi(s))
     assert abs(got - ref) < 1e-11 * abs(ref)
 
 
@@ -125,8 +125,9 @@ def test_xi_symmetry_residual_grid():
 
 
 def test_log_xi_consistent_with_xi():
+    # xi from its definition, by mpmath
     s = complex(0.25, 18.0)
-    assert abs(cmath.exp(log_xi(s)) - xi(s)) < 1e-12
+    assert abs(cmath.exp(log_xi(s)) - _mp_xi(s)) < 1e-12
 
 
 @pytest.mark.parametrize("x", [1e160, 1e300])
@@ -491,8 +492,8 @@ def test_zeta_em_takes_the_main_sums_it_is_given():
                           zeta_em(s.real, s.imag, 36))
 
 
-def _line(t0, dt, count):
-    return 0.5 + 1j * (t0 + dt * np.arange(count))
+def _grid(t0, dt, count):
+    return t0 + dt * np.arange(count)
 
 
 def test_log_xi_line_against_mpmath_as_the_array():
@@ -500,46 +501,58 @@ def test_log_xi_line_against_mpmath_as_the_array():
     # the line implies stays within 1.5 times the array's worst and median
     # errors against mpmath at 30 digits
     h = 250.0 / 834
-    pts = _line(h, h, 833)
+    t = np.concatenate(([0.0], _grid(h, h, 833), [250.0]))
+    pts = 0.5 + 1j * t[1:-1]
     zetas, prefactors = map(np.array, zip(*(_mp_zeta_and_prefactor(s, 30)
                                             for s in pts)))
     errors = [np.abs(np.exp(lx - prefactors) - zetas)
-              for lx in (log_xi_line(h, h, 833), log_xi_array(pts))]
+              for lx in (log_xi_line(t)[1:-1], log_xi_array(pts))]
     for stat in (np.max, np.median):
         assert stat(errors[0]) <= 1.5 * stat(errors[1])
 
 
 @pytest.mark.parametrize("t0,dt,count", [
+    # grids that fit one zeta_em chunk: one log_xi_array batch
     (20.0, 0.01, 0), (20.0, 0.01, 1), (20.0, 0.01, 31), (20.0, 0.01, 32),
-    (20.0, 0.01, 33),
+    (20.0, 0.01, 33), (15.0, 0.1, 21), (252.0, 0.25, 33),
+    # longer grids take the line on their interior: 191, 192 and 193
+    # points, one short of, at and one past six anchor rows of 32
+    (20.0, 0.01, 193), (20.0, 0.01, 194), (20.0, 0.01, 195),
     # one run of n = 28, clear of zeros, in three zeta_em calls (186 points
     # at most)
     (25.5, 0.01, 400),
     # t = 16 takes n = 24, its neighbour 16.1 n = 28
-    (15.0, 0.1, 21),
+    (15.0, 0.1, 201),
     # 201 points to t = 240 at n = 80, then a run of 599 at n = 84 in four
     # zeta_em calls from given sums (seven of 97 if they were summed),
     # clear of the zeros 239.56 and 241.05
     (239.8, 0.001, 800),
-    # the last point at T_MAX
-    (252.0, 0.25, 33)])
-def test_log_xi_line_matches_the_array(t0, dt, count):
-    # each point against log_xi_array on it alone, with its own n
-    pts = _line(t0, dt, count)
-    got = log_xi_line(t0, dt, count)
+    # the last point at T_MAX, every point at least 0.05 from a zero
+    (180.125, 0.83203125, 97)])
+def test_log_xi_line_matches_the_array(monkeypatch, t0, dt, count):
+    # each point against log_xi_array on it alone, with its own n; one
+    # batch per grid, with the line's sums past 33 points
+    summed, batch = [], rzlab.zeta._log_xi
+    monkeypatch.setattr(rzlab.zeta, "_log_xi", lambda w, total=None: (
+        summed.append(total is not None) or batch(w, total)))
+    t = _grid(t0, dt, count)
+    got = log_xi_line(t)
+    assert summed == [count > 33]
     assert got.shape == (count,) and got.dtype == complex
-    want = np.array([log_xi_array(pts[j:j + 1])[0] for j in range(count)])
+    want = np.array([log_xi_array(0.5 + 1j * t[j:j + 1])[0]
+                     for j in range(count)])
     assert np.max(np.abs(np.exp(got - want) - 1.0), initial=0.0) < 1e-12
 
 
 def test_log_xi_line_edges_of_the_window():
-    assert 16.0 in _line(15.0, 0.1, 21).imag
-    assert _line(252.0, 0.25, 33).imag[-1] == T_MAX
+    assert 16.0 in _grid(15.0, 0.1, 201)
+    assert _grid(180.125, 0.83203125, 97)[-1] == T_MAX
     # one point more passes T_MAX: log_xi_array's error for that point
+    t = _grid(180.125, 0.83203125, 98)
     with pytest.raises(RangeError) as array:
-        log_xi_array(_line(252.0, 0.25, 34))
+        log_xi_array(0.5 + 1j * t)
     with pytest.raises(RangeError) as line:
-        log_xi_line(252.0, 0.25, 34)
+        log_xi_line(t)
     assert str(line.value) == str(array.value)
 
 
@@ -547,17 +560,18 @@ def test_log_xi_line_edges_of_the_window():
     pytest.param(1e6, 0.1, 5, id="1000000.0"),
     pytest.param(float("nan"), 0.1, 5, id="nan"),
     # grids of inf * 0, 1j * inf and 1e308 * 2: NaN and infinite
-    # ordinates, which the line forms with no RuntimeWarning
+    # ordinates, which the line takes with no RuntimeWarning
     pytest.param(0.0, float("inf"), 5, id="dt=inf"),
     pytest.param(float("inf"), 0.1, 3, id="inf"),
     pytest.param(0.0, 1e308, 3, id="dt=1e308")])
 def test_log_xi_line_far_outside_the_window(t0, dt, count):
-    # the line checks the window before it builds its main sums, whose n
-    # grows with |t|: the array's RangeError, not a failed int(nan)
+    # the line checks the window before it sizes anything by |t|: the
+    # array's RangeError, not a failed int(nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        pts = _line(t0, dt, count)
+        t = _grid(t0, dt, count)
+        pts = 0.5 + 1j * t
     with pytest.raises(RangeError) as array:
         log_xi_array(pts)
     with pytest.raises(RangeError) as line:
-        log_xi_line(t0, dt, count)
+        log_xi_line(t)
     assert str(line.value) == str(array.value)
