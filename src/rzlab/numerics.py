@@ -109,9 +109,9 @@ _TRIPLE = np.array([-1.0, 0.0, 1.0])
 def find_root_bracketed(f, lo, hi, tol, f_lo, f_hi):
     """Refine the sign changes of real-valued f on the brackets
     [lo[i], hi[i]], where f is f_lo[i] and f_hi[i], all together, in
-    rounds that each call f once on an array of points strictly inside;
-    return the refined points and f there, each value from the round
-    that evaluated its point.
+    rounds that each call f once, on the (brackets x points) array of
+    the points strictly inside, for values of its shape; return the
+    refined points and f there, each value from the round that took it.
 
     Rounds alternate.  A spread round samples 7 points evenly inside
     each bracket, which keeps the neighbouring samples across which f
@@ -179,8 +179,7 @@ def find_root_bracketed(f, lo, hi, tol, f_lo, f_hi):
         x, y = np.empty((n, m)), np.empty((n, m))
         x[:, ::m - 1], y[:, ::m - 1] = pair, pair_f
         x[:, 1:-1] = centre[:, None] + half[:, None] * inner
-        y[:, 1:-1] = np.asarray(f(x[:, 1:-1].ravel()),
-                                dtype=float).reshape(n, m - 2)
+        y[:, 1:-1] = f(x[:, 1:-1])
         # the first neighbouring samples across which f changes sign or is
         # 0: the left one is never 0, nor f there equal to f at the right
         s = np.sign(y)

@@ -19,12 +19,11 @@ STEP = 0.3
 TOL = 1e-10
 
 
-def _signed_scaled(t, lx=None):
-    """xi(1/2 + it) e^{pi t / 4} at every t of the array, from lx = log
-    xi(1/2 + it) or one batched evaluation, with the sign real_sign reads
-    off the computed phase: with the e^{-pi t / 4} decay taken out, the
-    values the refiner interpolates stay far from underflow."""
-    lx = log_xi_array(0.5 + 1j * np.abs(t)) if lx is None else lx
+def _signed_scaled(t):
+    """xi(1/2 + it) e^{pi t / 4} at every t of a scan grid or a round's rows,
+    from log_xi_line, its sign real_sign's read of the computed phase; the
+    e^{-pi t / 4} decay taken out keeps the refiner's values off underflow."""
+    lx = log_xi_line(t)
     return real_sign(lx.imag) * np.exp(
         np.maximum(lx.real + 0.25 * math.pi * t, -700.0))
 
@@ -34,9 +33,9 @@ def find_zeros(t_min, t_max):
     float arrays: the ordinates, ascending, and their residuals.
 
     xi(1/2 + it) is evaluated on a grid of spacing at most STEP; its sign
-    changes are refined together by find_root_bracketed, one batched call
-    per round, to brackets of width TOL, from the grid values at their
-    ends.  Each residual is |xi| at the ordinate, from its last round.
+    changes are refined together by find_root_bracketed, one log_xi_line
+    call per round, to brackets of width TOL, from the grid values at
+    their ends.  Each residual is |xi| at the ordinate, from its last round.
     """
     if not (0.0 <= t_min < t_max <= T_MAX):
         raise PreconditionError("need 0 <= t_min < t_max <= %g" % T_MAX)
@@ -45,7 +44,7 @@ def find_zeros(t_min, t_max):
     grid = np.concatenate(([t_min], t_min + h + h * np.arange(n - 1), [t_max]))
     # no grid point lands on a zero: at the floats next to each zero below
     # T_MAX, log |xi| stays above -223 (-222.6 at t = 256.38)
-    f_grid = _signed_scaled(grid, log_xi_line(grid))
+    f_grid = _signed_scaled(grid)
     j = np.flatnonzero((f_grid[:-1] > 0.0) != (f_grid[1:] > 0.0))
     t, ft = find_root_bracketed(_signed_scaled, grid[j], grid[j + 1], TOL,
                                 f_lo=f_grid[j], f_hi=f_grid[j + 1])

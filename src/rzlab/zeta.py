@@ -62,6 +62,10 @@ _CHUNK_TERMS = 2 ** 13
 _ANCHOR = 32  # log_xi_line's points per exponential row k^(-s)
 
 
+class _Terms(np.ndarray):  # zeta_em's n, each point's own; int() gives
+    __int__ = lambda self: max(self.tolist())  # the largest, for call logs
+
+
 def _check_window(s):
     # %r: %g would print 260.0000001 as the bound it exceeds
     if not abs(s.imag) <= T_MAX:
@@ -83,14 +87,15 @@ def zeta_em(sigma, t, n, total=None):
 
     Valid for sigma > -1 once n >= _em_terms(t), with corrections through
     B_44.  sigma and t may be arrays, which broadcast to the shape of the
-    result, and then total, if given, holds their main sums over k < n;
-    n is one int for every point.  A single point stops the corrections
-    at the first term below rounding of the larger of |total| and
-    |n^(-s)|; an array adds all 22 as one running product per point,
-    which costs less than the test.  Callers handle reflection.
+    result, and then total, if given, holds their main sums over k < n,
+    and n, one int, may be an int array of each point's own.  A single
+    point stops the corrections at the first term below rounding of
+    max(|total|, |n^(-s)|); an array adds all 22 as one running product
+    per point, which costs less than the test.  Callers handle reflection.
     """
-    log_k = (_LOG_K[:n - 1] if n <= len(_LOG_K) + 1
-             else np.log(np.arange(1, n, dtype=float)))
+    if total is None:  # n is one int
+        log_k = (_LOG_K[:n - 1] if n <= len(_LOG_K) + 1
+                 else np.log(np.arange(1, n, dtype=float)))
     if isinstance(sigma, np.ndarray) or isinstance(t, np.ndarray):
         s = np.add(sigma, np.multiply(1j, t))
         if total is None:
@@ -102,9 +107,12 @@ def zeta_em(sigma, t, n, total=None):
         # B_2k/(2k)!.  Each factor is finite, so where n^(-s) underflows
         # to 0 (real s above ~250) the products stay 0, never 0 * inf.
         u = s / n
-        f = u[..., None] + _EM_OFFSETS / n
+        f = np.zeros(np.shape(u) + _EM_OFFSETS.shape, complex)
+        np.divide(_EM_OFFSETS, np.asarray(n)[..., None], out=f.real)
+        f += u[..., None]  # in place: one (points x 43) array, no more
         f[..., 0] = u * p
-        corrections = np.add.reduce(f.cumprod(-1)[..., ::2] * _EM_TAIL, -1)
+        f.cumprod(-1, out=f)[..., ::2] *= _EM_TAIL
+        corrections = np.add.reduce(f[..., ::2], -1)
         return (s - 1.0) * (total + corrections) + n * p
     s = complex(sigma, t)
     total = complex(np.exp(-s * log_k).sum())
@@ -193,19 +201,31 @@ def log_xi_array(s):
 
 
 def log_xi_line(t):
-    """log_xi_array at 1/2 + i t for a zero scan's uniform grid t, in one
-    batch: exactly where the grid fits one _zeta_em_batch chunk, and at
-    a longer grid's two ends; up to rounding on its interior, whose main
-    sums are taken along the line (Odlyzko and Schonhage, 1988), k^(-s)
-    at every _ANCHOR-th point times k^(-i m dt), dt the mean step."""
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN, inf t: outside
-        w = 0.5 + 1j * np.asarray(t, dtype=float)
-    top = np.abs(w.imag).max(initial=0.0)
-    if not top <= T_MAX or (len(w) * max(_em_terms(top), 2 * len(_EM_TAIL))
-                            <= _CHUNK_TERMS):
-        return _log_xi(w)  # one plain batch, or the array's RangeError
-    t = w.imag
-    terms = _em_terms(t).astype(int)
+    """log_xi_array at 1/2 + i t, t a zero scan's uniform grid or 2-d rows
+    of uniform steps, in one batch: exact where t fits one _zeta_em_batch
+    chunk and at a grid's ends, else up to rounding, with main sums along
+    the line (Odlyzko and Schonhage, 1988), k^(-s) at every _ANCHOR-th
+    point or row's first times k^(-i m dt), dt the mean or median step."""
+    w = np.empty(np.shape(t), complex)  # set, not multiplied: NaN and inf
+    w.real, w.imag = 0.5, t  # t reach the window check with no warning
+    top = (0.0 if w.size * _em_terms(T_MAX) <= _CHUNK_TERMS  # fits at any n
+           else np.abs(w.imag).max())
+    if not top <= T_MAX or (w.size * max(_em_terms(top), 2 * len(_EM_TAIL))
+                            <= _CHUNK_TERMS):  # one plain batch, or the
+        return _log_xi(w.ravel()).reshape(w.shape)  # array's RangeError
+    t, terms = w.imag, _em_terms(w.imag).astype(int)
+    if w.ndim == 2:  # rows k^(-s) at each row's first point, to its n
+        lk, m = _LOG_K[:terms.max() - 1], np.linspace(0.0, 1.0, t.shape[1])
+        k, d = np.arange(len(lk)), np.sort(t[:, -1] - t[:, 0])[len(t) // 2]
+        rows = np.multiply.outer(-w[:, 0], lk)  # in place: one such array
+        np.multiply(np.exp(rows, out=rows), k < terms[:, :1] - 1, out=rows)
+        sums = np.einsum("ak,mk->am", rows,  # d the rows' median span
+                         np.exp(np.multiply.outer(-1j * d * m, lk)))
+        alone = (terms != terms[:, :1]) | (  # another n, or off the step
+            np.abs(t - t[:, :1] - d * m) > 8 * _ROUNDOFF * np.abs(t))
+        sums[alone] = (np.exp(np.multiply.outer(-w[alone], lk))
+                       * (k < terms[alone][:, None] - 1)).sum(-1)
+        return _log_xi(w.ravel(), sums.ravel()).reshape(w.shape)
     table = np.exp(np.multiply.outer(
         -1j * ((t[-1] - t[0]) / (len(t) - 1)) * np.arange(_ANCHOR), _LOG_K))
     sums = []  # per run of one n: anchor rows k^(-s) times k^(-i m dt)
@@ -239,20 +259,22 @@ def _log_xi(w, total=None):
 def _zeta_em_batch(w, total=None):
     """zeta_em, (w - 1) zeta(w), at every point of the 1-d array w, each
     at its own n = _em_terms(Im w), so that a point reads the same value
-    in any batch; total, if given, holds their main sums over k < n.  One
-    call per n, on _CHUNK_TERMS // max(n, 44) points, or on 186 (// 44)
-    with total, as zeta_em then forms only its 43 correction factors."""
+    in any batch: one call per n on _CHUNK_TERMS // max(n, 44) points, or
+    given total, their main sums over k < n, one per 186 (// 44) points."""
     terms = _em_terms(w.imag).astype(int)
     out = np.empty_like(w)
+    if total is not None:  # zeta_em forms 43 factors a point, whatever n
+        each, c = terms.view(_Terms), _CHUNK_TERMS // (2 * len(_EM_TAIL))
+        for j in (slice(lo, lo + c) for lo in range(0, len(w), c)):
+            out[j] = zeta_em(w.real[j], w.imag[j], each[j], total[j])
+        return out
     # no n is above len(_LOG_K) + 1 = 88, so an empty batch takes none
     for n in range(terms.min(initial=len(_LOG_K) + 1),
                    terms.max(initial=20) + 1, 4):
         group = np.flatnonzero(terms == n)
-        chunk = _CHUNK_TERMS // max(n * (total is None), 2 * len(_EM_TAIL))
-        for lo in range(0, len(group), chunk):
-            j = group[lo:lo + chunk]
-            out[j] = zeta_em(w.real[j], w.imag[j], n,
-                             None if total is None else total[j])
+        chunk = _CHUNK_TERMS // max(n, 2 * len(_EM_TAIL))
+        for j in (group[lo:lo + chunk] for lo in range(0, len(group), chunk)):
+            out[j] = zeta_em(w.real[j], w.imag[j], n)
     return out
 
 

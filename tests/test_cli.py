@@ -1053,20 +1053,25 @@ def test_readme_commands_import_no_scipy():
 
 
 # xi work of each README command: calls of the scalar log_xi, calls
-# and points of log_xi_array and of log_xi_line, and calls of zeta_em.
+# and points of log_xi_array and of log_xi_line (every point of a 2-d
+# batch), and calls of zeta_em.
 # A change that moves a count updates this table and says why.
 XI_LEDGER = {
-    "zeros --t-min 0 --t-max 30": (0, 3, 109, 1, 101, 10),
+    # the scan's line and its two rounds through log_xi_line, the strip
+    # count's boundary through log_xi_array; three brackets, so each round
+    # is one plain batch and its zeta_em calls stay one per n
+    "zeros --t-min 0 --t-max 30": (0, 1, 79, 3, 131, 10),
     "smatrix eval --re 0 --im 0": (2, 0, 0, 0, 0, 2),
     "smatrix scan --tau-max 50 --step 0.1": (0, 1, 1002, 0, 0, 8),
     # no scalar log_xi: log xi at every 2p and 1 + 2p in one batch, the
     # pole flag's points in one more, and the catalog scan's line and
-    # its two rounds
-    "smatrix correspondence --num-zeros 10": (0, 5, 860, 1, 189, 27),
+    # its two rounds, whose 110 points take the line's sums
+    "smatrix correspondence --num-zeros 10": (0, 3, 750, 3, 299, 24),
     "quantum kmoment --nu 0.5": (0, 0, 0, 0, 0, 0),
     "quantum jost-verify --lambda 2 --k 1": (0, 0, 0, 0, 0, 0),
     "quantum khuri --lambda -5": (0, 0, 0, 0, 0, 0),
-    "hadamard --num-zeros 100 --at 2": (1, 2, 1010, 1, 800, 47),
+    # the catalog's line and two rounds, each closed 186 points a call
+    "hadamard --num-zeros 100 --at 2": (1, 0, 0, 3, 1810, 12),
     "dispersion roundtrip --model rational --half-width 50 --nodes 4001":
         (0, 0, 0, 0, 0, 0),
 }
@@ -1090,7 +1095,7 @@ def test_readme_commands_xi_ledger(monkeypatch, capsys):
 
     kernels = {"log_xi": lambda args: 0,
                "log_xi_array": lambda args: np.size(args[0]),
-               "log_xi_line": lambda args: len(args[0]),
+               "log_xi_line": lambda args: np.size(args[0]),
                "zeta_em": lambda args: 0}
     for name, size in kernels.items():
         f = getattr(rzlab.zeta, name)

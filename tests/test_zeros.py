@@ -216,18 +216,21 @@ def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
     # the scan's 835 grid points in one log_xi_line call and one xi batch,
     # the 833 interior ones summed along the line and its two ends as the
     # array sums them, then two refinement rounds over all 108 brackets,
-    # 7 and 3 points each; no point goes through the scalar log_xi
-    calls, scalar = [], []
+    # rows of 7 and 3 points each, through the line's sums too; each batch
+    # is closed 186 points a zeta_em call, 12 calls in all where one call
+    # per n took 49; no point goes through the scalar log_xi
+    calls, scalar, em = [], [], []
     log_xi = rzlab.zeta.log_xi
     log_xi_line = rzlab.zeta.log_xi_line
     batch = rzlab.zeta._log_xi
+    zeta_em = rzlab.zeta.zeta_em
 
     def counted(z):
         calls.append(("array", np.size(z)))
         return log_xi_array(z)
 
     def counted_line(t):
-        calls.append(("line", len(t)))
+        calls.append(("line", np.shape(t)))
         return log_xi_line(t)
 
     def counted_batch(w, total=None):
@@ -238,23 +241,34 @@ def test_catalog_takes_one_line_two_ends_and_two_rounds(monkeypatch):
         scalar.append(s)
         return log_xi(s)
 
+    def counted_em(*args):
+        em.append(np.size(args[1]))
+        return zeta_em(*args)
+
     monkeypatch.setattr(rzlab.zeros, "log_xi_array", counted)
     monkeypatch.setattr(rzlab.zeros, "log_xi_line", counted_line)
     monkeypatch.setattr(rzlab.zeta, "_log_xi", counted_batch)
     monkeypatch.setattr(rzlab.zeta, "log_xi", scalar_log_xi)
+    monkeypatch.setattr(rzlab.zeta, "zeta_em", counted_em)
     assert len(find_zeros(0.0, 250.0)[0]) == 108
-    assert calls == [("line", 835), ("batch", 835, True),
-                     ("array", 7 * 108), ("batch", 7 * 108, False),
-                     ("array", 3 * 108), ("batch", 3 * 108, False)]
-    # a grid that fits one zeta_em chunk is one plain batch: 35 points at
-    # n = 48 are, 135 points at n = 88 (93 would be) are not and take the
-    # line's sums, the last grid point at T_MAX
+    assert calls == [("line", (835,)), ("batch", 835, True),
+                     ("line", (108, 7)), ("batch", 7 * 108, True),
+                     ("line", (108, 3)), ("batch", 3 * 108, True)]
+    assert len(em) == 12 and sum(em) == 835 + 10 * 108
+    # a grid or round that fits one zeta_em chunk is one plain batch: 35
+    # points at n = 48 are, and so are the rounds' 28 and 12; of 135,
+    # 168 and 72 points at n up to 88 (93 fit) only the 72 are, and the
+    # others take the line's sums, the last grid point at T_MAX
     del calls[:]
     assert len(find_zeros(100.0, 110.0)[0]) == 4
-    assert calls[:2] == [("line", 35), ("batch", 35, False)]
+    assert calls == [("line", (35,)), ("batch", 35, False),
+                     ("line", (4, 7)), ("batch", 28, False),
+                     ("line", (4, 3)), ("batch", 12, False)]
     del calls[:]
     assert len(find_zeros(220.0, T_MAX)[0]) == 24
-    assert calls[:2] == [("line", 135), ("batch", 135, True)]
+    assert calls == [("line", (135,)), ("batch", 135, True),
+                     ("line", (24, 7)), ("batch", 168, True),
+                     ("line", (24, 3)), ("batch", 72, False)]
     assert scalar == []
 
 
@@ -266,11 +280,11 @@ def test_step_splits_the_closest_zeros_and_a_catalog_takes_two_rounds(
     # closes in one spread round and one certifying round, one call each
     assert STEP < 0.5 * np.diff(table[table < T_MAX]).min()
     calls = []
-    monkeypatch.setattr(rzlab.zeros, "log_xi_array",
-                        lambda z: calls.append(np.size(z))
-                        or log_xi_array(z))
+    monkeypatch.setattr(rzlab.zeros, "log_xi_line",
+                        lambda t: calls.append(np.shape(t))
+                        or log_xi_line(t))
     assert len(find_zeros(0.0, T_MAX)[0]) == 114
-    assert calls == [7 * 114, 3 * 114]
+    assert calls == [(868,), (114, 7), (114, 3)]
 
 
 def _grid(lo, hi):

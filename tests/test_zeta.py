@@ -274,6 +274,35 @@ def test_zeta_em_batch_is_bit_identical_alone_and_in_any_batch():
         got = np.concatenate([batch(pts[j:j + size], sums[j:j + size])
                               for j in range(0, len(pts), size)])
         assert np.array_equal(got, alone), size
+    # zeta_em from given sums with an int array n: one call per n
+    want = np.empty_like(pts)
+    for m in np.unique(n):
+        j = n == m
+        want[j] = zeta_em(pts.real[j], pts.imag[j], int(m), sums[j])
+    assert np.array_equal(zeta_em(pts.real, pts.imag, n, sums), want)
+
+
+@pytest.mark.parametrize("size", [1, 185, 186, 187, 1000, 3000])
+def test_zeta_em_batch_with_sums_takes_one_call_per_186_points(
+        monkeypatch, size):
+    # with given sums zeta_em forms only its 43 correction factors per
+    # point, so a batch is closed 186 (_CHUNK_TERMS // 44) points a call
+    # however many n it spans, each call's n still an int to int(), its
+    # largest; without them, one call per n at least
+    pts = _mixed_points(3000)[:size]
+    n = rzlab.zeta._em_terms(pts.imag).astype(int)
+    calls = []
+
+    def counted(sigma, t, m, total=None):
+        calls.append((np.size(m), int(m)))
+        return zeta_em(sigma, t, m, total)
+    monkeypatch.setattr(rzlab.zeta, "zeta_em", counted)
+    rzlab.zeta._zeta_em_batch(pts, np.zeros(size, complex))
+    assert calls == [(len(n[lo:lo + 186]), n[lo:lo + 186].max())
+                     for lo in range(0, size, 186)]
+    del calls[:]
+    rzlab.zeta._zeta_em_batch(pts)
+    assert len(calls) >= len(set(n)) and {c for c, _ in calls} == {1}
 
 
 def test_log_xi_array_is_bit_identical_alone_and_in_any_batch():
@@ -528,20 +557,62 @@ def test_log_xi_line_against_mpmath_as_the_array():
     # clear of the zeros 239.56 and 241.05
     (239.8, 0.001, 800),
     # the last point at T_MAX, every point at least 0.05 from a zero
-    (180.125, 0.83203125, 97)])
+    (180.125, 0.83203125, 97),
+    # 2-d rows of count points, from starts t0 at steps dt: the rows of
+    # the two refinement rounds of find_zeros(0, 250), 108 of 7 and 108
+    # of 3, the zero at 48.005 in a spread row across t = 48 ...
+    pytest.param("spread", None, 7, id="catalog-spread-rows"),
+    pytest.param("certifying", None, 3, id="catalog-certifying-rows"),
+    # ... 40 rows across t = 48, where n goes from 32 to 36 ...
+    pytest.param(47.9 + 0.005 * np.arange(40), 0.0375, 7,
+                 id="rows-across-48"),
+    # ... 30 rows, the last ending at T_MAX ...
+    pytest.param(258.5 - 0.25 * np.arange(30), 0.25, 7, id="rows-to-T_MAX"),
+    # ... and 25 rows at step 0.01 with 15 at 0.0375, which must not read
+    # the 25's table (one mean step puts them 4.7 relative off)
+    pytest.param(np.r_[30.0 + 0.5 * np.arange(25),
+                       60.0 + 0.5 * np.arange(15)],
+                 np.repeat([0.01, 0.0375], [25, 15])[:, None], 7,
+                 id="rows-two-steps")])
 def test_log_xi_line_matches_the_array(monkeypatch, t0, dt, count):
     # each point against log_xi_array on it alone, with its own n; one
-    # batch per grid, with the line's sums past 33 points
+    # batch per grid or set of rows, with the line's sums past 33 points.
+    # Rows are compared through zeta: a refinement round's rows sit on
+    # zeros, where the relative error of any other sum has no bound (the
+    # certifying points lie within 5e-11 of one), so there the bound
+    # holds for zeta's absolute error where |zeta| < 1
+    if isinstance(t0, str):
+        t = _refiner_rows()[t0]
+    elif np.ndim(t0):
+        t = t0[:, None] + dt * np.arange(count)
+    else:
+        t = _grid(t0, dt, count)
     summed, batch = [], rzlab.zeta._log_xi
     monkeypatch.setattr(rzlab.zeta, "_log_xi", lambda w, total=None: (
         summed.append(total is not None) or batch(w, total)))
-    t = _grid(t0, dt, count)
     got = log_xi_line(t)
-    assert summed == [count > 33]
-    assert got.shape == (count,) and got.dtype == complex
-    want = np.array([log_xi_array(0.5 + 1j * t[j:j + 1])[0]
-                     for j in range(count)])
-    assert np.max(np.abs(np.exp(got - want) - 1.0), initial=0.0) < 1e-12
+    assert summed == [t.size > 33]
+    assert got.shape == t.shape and got.dtype == complex
+    want = np.array([log_xi_array(0.5 + 1j * x) for x in t.ravel()])
+    scale = 1.0
+    if t.ndim == 2:
+        scale = np.minimum(1.0, [abs(zeta(0.5 + 1j * x)) for x in t.ravel()])
+    assert np.max(np.abs(np.exp(got.ravel() - want) - 1.0) * scale,
+                  initial=0.0) < 1e-12
+
+
+def _refiner_rows():
+    """The rows log_xi_line takes in find_zeros(0, 250)'s two refinement
+    rounds, by name."""
+    import rzlab.zeros
+    rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rzlab.zeros, "log_xi_line",
+                      lambda t: rows.append(np.array(t)) or log_xi_line(t))
+        rzlab.zeros.find_zeros(0.0, 250.0)
+    assert [x.shape for x in rows] == [(835,), (108, 7), (108, 3)]
+    assert np.count_nonzero((rows[1][:, 0] < 48.0) & (rows[1][:, -1] > 48.0))
+    return {"spread": rows[1], "certifying": rows[2]}
 
 
 def test_log_xi_line_edges_of_the_window():
@@ -569,6 +640,26 @@ def test_log_xi_line_far_outside_the_window(t0, dt, count):
     # array's RangeError, not a failed int(nan)
     with np.errstate(over="ignore", invalid="ignore"):
         t = _grid(t0, dt, count)
+        pts = 0.5 + 1j * t
+    with pytest.raises(RangeError) as array:
+        log_xi_array(pts)
+    with pytest.raises(RangeError) as line:
+        log_xi_line(t)
+    assert str(line.value) == str(array.value)
+
+
+@pytest.mark.parametrize("t", [
+    # a row past T_MAX among 40 in the window, and rows of NaN, infinite
+    # and far ordinates
+    pytest.param(np.add.outer(255.5 + 0.125 * np.arange(40),
+                              0.01 * np.arange(7)), id="rows-past-T_MAX"),
+    pytest.param(np.full((40, 7), np.nan), id="rows-nan"),
+    pytest.param(np.add.outer([1.0, np.inf], np.arange(3.0)), id="rows-inf"),
+    pytest.param(np.add.outer(1e6 + np.arange(40), np.arange(7.0)),
+                 id="rows-1000000.0")])
+def test_log_xi_line_rows_outside_the_window(t):
+    # 2-d rows: the array's RangeError, with no RuntimeWarning
+    with np.errstate(invalid="ignore"):
         pts = 0.5 + 1j * t
     with pytest.raises(RangeError) as array:
         log_xi_array(pts)
