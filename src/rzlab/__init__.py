@@ -10,9 +10,9 @@ from .errors import (BoundaryZeroError, DivergenceError, DomainError,
 __version__ = "0.1.0"
 
 # The one xi kernel: the numpy Euler-Maclaurin sum rzlab.zeta.zeta_em, on
-# one point, a batch (zeta.log_xi_array: contours, zero refinement) or a
-# zero scan's uniform line (zeta.log_xi_line); all of a scan's zero
-# brackets are refined together, one log_xi_array call per round.
+# one point, a batch (zeta.log_xi_array: contours) or the critical line
+# (zeta.log_xi_line: a zero scan's grid, then one call per refinement
+# round on all of the scan's zero brackets together).
 backend_name = "python"
 
 __all__ = [

@@ -201,11 +201,17 @@ def log_xi_array(s):
 
 
 def log_xi_line(t):
-    """log_xi_array at 1/2 + i t, t a zero scan's uniform grid or 2-d rows
-    of uniform steps, in one batch: exact where t fits one _zeta_em_batch
-    chunk and at a grid's ends, else up to rounding, with main sums along
-    the line (Odlyzko and Schonhage, 1988), k^(-s) at every _ANCHOR-th
-    point or row's first times k^(-i m dt), dt the mean or median step."""
+    """log_xi_array at 1/2 + i t for a real t of one or two dimensions, a
+    zero scan's grid or a refinement round's rows, in one batch: exact
+    where t fits one _zeta_em_batch chunk and at a grid's two ends, else
+    up to rounding.  Each row of t (a grid is one) takes its main sums
+    along the line (Odlyzko and Schonhage, 1988).  A point takes its own
+    row k^(-s), to its own n, where it starts a row (a grid's interior, at
+    index 1), has another n than the point before it, lies, or follows one
+    that lies, more than 4 eps |t| off its row's first point plus its
+    column times dt, the rows' median step, or lies a multiple of _ANCHOR
+    points past the last such point; any other point takes that anchor's
+    row times k^(-i m dt), m points past it."""
     w = np.empty(np.shape(t), complex)  # set, not multiplied: NaN and inf
     w.real, w.imag = 0.5, t  # t reach the window check with no warning
     top = (0.0 if w.size * _em_terms(T_MAX) <= _CHUNK_TERMS  # fits at any n
@@ -213,32 +219,25 @@ def log_xi_line(t):
     if not top <= T_MAX or (w.size * max(_em_terms(top), 2 * len(_EM_TAIL))
                             <= _CHUNK_TERMS):  # one plain batch, or the
         return _log_xi(w.ravel()).reshape(w.shape)  # array's RangeError
-    t, terms = w.imag, _em_terms(w.imag).astype(int)
-    if w.ndim == 2:  # rows k^(-s) at each row's first point, to its n
-        lk, m = _LOG_K[:terms.max() - 1], np.linspace(0.0, 1.0, t.shape[1])
-        k, d = np.arange(len(lk)), np.sort(t[:, -1] - t[:, 0])[len(t) // 2]
-        rows = np.multiply.outer(-w[:, 0], lk)  # in place: one such array
-        np.multiply(np.exp(rows, out=rows), k < terms[:, :1] - 1, out=rows)
-        sums = np.einsum("ak,mk->am", rows,  # d the rows' median span
-                         np.exp(np.multiply.outer(-1j * d * m, lk)))
-        alone = (terms != terms[:, :1]) | (  # another n, or off the step
-            np.abs(t - t[:, :1] - d * m) > 8 * _ROUNDOFF * np.abs(t))
-        sums[alone] = (np.exp(np.multiply.outer(-w[alone], lk))
-                       * (k < terms[alone][:, None] - 1)).sum(-1)
-        return _log_xi(w.ravel(), sums.ravel()).reshape(w.shape)
-    table = np.exp(np.multiply.outer(
-        -1j * ((t[-1] - t[0]) / (len(t) - 1)) * np.arange(_ANCHOR), _LOG_K))
-    sums = []  # per run of one n: anchor rows k^(-s) times k^(-i m dt)
-    for x in np.split(w[1:-1], np.flatnonzero(np.diff(terms[1:-1])) + 1):
-        n = int(_em_terms(x.imag[0]))
-        rows = np.exp(np.multiply.outer(-x[::_ANCHOR], _LOG_K[:n - 1]))
-        sums.append(np.einsum("ak,mk->am", rows, table[:, :n - 1])
-                    .ravel()[:len(x)])
-    # the ends summed as log_xi_array sums them, so that a zero scan's
-    # ends read what the zeros contour reads at its corners on the line
-    first, last = (np.exp(-w[j] * _LOG_K[:terms[j] - 1]).sum(keepdims=True)
-                   for j in (0, -1))
-    return _log_xi(w, np.concatenate([first] + sums + [last]))
+    line = np.atleast_2d(w)  # a grid is one row
+    t, terms = line.imag, _em_terms(line.imag).astype(int)
+    col = np.arange(t.shape[1])
+    dt = np.sort((t[:, -1] - t[:, 0]) / max(len(col) - 1, 1))[len(t) // 2]
+    off = np.abs(t - t[:, :1] - dt * col) > 8 * _ROUNDOFF * np.abs(t)
+    start = off | (col <= (w.ndim == 1))  # a grid's interior starts at 1
+    start[:, 1:] |= off[:, :-1] | (terms[:, 1:] != terms[:, :-1])
+    m = (col - np.maximum.accumulate(np.where(start, col, 0), 1)) % _ANCHOR
+    anchor, lk = m == 0, _LOG_K[:terms.max() - 1]
+    rows = np.multiply.outer(-line[anchor], lk)  # in place: one such array
+    np.multiply(np.exp(rows, out=rows),
+                np.arange(len(lk)) < terms[anchor][:, None] - 1, out=rows)
+    sums = np.einsum("ak,mk->am", rows, np.exp(np.multiply.outer(
+        -1j * dt * np.arange(m.max() + 1), lk)))[
+            np.cumsum(anchor).reshape(m.shape) - 1, m]
+    if w.ndim == 1:  # the ends summed as log_xi_array sums them, so that a
+        for j in (0, -1):  # scan's ends read what the contour reads there
+            sums[0, j] = np.exp(-w[j] * _LOG_K[:terms[0, j] - 1]).sum()
+    return _log_xi(w.ravel(), sums.ravel()).reshape(w.shape)
 
 
 def _log_xi(w, total=None):

@@ -525,6 +525,13 @@ def _grid(t0, dt, count):
     return t0 + dt * np.arange(count)
 
 
+def _moved(t, j, by):
+    """A copy of t with its point j moved by `by`."""
+    t = t.copy()
+    t[j] += by
+    return t
+
+
 def test_log_xi_line_against_mpmath_as_the_array():
     # every interior point of find_zeros(0, 250)'s grid: the zeta that
     # the line implies stays within 1.5 times the array's worst and median
@@ -573,16 +580,36 @@ def test_log_xi_line_against_mpmath_as_the_array():
     pytest.param(np.r_[30.0 + 0.5 * np.arange(25),
                        60.0 + 0.5 * np.arange(15)],
                  np.repeat([0.01, 0.0375], [25, 15])[:, None], 7,
-                 id="rows-two-steps")])
+                 id="rows-two-steps"),
+    # t itself, off a uniform grid: a grid with one point moved by 0.004
+    # (8e-3 off if it took its anchor's offset row), a grid of two
+    # steps, 200 sorted random ordinates, and rows with one moved point,
+    # whose next point must not take it as its anchor ...
+    pytest.param(_moved(_grid(100.0, 0.01, 200), 77, 0.004), None, None,
+                 id="grid-one-moved"),
+    pytest.param(np.r_[_grid(100.0, 0.01, 100), _grid(101.0, 0.03, 100)],
+                 None, None, id="grid-two-steps"),
+    pytest.param(np.sort(np.random.default_rng(50).uniform(20.0, 250.0, 200)),
+                 None, None, id="random-ordinates"),
+    pytest.param(_moved(np.add.outer(30.0 + 0.5 * np.arange(40),
+                                     _grid(0.0, 0.01, 7)), (11, 3), 0.004),
+                 None, None, id="rows-one-moved"),
+    # ... and 200 rows of one point, no step to divide by, and one row of
+    # 200 (a RuntimeWarning fails the test)
+    pytest.param(_grid(100.0, 0.01, 200)[:, None], None, None, id="200x1"),
+    pytest.param(_grid(100.0, 0.01, 200)[None], None, None, id="1x200")])
 def test_log_xi_line_matches_the_array(monkeypatch, t0, dt, count):
     # each point against log_xi_array on it alone, with its own n; one
     # batch per grid or set of rows, with the line's sums past 33 points.
-    # Rows are compared through zeta: a refinement round's rows sit on
-    # zeros, where the relative error of any other sum has no bound (the
-    # certifying points lie within 5e-11 of one), so there the bound
-    # holds for zeta's absolute error where |zeta| < 1
+    # Rows and any t off a uniform grid are compared through zeta: a
+    # refinement round's rows sit on zeros, where the relative error of any
+    # other sum has no bound (the certifying points lie within 5e-11 of
+    # one), so there the bound holds for zeta's absolute error where
+    # |zeta| < 1
     if isinstance(t0, str):
         t = _refiner_rows()[t0]
+    elif dt is None:
+        t = t0
     elif np.ndim(t0):
         t = t0[:, None] + dt * np.arange(count)
     else:
@@ -595,7 +622,7 @@ def test_log_xi_line_matches_the_array(monkeypatch, t0, dt, count):
     assert got.shape == t.shape and got.dtype == complex
     want = np.array([log_xi_array(0.5 + 1j * x) for x in t.ravel()])
     scale = 1.0
-    if t.ndim == 2:
+    if t.ndim == 2 or dt is None:
         scale = np.minimum(1.0, [abs(zeta(0.5 + 1j * x)) for x in t.ravel()])
     assert np.max(np.abs(np.exp(got.ravel() - want) - 1.0) * scale,
                   initial=0.0) < 1e-12
